@@ -11,7 +11,8 @@ Layers:
 * lie_core: structure constants, brackets, Jacobi defects, adjoint and
   coadjoint matrices, Kirillov forms, and the exponential-series oracle.
 * group_models: multiplication laws, inverses, the two-cocycle, and
-  closed-form adjoint/coadjoint actions for each model.
+  closed-form adjoint/coadjoint actions for each model, on group elements
+  that are parameter arrays with optional leading batch axes.
 * orbit_chart: orbit coordinates, Casimir invariants, restricted forms,
   Poisson tensors and brackets.
 * dynamics: exact group time flows and numeric Hamiltonian flows with
@@ -41,7 +42,6 @@ from .lie_core import (
 from .group_models import (
     ALGEBRA_LABELS,
     DUAL_LABELS,
-    GroupParam,
     ModelId,
     ModelMismatchError,
     adjoint,

@@ -8,10 +8,11 @@ orbit      print the Kirillov matrix, restricted form, Poisson tensor,
 simulate   integrate a flow and write a CSV (or JSON) trajectory
 bracket    evaluate one chart coordinate bracket at a point
 
-Exit codes: 0 all checks pass / run complete, 1 check failure, 2 usage or
-configuration error, 3 numeric failure.  All randomness is controlled by
---seed, and floating point values are printed with shortest round-trip
-precision, so identical invocations produce byte-identical output.
+Exit codes: 0 all checks pass / run complete, 1 check failure, 2 usage,
+configuration or output-file error, 3 numeric failure.  All randomness is
+controlled by --seed, and floating point values are printed with shortest
+round-trip precision, so identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -117,20 +118,58 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _config_seed(cfg: dict, default: int) -> int:
+    seed = cfg.get("seed", default)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def _config_models(cfg: dict) -> list[ModelId] | None:
+    wanted = cfg.get("models")
+    if wanted is None:
+        return None
+    if not (isinstance(wanted, list)
+            and all(isinstance(n, str) for n in wanted)):
+        raise UsageError("config key 'models' must be a list of model names")
+    if not wanted:
+        raise UsageError("config selects an empty model list")
+    return [ModelId.from_name(n) for n in wanted]
+
+
+def _config_corruption(cfg: dict) -> dict | None:
+    """The 'corrupt' entry, checked against the model it names."""
+    corrupt = cfg.get("corrupt")
+    if corrupt is None:
+        return None
+    if not isinstance(corrupt, dict) or not isinstance(corrupt.get("model"),
+                                                       str):
+        raise UsageError("config key 'corrupt' must be an object naming a "
+                         "model and generators a, b, out")
+    model = ModelId.from_name(corrupt["model"])
+    labels = gm.ALGEBRA_LABELS[model]
+    for key in ("a", "b", "out"):
+        if corrupt.get(key) not in labels:
+            raise UsageError(f"corrupt {key!r} must be one of the "
+                             f"{model.value} generators {labels}, got "
+                             f"{corrupt.get(key)!r}")
+    delta = corrupt.get("delta", 1.0)
+    if (isinstance(delta, bool) or not isinstance(delta, (int, float))
+            or not np.isfinite(delta)):
+        raise UsageError(f"corrupt 'delta' must be a finite number, got "
+                         f"{delta!r}")
+    return {"model": model.value, "a": corrupt["a"], "b": corrupt["b"],
+            "out": corrupt["out"], "delta": float(delta)}
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     params = _params_from_args(args)
-    seed = int(cfg.get("seed", args.seed))
-    if args.model == "all":
-        models = None
-        wanted = cfg.get("models")
-        if wanted is not None:
-            if not wanted:
-                raise UsageError("config selects an empty model list")
-            models = [ModelId.from_name(n) for n in wanted]
-    else:
+    seed = _config_seed(cfg, args.seed)
+    models = _config_models(cfg)
+    if args.model != "all":
         models = [ModelId.from_name(args.model)]
-    corruption = cfg.get("corrupt")
+    corruption = _config_corruption(cfg)
     report = verify_mod.run_verify(models=models, seed=seed, params=params,
                                    corruption=corruption)
     print(report.table())
@@ -417,6 +456,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (UsageError, gm.ModelMismatchError, oc.ChartDegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # config files are read under UsageError, so this is an output file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (oc.SingularityError, dyn.FlowSingularityError,
             dyn.SolverConvergenceError, SeriesConvergenceError) as exc:

@@ -35,7 +35,7 @@ import numpy as np
 from .lie_core import ModelParams
 from . import group_models as gm
 from . import orbit_chart as oc
-from .group_models import GroupParam, ModelId
+from .group_models import ModelId
 from .orbit_chart import OrbitPoint
 
 DEFAULT_PARAMS = ModelParams()
@@ -130,34 +130,28 @@ def magnetic_strength(params: ModelParams = DEFAULT_PARAMS) -> float:
     return params.m * params.omega
 
 
-def time_translation(model: ModelId, t: float) -> GroupParam:
-    """The pure time-translation group element of duration t."""
-    return gm.one_param_element(model, "H", t)
-
-
-def time_flow_exact(model: ModelId, xi0, t: float,
+def time_flow_exact(model: ModelId, xi0, t,
                     params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Coadjoint action of the time-translation subgroup on the dual point."""
-    return gm.coadjoint(model, time_translation(model, t), xi0, params)
+    """Coadjoint action of the time-translation subgroup on the dual point.
+
+    t may be an array of times; their axes lead the result's.
+    """
+    elements = np.multiply.outer(t, gm.algebra_vector(model, H=1.0))
+    return gm.coadjoint(model, elements, xi0, params)
 
 
 def _group_trajectory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
                       params: ModelParams) -> Trajectory:
     xi0 = oc.dual_from_chart(z0, params)
     times = spec.dt * np.arange(spec.nsteps + 1)
-    points = []
-    cas_rows = []
-    for t in times:
-        xi = time_flow_exact(model, xi0, float(t), params)
-        pt = oc.chart_from_dual(model, xi, params)
-        points.append(pt)
-        cas_rows.append(pt.casimirs.values)
+    points = tuple(oc.chart_from_dual(model, xi, params)
+                   for xi in time_flow_exact(model, xi0, times, params))
     return Trajectory(
         model=model,
         times=times,
-        points=tuple(points),
+        points=points,
         casimir_names=oc.CASIMIR_NAMES[model],
-        casimir_series=np.array(cas_rows),
+        casimir_series=np.array([pt.casimirs.values for pt in points]),
     )
 
 

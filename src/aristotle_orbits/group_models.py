@@ -34,27 +34,37 @@ exponential series by the test suite.  Where a differently-signed variant
 of a term is in circulation, the verify report lists it as a convention
 note; the series oracle is authoritative here.
 
-Everything is a pure function over immutable values.
+Group elements
+--------------
+A group element of a model is a float array whose last axis holds its
+parameters in ALGEBRA_LABELS order: the parameters of exp(s e_label) are
+exactly s e_label.  The slots are
+
+    J      P1  P2  H  S    N    F1    F2    K
+    theta  x1  x2  t  phi  psi  eta1  eta2  gamma
+
+so base is (theta, x1, x2, t), central1 appends phi, central2 (phi, psi),
+noncentral (eta1, eta2, phi) and double (eta1, eta2, phi, gamma).  Algebra
+and dual vectors are arrays in the same way.  Leading axes are batch axes:
+multiply, inverse, cocycle, adjoint and coadjoint broadcast them like any
+NumPy operation, so one call acts on a single element, on a stack of
+elements, or with one element on a stack of vectors.  An array whose last
+axis is not the model's dimension raises ModelMismatchError.
+
+Everything is a pure function; results are new arrays.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import (
-    ModelParams,
-    StructureTensor,
-    cross2,
-    eps_vec,
-    rotation,
-)
+from .lie_core import ModelParams, StructureTensor
 
 
 class ModelMismatchError(ValueError):
-    """A group element does not carry the fields of the requested model."""
+    """An element, vector or label does not belong to the requested model."""
 
 
 class ModelId(enum.Enum):
@@ -86,15 +96,6 @@ DUAL_LABELS: dict[ModelId, tuple[str, ...]] = {
     ModelId.CENTRAL2: ("j", "p1", "p2", "E", "l", "h"),
     ModelId.NONCENTRAL: ("j", "p1", "p2", "E", "f1", "f2", "h"),
     ModelId.DOUBLE: ("j", "p1", "p2", "E", "f1", "f2", "h", "k"),
-}
-
-#: Group parameter fields carried by each model.
-MODEL_FIELDS: dict[ModelId, tuple[str, ...]] = {
-    ModelId.BASE: ("theta", "x", "t"),
-    ModelId.CENTRAL1: ("theta", "x", "t", "phi"),
-    ModelId.CENTRAL2: ("theta", "x", "t", "phi", "psi"),
-    ModelId.NONCENTRAL: ("theta", "x", "t", "phi", "eta"),
-    ModelId.DOUBLE: ("theta", "x", "t", "phi", "eta", "gamma"),
 }
 
 DEFAULT_PARAMS = ModelParams()
@@ -159,127 +160,124 @@ def defective_central2_tensor(params: ModelParams = DEFAULT_PARAMS) -> Structure
     return StructureTensor.from_brackets(ALGEBRA_LABELS[ModelId.CENTRAL2], table)
 
 
-@dataclass(frozen=True)
-class GroupParam:
-    """Group element parameters; only the fields of one model are set.
+def _trailing(model: ModelId, a) -> np.ndarray:
+    """a as a float array, checked to end in an axis of the model's length."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (dim(model),):
+        raise ModelMismatchError(
+            f"array of shape {a.shape} does not end in the {dim(model)} "
+            f"slots of model {model.value}")
+    return a
 
-    theta is the rotation angle, x the space translation, t the time
-    translation; phi, psi, eta, gamma are the extension parameters.
+
+def _slot_first(a: np.ndarray) -> np.ndarray:
+    """View of a with its slot axis first.
+
+    Scalar slots then have the batch shape and 2-vector slots a leading
+    axis of length 2, so the closed forms read as on single elements.
     """
-
-    theta: float = 0.0
-    x: tuple[float, float] = (0.0, 0.0)
-    t: float = 0.0
-    phi: float | None = None
-    psi: float | None = None
-    eta: tuple[float, float] | None = None
-    gamma: float | None = None
-
-    def xvec(self) -> np.ndarray:
-        return np.asarray(self.x, dtype=float)
-
-    def etavec(self) -> np.ndarray:
-        return np.asarray(self.eta, dtype=float)
+    return a.transpose(-1, *range(a.ndim - 1))
 
 
-def identity_element(model: ModelId) -> GroupParam:
+def _slots(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Broadcast the arrays together and return slot-first views to read."""
+    return [_slot_first(a) for a in np.broadcast_arrays(*arrays)]
+
+
+def _rotate(theta, v) -> np.ndarray:
+    """R(theta) v, counterclockwise, for 2-vectors v with components first."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array((c * v[0] - s * v[1], s * v[0] + c * v[1]))
+
+
+def _cross(a, b):
+    """lie_core.cross2 for 2-vectors with components first."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _dot(a, b):
+    """Euclidean product of 2-vectors with components first."""
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _eps(u) -> np.ndarray:
+    """lie_core.eps_vec for 2-vectors with components first."""
+    return np.array((u[1], -u[0]))
+
+
+def identity_element(model: ModelId) -> np.ndarray:
     """The neutral element: every parameter of the model is zero."""
-    fields = MODEL_FIELDS[model]
-    kw = {}
-    if "phi" in fields:
-        kw["phi"] = 0.0
-    if "psi" in fields:
-        kw["psi"] = 0.0
-    if "eta" in fields:
-        kw["eta"] = (0.0, 0.0)
-    if "gamma" in fields:
-        kw["gamma"] = 0.0
-    return GroupParam(**kw)
+    return np.zeros(dim(model))
 
 
-def _require(model: ModelId, g: GroupParam) -> None:
-    fields = MODEL_FIELDS[model]
-    for name in ("phi", "psi", "eta", "gamma"):
-        have = getattr(g, name) is not None
-        if have != (name in fields):
-            raise ModelMismatchError(
-                f"element field {name!r} {'set' if have else 'missing'} "
-                f"for model {model.value}"
-            )
-
-
-def cocycle(g: GroupParam, g2: GroupParam,
-            params: ModelParams = DEFAULT_PARAMS) -> float:
+def cocycle(g, g2, params: ModelParams = DEFAULT_PARAMS):
     """Two-cocycle c(g, g') = cross2(R(-theta) x, x') / (2 r**2) on base elements.
 
+    Reads only theta and x, so it applies to the elements of every model.
     Twists the phi component of every extended multiplication law and
     satisfies c(g, g') + c(g g', g'') = c(g', g'') + c(g, g' g'').
     """
-    u = rotation(-g.theta) @ g.xvec()
-    return cross2(u, g2.xvec()) / (2.0 * params.r**2)
+    a, b = _slots(np.asarray(g, dtype=float), np.asarray(g2, dtype=float))
+    return _cross(_rotate(-a[0], a[1:3]), b[1:3]) / (2.0 * params.r**2)
 
 
-def multiply(model: ModelId, g: GroupParam, g2: GroupParam,
-             params: ModelParams = DEFAULT_PARAMS) -> GroupParam:
-    """Composition g * g2 by the model's closed-form multiplication law."""
-    _require(model, g)
-    _require(model, g2)
-    R = rotation(g.theta)
-    theta = g.theta + g2.theta
-    x = R @ g2.xvec() + g.xvec()
-    t = g.t + g2.t
+def multiply(model: ModelId, g, g2,
+             params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Composition g * g2 by the model's closed-form multiplication law.
+
+    theta, t and the extension parameters start from their sums; the
+    translation slots rotate and the cocycle twists phi (psi on central2).
+    """
+    g, g2 = _trailing(model, g), _trailing(model, g2)
+    a, b = _slots(g, g2)
+    out = g + g2
+    o = _slot_first(out)
+    theta, x, t = a[0], a[1:3], a[3]
+    Rx2 = _rotate(theta, b[1:3])
+    o[1:3] = Rx2 + x
     if model is ModelId.BASE:
-        return GroupParam(theta=theta, x=tuple(x), t=t)
+        return out
     coc = cocycle(g, g2, params)
     if model is ModelId.CENTRAL1:
-        return GroupParam(theta=theta, x=tuple(x), t=t, phi=g.phi + g2.phi + coc)
+        o[4] += coc
+        return out
     if model is ModelId.CENTRAL2:
         # The cross-product cocycle feeds the new center N (psi); the S
         # coordinate phi composes additively and pairs with H through N.
-        psi = g.psi + g2.psi + coc - params.omega * g.t * g2.phi
-        return GroupParam(theta=theta, x=tuple(x), t=t,
-                          phi=g.phi + g2.phi, psi=psi)
+        o[5] += coc - params.omega * t * b[4]
+        return out
+    eta, t2 = a[4:6], b[3]
+    Reta2 = _rotate(theta, b[4:6])
+    o[6] += coc
     if model is ModelId.NONCENTRAL:
-        eta = R @ g2.etavec() - R @ g2.xvec() * g.t + g.etavec()
-        return GroupParam(theta=theta, x=tuple(x), t=t,
-                          phi=g.phi + g2.phi + coc, eta=tuple(eta))
-    if model is ModelId.DOUBLE:
-        eta = R @ g2.etavec() + g.etavec() + g.xvec() * g2.t
-        gamma = (g.gamma + g2.gamma
-                 + 0.5 * g.xvec() @ (R @ g2.etavec())
-                 - 0.5 * (g.etavec() + g.xvec() * g2.t) @ (R @ g2.xvec()))
-        return GroupParam(theta=theta, x=tuple(x), t=t,
-                          phi=g.phi + g2.phi + coc, eta=tuple(eta), gamma=gamma)
-    raise ModelMismatchError(f"unknown model {model}")
+        o[4:6] = Reta2 - Rx2 * t + eta
+        return out
+    o[4:6] = Reta2 + eta + x * t2
+    o[7] += 0.5 * _dot(x, Reta2) - 0.5 * _dot(eta + x * t2, Rx2)
+    return out
 
 
-def inverse(model: ModelId, g: GroupParam,
-            params: ModelParams = DEFAULT_PARAMS) -> GroupParam:
-    """Group inverse, solving multiply(model, g, inverse(g)) = identity."""
-    _require(model, g)
-    Rm = rotation(-g.theta)
-    theta = -g.theta
-    x = -(Rm @ g.xvec())
-    t = -g.t
-    if model is ModelId.BASE:
-        return GroupParam(theta=theta, x=tuple(x), t=t)
-    if model is ModelId.CENTRAL1:
-        return GroupParam(theta=theta, x=tuple(x), t=t, phi=-g.phi)
+def inverse(model: ModelId, g,
+            params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Group inverse, solving multiply(model, g, inverse(g)) = identity.
+
+    theta, t, phi and gamma change sign; x, eta and psi follow below.
+    """
+    g = _trailing(model, g)
+    out = -g
+    a, o = _slot_first(g), _slot_first(out)
+    theta, x, t = a[0], a[1:3], a[3]
+    o[1:3] = -_rotate(-theta, x)
     if model is ModelId.CENTRAL2:
-        return GroupParam(theta=theta, x=tuple(x), t=t, phi=-g.phi,
-                          psi=-g.psi - params.omega * g.t * g.phi)
-    if model is ModelId.NONCENTRAL:
-        eta = -(Rm @ (g.etavec() + g.xvec() * g.t))
-        return GroupParam(theta=theta, x=tuple(x), t=t, phi=-g.phi,
-                          eta=tuple(eta))
-    if model is ModelId.DOUBLE:
-        eta = -(Rm @ (g.etavec() - g.xvec() * g.t))
-        return GroupParam(theta=theta, x=tuple(x), t=t, phi=-g.phi,
-                          eta=tuple(eta), gamma=-g.gamma)
-    raise ModelMismatchError(f"unknown model {model}")
+        o[5] -= params.omega * t * a[4]
+    elif model is ModelId.NONCENTRAL:
+        o[4:6] = -_rotate(-theta, a[4:6] + x * t)
+    elif model is ModelId.DOUBLE:
+        o[4:6] = -_rotate(-theta, a[4:6] - x * t)
+    return out
 
 
-def adjoint(model: ModelId, g: GroupParam, dx,
+def adjoint(model: ModelId, g, dx,
             params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
     """Closed-form adjoint action of g on an algebra vector.
 
@@ -288,48 +286,40 @@ def adjoint(model: ModelId, g: GroupParam, dx,
     cross2(R(-theta) x, dx_trans) / r**2 - |x|^2 dtheta / (2 r**2) on the
     extension slot it feeds.
     """
-    _require(model, g)
-    dx = np.asarray(dx, dtype=float)
-    n = dim(model)
-    if dx.shape != (n,):
-        raise ModelMismatchError(f"algebra vector has shape {dx.shape}, "
-                                 f"expected ({n},)")
-    R = rotation(g.theta)
-    xv = g.xvec()
+    g, dx = _trailing(model, g), _trailing(model, dx)
+    out = np.empty(np.broadcast_shapes(g.shape, dx.shape))
+    out[...] = dx  # the J and H components and every central charge
+    a, d = _slots(g, dx)
+    o = _slot_first(out)
+    theta, x, t = a[0], a[1:3], a[3]
     r2 = params.r**2
-    dth, dtr, dt = dx[0], dx[1:3], dx[3]
-    out = np.empty(n)
-    out[0] = dth
-    out[1:3] = R @ dtr + eps_vec(xv) * dth
-    out[3] = dt
-    coc_term = cross2(rotation(-g.theta) @ xv, dtr) / r2 - (xv @ xv) / (2 * r2) * dth
+    dth, dtr, dt = d[0], d[1:3], d[3]
+    Rdtr = _rotate(theta, dtr)
+    o[1:3] = Rdtr + _eps(x) * dth
     if model is ModelId.BASE:
         return out
+    coc_term = (_cross(_rotate(-theta, x), dtr) / r2
+                - _dot(x, x) / (2 * r2) * dth)
     if model is ModelId.CENTRAL1:
-        out[4] = dx[4] + coc_term
+        o[4] += coc_term
         return out
     if model is ModelId.CENTRAL2:
-        out[4] = dx[4]
-        out[5] = (dx[5] + coc_term
-                  - params.omega * g.t * dx[4] + params.omega * g.phi * dt)
+        o[5] += (coc_term - params.omega * t * d[4]
+                 + params.omega * a[4] * dt)
         return out
-    ev = g.etavec()
-    deta = dx[4:6]
+    eta = a[4:6]
+    Rdeta = _rotate(theta, d[4:6])
+    o[6] += coc_term
     if model is ModelId.NONCENTRAL:
-        out[4:6] = R @ deta - g.t * (R @ dtr) + eps_vec(ev) * dth + xv * dt
-        out[6] = dx[6] + coc_term
+        o[4:6] = Rdeta - t * Rdtr + _eps(eta) * dth + x * dt
         return out
-    if model is ModelId.DOUBLE:
-        out[4:6] = (R @ deta - g.t * (R @ dtr)
-                    + eps_vec(ev - xv * g.t) * dth + xv * dt)
-        out[6] = dx[6] + coc_term
-        out[7] = (dx[7] + xv @ (R @ deta) - ev @ (R @ dtr)
-                  + cross2(xv, ev) * dth + 0.5 * (xv @ xv) * dt)
-        return out
-    raise ModelMismatchError(f"unknown model {model}")
+    o[4:6] = Rdeta - t * Rdtr + _eps(eta - x * t) * dth + x * dt
+    o[7] += (_dot(x, Rdeta) - _dot(eta, Rdtr) + _cross(x, eta) * dth
+             + 0.5 * _dot(x, x) * dt)
+    return out
 
 
-def coadjoint(model: ModelId, g: GroupParam, xi,
+def coadjoint(model: ModelId, g, xi,
               params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
     """Closed-form coadjoint action Ad*_g xi = (Ad_{g^{-1}})^T xi.
 
@@ -337,135 +327,71 @@ def coadjoint(model: ModelId, g: GroupParam, xi,
     charges (l for central1, h elsewhere) scale every translation coupling,
     and the angular momentum picks up -charge |x|^2 / (2 r**2).
     """
-    _require(model, g)
-    xi = np.asarray(xi, dtype=float)
-    n = dim(model)
-    if xi.shape != (n,):
-        raise ModelMismatchError(f"dual vector has shape {xi.shape}, "
-                                 f"expected ({n},)")
-    R = rotation(g.theta)
-    xv = g.xvec()
+    g, xi = _trailing(model, g), _trailing(model, xi)
+    out = np.empty(np.broadcast_shapes(g.shape, xi.shape))
+    out[...] = xi  # E and every extension charge unless changed below
+    a, v = _slots(g, xi)
+    o = _slot_first(out)
+    theta, x, t = a[0], a[1:3], a[3]
     r2 = params.r**2
-    j, p, E = xi[0], xi[1:3], xi[3]
-    Rp = R @ p
-    out = np.empty(n)
+    j, E = v[0], v[3]
+    Rp = _rotate(theta, v[1:3])
     if model is ModelId.BASE:
-        out[0] = j + cross2(xv, Rp)
-        out[1:3] = Rp
-        out[3] = E
+        o[0] = j + _cross(x, Rp)
+        o[1:3] = Rp
         return out
+    xx = _dot(x, x)
     if model is ModelId.CENTRAL1:
-        l = xi[4]
-        out[0] = j + cross2(xv, Rp) - l * (xv @ xv) / (2 * r2)
-        out[1:3] = Rp + (l / r2) * eps_vec(xv)
-        out[3] = E
-        out[4] = l
+        l = v[4]
+        o[0] = j + _cross(x, Rp) - l * xx / (2 * r2)
+        o[1:3] = Rp + (l / r2) * _eps(x)
         return out
     if model is ModelId.CENTRAL2:
-        l, h = xi[4], xi[5]
-        out[0] = j + cross2(xv, Rp) - h * (xv @ xv) / (2 * r2)
-        out[1:3] = Rp + (h / r2) * eps_vec(xv)
-        out[3] = E - h * params.omega * g.phi
-        out[4] = l + h * params.omega * g.t
-        out[5] = h
+        l, h = v[4], v[5]
+        o[0] = j + _cross(x, Rp) - h * xx / (2 * r2)
+        o[1:3] = Rp + (h / r2) * _eps(x)
+        o[3] = E - h * params.omega * a[4]
+        o[4] = l + h * params.omega * t
         return out
-    f = xi[4:6]
-    h = xi[6]
-    Rf = R @ f
-    ev = g.etavec()
+    h = v[6]
+    Rf = _rotate(theta, v[4:6])
+    eta = a[4:6]
     if model is ModelId.NONCENTRAL:
-        out[0] = (j + cross2(xv, Rp) + cross2(ev + xv * g.t, Rf)
-                  - h * (xv @ xv) / (2 * r2))
-        out[1:3] = Rp + g.t * Rf + (h / r2) * eps_vec(xv)
-        out[3] = E - xv @ Rf
-        out[4:6] = Rf
-        out[6] = h
+        o[0] = (j + _cross(x, Rp) + _cross(eta + x * t, Rf)
+                - h * xx / (2 * r2))
+        o[1:3] = Rp + t * Rf + (h / r2) * _eps(x)
+        o[3] = E - _dot(x, Rf)
+        o[4:6] = Rf
         return out
-    if model is ModelId.DOUBLE:
-        k = xi[7]
-        out[0] = (j + cross2(xv, Rp) + cross2(ev, Rf) + k * cross2(xv, ev)
-                  - h * (xv @ xv) / (2 * r2))
-        out[1:3] = Rp + g.t * Rf + k * (ev - xv * g.t) + (h / r2) * eps_vec(xv)
-        out[3] = E - xv @ Rf + 0.5 * k * (xv @ xv)
-        out[4:6] = Rf - k * xv
-        out[6] = h
-        out[7] = k
-        return out
-    raise ModelMismatchError(f"unknown model {model}")
+    k = v[7]
+    o[0] = (j + _cross(x, Rp) + _cross(eta, Rf) + k * _cross(x, eta)
+            - h * xx / (2 * r2))
+    o[1:3] = Rp + t * Rf + k * (eta - x * t) + (h / r2) * _eps(x)
+    o[3] = E - _dot(x, Rf) + 0.5 * k * xx
+    o[4:6] = Rf - k * x
+    return out
 
 
-def one_param_element(model: ModelId, label: str, s: float) -> GroupParam:
-    """exp(s * e_label) as a group element, for a single basis generator."""
-    if label not in ALGEBRA_LABELS[model]:
-        raise ModelMismatchError(f"{label!r} is not a generator of {model.value}")
-    e = identity_element(model)
-    kw = {"phi": e.phi, "psi": e.psi, "eta": e.eta, "gamma": e.gamma}
-    if label == "J":
-        return GroupParam(theta=s, **kw)
-    if label == "P1":
-        return GroupParam(x=(s, 0.0), **kw)
-    if label == "P2":
-        return GroupParam(x=(0.0, s), **kw)
-    if label == "H":
-        return GroupParam(t=s, **kw)
-    if label == "S":
-        kw["phi"] = s
-        return GroupParam(**kw)
-    if label == "N":
-        kw["psi"] = s
-        return GroupParam(**kw)
-    if label == "F1":
-        kw["eta"] = (s, 0.0)
-        return GroupParam(**kw)
-    if label == "F2":
-        kw["eta"] = (0.0, s)
-        return GroupParam(**kw)
-    if label == "K":
-        kw["gamma"] = s
-        return GroupParam(**kw)
-    raise ModelMismatchError(f"unknown generator {label!r}")
+def one_param_element(model: ModelId, label: str, s: float) -> np.ndarray:
+    """exp(s * e_label) as a group element, for a single basis generator.
 
-
-def element_from_algebra(model: ModelId, y, s: float = 1.0) -> GroupParam:
-    """Group element with parameter slots s * y; agrees with exp(s y) to O(s^2).
-
-    Good enough for centered finite differences of the adjoint action at
-    the identity, where the quadratic mismatch cancels.
+    Its parameters are exactly s * e_label.
     """
-    y = np.asarray(y, dtype=float) * s
-    fields = MODEL_FIELDS[model]
-    labels = ALGEBRA_LABELS[model]
-    kw: dict = {"theta": y[0], "x": (y[1], y[2]), "t": y[3]}
-    if "eta" in fields:
-        i = labels.index("F1")
-        kw["eta"] = (y[i], y[i + 1])
-    if "phi" in fields:
-        kw["phi"] = y[labels.index("S")]
-    if "psi" in fields:
-        kw["psi"] = y[labels.index("N")]
-    if "gamma" in fields:
-        kw["gamma"] = y[labels.index("K")]
-    return GroupParam(**kw)
+    return algebra_vector(model, **{label: s})
 
 
-def sample_element(model: ModelId, rng: np.random.Generator) -> GroupParam:
-    """Random element: angle uniform in [-pi, pi], other parameters in [-1, 1]."""
-    u = lambda: float(rng.uniform(-1.0, 1.0))
-    fields = MODEL_FIELDS[model]
-    kw: dict = {
-        "theta": float(rng.uniform(-np.pi, np.pi)),
-        "x": (u(), u()),
-        "t": u(),
-    }
-    if "phi" in fields:
-        kw["phi"] = u()
-    if "psi" in fields:
-        kw["psi"] = u()
-    if "eta" in fields:
-        kw["eta"] = (u(), u())
-    if "gamma" in fields:
-        kw["gamma"] = u()
-    return GroupParam(**kw)
+def sample_element(model: ModelId, rng: np.random.Generator,
+                   size: int | tuple[int, ...] | None = None) -> np.ndarray:
+    """Random element: angle uniform in [-pi, pi], other parameters in [-1, 1].
+
+    size gives leading batch axes, as for Generator.uniform; the default
+    draws one element.
+    """
+    bound = np.ones(dim(model))
+    bound[0] = np.pi
+    if size is not None:
+        size = (*np.atleast_1d(size), dim(model))
+    return rng.uniform(-bound, bound, size)
 
 
 def sample_dual(model: ModelId, rng: np.random.Generator,

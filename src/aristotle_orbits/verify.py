@@ -91,17 +91,9 @@ class Report:
         return "\n".join(lines)
 
 
-def _element_distance(model: ModelId, g: gm.GroupParam,
-                      g2: gm.GroupParam) -> float:
-    d = [abs(g.theta - g2.theta), abs(g.t - g2.t),
-         float(np.max(np.abs(g.xvec() - g2.xvec())))]
-    for name in ("phi", "psi", "gamma"):
-        a, b = getattr(g, name), getattr(g2, name)
-        if a is not None:
-            d.append(abs(a - b))
-    if g.eta is not None:
-        d.append(float(np.max(np.abs(g.etavec() - g2.etavec()))))
-    return max(d)
+def _max_abs(a, b) -> float:
+    """Largest entry of |a - b| over every slot and every batch entry."""
+    return float(np.max(np.abs(a - b)))
 
 
 def check_structure(report: Report, params: ModelParams, models,
@@ -127,53 +119,32 @@ def check_group_axioms(report: Report, params: ModelParams, models,
                        rng: np.random.Generator, ntriples: int = 1000) -> None:
     for model in models:
         e = gm.identity_element(model)
-        worst_assoc = 0.0
-        worst_id = 0.0
-        for _ in range(ntriples):
-            g1 = gm.sample_element(model, rng)
-            g2 = gm.sample_element(model, rng)
-            g3 = gm.sample_element(model, rng)
-            left = gm.multiply(model, gm.multiply(model, g1, g2, params), g3,
-                               params)
-            right = gm.multiply(model, g1, gm.multiply(model, g2, g3, params),
-                                params)
-            worst_assoc = max(worst_assoc,
-                              _element_distance(model, left, right))
-            worst_id = max(
-                worst_id,
-                _element_distance(model, gm.multiply(model, g1, e, params), g1),
-                _element_distance(model, gm.multiply(model, e, g1, params), g1),
-            )
-        report.add(f"{model.value}: associativity", worst_assoc, 1e-12)
+        g1, g2, g3 = gm.sample_element(model, rng, (3, ntriples))
+        left = gm.multiply(model, gm.multiply(model, g1, g2, params), g3,
+                           params)
+        right = gm.multiply(model, g1, gm.multiply(model, g2, g3, params),
+                            params)
+        report.add(f"{model.value}: associativity", _max_abs(left, right),
+                   1e-12)
+        worst_id = max(_max_abs(gm.multiply(model, g1, e, params), g1),
+                       _max_abs(gm.multiply(model, e, g1, params), g1))
         report.add(f"{model.value}: identity element", worst_id, 1e-12)
 
-        worst_inv = 0.0
-        for _ in range(100):
-            g = gm.sample_element(model, rng)
-            ginv = gm.inverse(model, g, params)
-            worst_inv = max(
-                worst_inv,
-                _element_distance(model, gm.multiply(model, g, ginv, params), e),
-                _element_distance(model, gm.multiply(model, ginv, g, params), e),
-            )
+        g = gm.sample_element(model, rng, 100)
+        ginv = gm.inverse(model, g, params)
+        worst_inv = max(_max_abs(gm.multiply(model, g, ginv, params), e),
+                        _max_abs(gm.multiply(model, ginv, g, params), e))
         report.add(f"{model.value}: inverse round trip", worst_inv, 1e-12)
 
 
 def check_cocycle(report: Report, params: ModelParams,
                   rng: np.random.Generator, ntriples: int = 1000) -> None:
-    worst = 0.0
-    for _ in range(ntriples):
-        g1 = gm.sample_element(ModelId.BASE, rng)
-        g2 = gm.sample_element(ModelId.BASE, rng)
-        g3 = gm.sample_element(ModelId.BASE, rng)
-        lhs = (gm.cocycle(g1, g2, params)
-               + gm.cocycle(gm.multiply(ModelId.BASE, g1, g2, params), g3,
-                            params))
-        rhs = (gm.cocycle(g2, g3, params)
-               + gm.cocycle(g1, gm.multiply(ModelId.BASE, g2, g3, params),
-                            params))
-        worst = max(worst, abs(lhs - rhs))
-    report.add("base: two-cocycle identity", worst, 1e-12)
+    g1, g2, g3 = gm.sample_element(ModelId.BASE, rng, (3, ntriples))
+    lhs = (gm.cocycle(g1, g2, params)
+           + gm.cocycle(gm.multiply(ModelId.BASE, g1, g2, params), g3, params))
+    rhs = (gm.cocycle(g2, g3, params)
+           + gm.cocycle(g1, gm.multiply(ModelId.BASE, g2, g3, params), params))
+    report.add("base: two-cocycle identity", _max_abs(lhs, rhs), 1e-12)
 
 
 def check_adjoint_consistency(report: Report, params: ModelParams, models,
@@ -186,10 +157,10 @@ def check_adjoint_consistency(report: Report, params: ModelParams, models,
         for _ in range(n):
             y = rng.uniform(-1.0, 1.0, size=gm.dim(model))
             dx = rng.uniform(-1.0, 1.0, size=gm.dim(model))
-            plus = gm.adjoint(model, gm.element_from_algebra(model, y, step),
-                              dx, params)
-            minus = gm.adjoint(model, gm.element_from_algebra(model, y, -step),
-                               dx, params)
+            # parameters s y agree with exp(s y) to O(s^2), which the
+            # centered difference cancels
+            plus = gm.adjoint(model, step * y, dx, params)
+            minus = gm.adjoint(model, -step * y, dx, params)
             fd = (plus - minus) / (2.0 * step)
             worst = max(worst, float(np.max(np.abs(fd - bracket(tensor, y, dx)))))
         report.add(f"{model.value}: adjoint/bracket consistency", worst, 1e-6)
@@ -219,17 +190,14 @@ def check_coadjoint_oracle(report: Report, params: ModelParams,
 def check_homomorphism(report: Report, params: ModelParams, models,
                        rng: np.random.Generator, n: int = 200) -> None:
     for model in models:
-        worst = 0.0
-        for _ in range(n):
-            g1 = gm.sample_element(model, rng)
-            g2 = gm.sample_element(model, rng)
-            xi = rng.uniform(-1.0, 1.0, size=gm.dim(model))
-            joint = gm.coadjoint(model, gm.multiply(model, g1, g2, params),
-                                 xi, params)
-            split = gm.coadjoint(model, g1, gm.coadjoint(model, g2, xi, params),
-                                 params)
-            worst = max(worst, float(np.max(np.abs(joint - split))))
-        report.add(f"{model.value}: coadjoint homomorphism", worst, 1e-10)
+        g1, g2 = gm.sample_element(model, rng, (2, n))
+        xi = rng.uniform(-1.0, 1.0, size=(n, gm.dim(model)))
+        joint = gm.coadjoint(model, gm.multiply(model, g1, g2, params), xi,
+                             params)
+        split = gm.coadjoint(model, g1, gm.coadjoint(model, g2, xi, params),
+                             params)
+        report.add(f"{model.value}: coadjoint homomorphism",
+                   _max_abs(joint, split), 1e-10)
 
 
 def check_casimirs(report: Report, params: ModelParams, models,
@@ -237,16 +205,13 @@ def check_casimirs(report: Report, params: ModelParams, models,
     for model in models:
         if model not in CHART_MODELS:
             continue
-        worst = 0.0
-        for _ in range(n):
-            xi = gm.sample_dual(model, rng, nondegenerate=True)
-            g = gm.sample_element(model, rng)
-            before = np.array(oc.casimirs(model, xi, params).values)
-            after = np.array(
-                oc.casimirs(model, gm.coadjoint(model, g, xi, params),
-                            params).values)
-            worst = max(worst, float(np.max(np.abs(after - before))))
-        report.add(f"{model.value}: casimir invariance", worst, 1e-9)
+        xis = np.array([gm.sample_dual(model, rng, nondegenerate=True)
+                        for _ in range(n)])
+        moved = gm.coadjoint(model, gm.sample_element(model, rng, n), xis,
+                             params)
+        report.add(f"{model.value}: casimir invariance",
+                   _max_abs(_casimir_rows(model, moved, params),
+                            _casimir_rows(model, xis, params)), 1e-9)
 
         worst_sv = 0.0
         tensor = gm.structure_tensor(model, params)
@@ -259,6 +224,12 @@ def check_casimirs(report: Report, params: ModelParams, models,
             worst_sv = max(worst_sv, float(sv.max()) if sv.size else 0.0)
         report.add(f"{model.value}: casimir gradients span kirillov kernel",
                    worst_sv, 1e-8)
+
+
+def _casimir_rows(model: ModelId, xis: np.ndarray,
+                  params: ModelParams) -> np.ndarray:
+    """Casimir values of each dual point in a stack, one row per point."""
+    return np.array([oc.casimirs(model, xi, params).values for xi in xis])
 
 
 def _casimir_gradients(model: ModelId, xi: np.ndarray,
@@ -415,59 +386,42 @@ def check_canonical_chart(report: Report, params: ModelParams, models,
     report.add("noncentral: canonical pair bracket {H, tau} = 1", worst, 1e-9)
 
 
+#: Exact time flows per chart model: the report row and the constant
+#: velocity of the dual point xi at frequency omega.
+TIME_FLOW_ROWS = {
+    # the whole dual point is frozen
+    ModelId.CENTRAL1: ("central1: time flow is trivial",
+                       lambda xi, w: np.zeros_like(xi)),
+    # dl/dt = h omega, everything else frozen
+    ModelId.CENTRAL2: ("central2: time flow advances l by h omega t",
+                       lambda xi, w: gm.dual_vector(ModelId.CENTRAL2,
+                                                    l=xi[5] * w)),
+    # dp/dt = f; the angular sector and all casimirs are frozen
+    ModelId.NONCENTRAL: ("noncentral: time flow pushes p by f t, rest frozen",
+                         lambda xi, w: gm.dual_vector(ModelId.NONCENTRAL,
+                                                      p1=xi[4], p2=xi[5])),
+    # dp/dt = f = -k q with q frozen
+    ModelId.DOUBLE: ("double: time flow obeys dp/dt = -k q, dq/dt = 0",
+                     lambda xi, w: gm.dual_vector(ModelId.DOUBLE,
+                                                  p1=xi[4], p2=xi[5])),
+}
+
+
 def check_time_flows(report: Report, params: ModelParams, models,
                      rng: np.random.Generator) -> None:
-    w = params.omega
+    for model, (name, velocity) in TIME_FLOW_ROWS.items():
+        if model not in models:
+            continue
+        worst = 0.0
+        for _ in range(20):
+            xi = gm.sample_dual(model, rng, nondegenerate=True)
+            t = float(rng.uniform(-2.0, 2.0))
+            out = dyn.time_flow_exact(model, xi, t, params)
+            expected = xi + velocity(xi, params.omega) * t
+            worst = max(worst, _max_abs(out, expected))
+        report.add(name, worst, 1e-12)
+
     chart_selected = [m for m in models if m in CHART_MODELS]
-
-    if ModelId.CENTRAL1 in models:
-        # the whole dual point is frozen
-        worst = 0.0
-        for _ in range(20):
-            xi = gm.sample_dual(ModelId.CENTRAL1, rng, nondegenerate=True)
-            t = float(rng.uniform(-2.0, 2.0))
-            worst = max(worst, float(np.max(np.abs(
-                dyn.time_flow_exact(ModelId.CENTRAL1, xi, t, params) - xi))))
-        report.add("central1: time flow is trivial", worst, 1e-12)
-
-    if ModelId.CENTRAL2 in models:
-        # dl/dt = h omega, everything else frozen
-        worst = 0.0
-        for _ in range(20):
-            xi = gm.sample_dual(ModelId.CENTRAL2, rng, nondegenerate=True)
-            t = float(rng.uniform(-2.0, 2.0))
-            out = dyn.time_flow_exact(ModelId.CENTRAL2, xi, t, params)
-            expected = xi.copy()
-            expected[4] += xi[5] * w * t
-            worst = max(worst, float(np.max(np.abs(out - expected))))
-        report.add("central2: time flow advances l by h omega t", worst, 1e-12)
-
-    if ModelId.NONCENTRAL in models:
-        # dp/dt = f; the angular sector and all casimirs are frozen
-        worst = 0.0
-        for _ in range(20):
-            xi = gm.sample_dual(ModelId.NONCENTRAL, rng, nondegenerate=True)
-            t = float(rng.uniform(-2.0, 2.0))
-            out = dyn.time_flow_exact(ModelId.NONCENTRAL, xi, t, params)
-            expected = xi.copy()
-            expected[1:3] += xi[4:6] * t
-            worst = max(worst, float(np.max(np.abs(out - expected))))
-        report.add("noncentral: time flow pushes p by f t, rest frozen",
-                   worst, 1e-12)
-
-    if ModelId.DOUBLE in models:
-        # dp/dt = -k q with q frozen
-        worst = 0.0
-        for _ in range(20):
-            xi = gm.sample_dual(ModelId.DOUBLE, rng, nondegenerate=True)
-            t = float(rng.uniform(-2.0, 2.0))
-            out = dyn.time_flow_exact(ModelId.DOUBLE, xi, t, params)
-            expected = xi.copy()
-            expected[1:3] += xi[4:6] * t
-            worst = max(worst, float(np.max(np.abs(out - expected))))
-        report.add("double: time flow obeys dp/dt = -k q, dq/dt = 0",
-                   worst, 1e-12)
-
     if chart_selected:
         # exact flow composes additively in t
         worst = 0.0
@@ -495,11 +449,12 @@ def collect_convention_notes(params: ModelParams) -> list[dict]:
     r2 = params.r**2
     mw = params.m_omega
 
-    g = gm.GroupParam(theta=0.3, x=(0.7, -0.4), t=0.5, phi=0.2)
+    g = gm.algebra_vector(ModelId.CENTRAL1, J=0.3, P1=0.7, P2=-0.4, H=0.5,
+                          S=0.2)
     xi = gm.dual_vector(ModelId.CENTRAL1, j=0.3, p1=0.8, p2=-0.5, E=0.1,
                         l=params.l_sub)
     out = gm.coadjoint(ModelId.CENTRAL1, g, xi, params)
-    xv, rp = g.xvec(), rotation(g.theta) @ xi[1:3]
+    xv, rp = g[1:3], rotation(g[0]) @ xi[1:3]
     alt_j = xi[0] + cross2(xv, rp) + 0.5 * mw * (xv @ xv)
     notes.append({
         "model": "central1",
@@ -519,15 +474,16 @@ def collect_convention_notes(params: ModelParams) -> list[dict]:
         "oracle_agrees_with_implementation": True,
     })
 
-    g2 = gm.GroupParam(theta=0.2, x=(0.6, 0.3), t=0.7, phi=0.1, psi=0.0)
+    g2 = gm.algebra_vector(ModelId.CENTRAL2, J=0.2, P1=0.6, P2=0.3, H=0.7,
+                           S=0.1)
     xi2 = gm.dual_vector(ModelId.CENTRAL2, j=0.2, p1=0.4, p2=0.9, E=0.3,
                          l=0.8, h=params.l_sub)
     out2 = gm.coadjoint(ModelId.CENTRAL2, g2, xi2, params)
-    xv2 = g2.xvec()
-    rp2 = rotation(g2.theta) @ xi2[1:3]
+    xv2, t2 = g2[1:3], g2[3]
+    rp2 = rotation(g2[0]) @ xi2[1:3]
     l2, h2 = xi2[4], xi2[5]
     alt_j2 = (xi2[0] + cross2(xv2, rp2)
-              - (l2 + h2 * params.omega * g2.t) / (2 * r2) * (xv2 @ xv2))
+              - (l2 + h2 * params.omega * t2) / (2 * r2) * (xv2 @ xv2))
     notes.append({
         "model": "central2",
         "term": "coadjoint angular momentum, charge of the quadratic term",
@@ -537,7 +493,7 @@ def collect_convention_notes(params: ModelParams) -> list[dict]:
         "oracle_agrees_with_implementation": True,
     })
     alt_p2 = (rp2 + (l2 / r2) * eps_vec(xv2)
-              + (h2 / r2) * params.omega * g2.t * eps_vec(xv2))
+              + (h2 / r2) * params.omega * t2 * eps_vec(xv2))
     notes.append({
         "model": "central2",
         "term": "coadjoint momentum, translation charge",
@@ -568,14 +524,14 @@ def collect_convention_notes(params: ModelParams) -> list[dict]:
                   "alpha' = alpha + phi simultaneously",
     })
 
-    g3 = gm.GroupParam(theta=-0.4, x=(0.5, 0.2), t=0.6, phi=0.0,
-                       eta=(0.3, -0.7))
+    g3 = gm.algebra_vector(ModelId.NONCENTRAL, J=-0.4, P1=0.5, P2=0.2, H=0.6,
+                           F1=0.3, F2=-0.7)
     xi3 = gm.dual_vector(ModelId.NONCENTRAL, j=0.1, p1=0.7, p2=0.2, E=0.4,
                          f1=0.6, f2=0.45, h=params.l_sub)
     out3 = gm.coadjoint(ModelId.NONCENTRAL, g3, xi3, params)
-    xv3, ev3 = g3.xvec(), g3.etavec()
-    rp3 = rotation(g3.theta) @ xi3[1:3]
-    rf3 = rotation(g3.theta) @ xi3[4:6]
+    xv3, ev3 = g3[1:3], g3[4:6]
+    rp3 = rotation(g3[0]) @ xi3[1:3]
+    rf3 = rotation(g3[0]) @ xi3[4:6]
     h3 = xi3[6]
     alt_j3 = (xi3[0] + cross2(xv3, rp3) + cross2(ev3, rf3)
               - (h3 / r2) * (xv3 @ xv3))
@@ -599,13 +555,12 @@ def collect_convention_notes(params: ModelParams) -> list[dict]:
                   "constant force; only the angular sector is frozen",
     })
 
-    g4 = gm.GroupParam(theta=0.0, x=(0.4, -0.3), t=0.0, phi=0.0,
-                       eta=(0.5, 0.6), gamma=0.0)
+    g4 = gm.algebra_vector(ModelId.DOUBLE, P1=0.4, P2=-0.3, F1=0.5, F2=0.6)
     xi4 = gm.dual_vector(ModelId.DOUBLE, j=0.3, p1=0.2, p2=-0.6, E=0.5,
                          f1=0.7, f2=0.1, h=params.l_sub, k=0.9)
     out4 = gm.coadjoint(ModelId.DOUBLE, g4, xi4, params)
     k4 = xi4[7]
-    alt_j4 = out4[0] - k4 * cross2(g4.xvec(), g4.etavec())
+    alt_j4 = out4[0] - k4 * cross2(g4[1:3], g4[4:6])
     notes.append({
         "model": "double",
         "term": "coadjoint angular momentum, mixed translation term",

@@ -12,7 +12,6 @@ import numpy as np
 import aristotle_orbits as ao
 from aristotle_orbits import FlowSpec, ModelId, ModelParams
 from aristotle_orbits.verify import (
-    _element_distance,
     _expected_poisson,
     _casimir_gradients,
     _sample_point,
@@ -68,16 +67,15 @@ def test_criterion_02_group_validity():
                                PARAMS)
             right = ao.multiply(model, g1, ao.multiply(model, g2, g3, PARAMS),
                                 PARAMS)
-            line.update(_element_distance(model, left, right))
+            line.update(np.max(np.abs(left - right)))
         for _ in range(200):
             g = ao.sample_element(model, rng)
-            line.update(_element_distance(
-                model, ao.multiply(model, g, e, PARAMS), g))
+            line.update(np.max(np.abs(ao.multiply(model, g, e, PARAMS) - g)))
             ginv = ao.inverse(model, g, PARAMS)
-            line.update(_element_distance(
-                model, ao.multiply(model, g, ginv, PARAMS), e))
-            line.update(_element_distance(
-                model, ao.multiply(model, ginv, g, PARAMS), e))
+            line.update(np.max(np.abs(ao.multiply(model, g, ginv, PARAMS)
+                                      - e)))
+            line.update(np.max(np.abs(ao.multiply(model, ginv, g, PARAMS)
+                                      - e)))
     for _ in range(1000):
         g1, g2, g3 = (ao.sample_element(ModelId.BASE, rng) for _ in range(3))
         lhs = (ao.cocycle(g1, g2, PARAMS)

@@ -56,6 +56,34 @@ def test_verify_empty_model_list_is_usage_error(tmp_path):
     assert run(["verify", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("cfg", [
+    {"models": "double"},
+    {"seed": "abc"},
+    {"corrupt": 5},
+    {"corrupt": {"model": "base", "a": "P1", "b": "P2", "out": "S"}},
+], ids=["models-string", "seed-string", "corrupt-number", "corrupt-label"])
+def test_verify_bad_config_is_one_line_usage_error(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "base"],
+    ["simulate", "--model", "double", "--flow", "group", "--dt", "0.1",
+     "--steps", "10", "--point", "0,0,1,0"],
+], ids=["verify", "simulate"])
+def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["verify", "--model", "double", "--seed", "7",

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 import aristotle_orbits as ao
-from aristotle_orbits import GroupParam, ModelId, ModelParams
-from aristotle_orbits.group_models import element_from_algebra
-from aristotle_orbits.verify import _element_distance
+from aristotle_orbits import ModelId, ModelParams
 
 PARAMS = ModelParams()
 ALL_MODELS = list(ModelId)
 CHART_MODELS = [ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.NONCENTRAL,
                 ModelId.DOUBLE]
+
+
+def distance(g, g2):
+    return np.max(np.abs(g - g2))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -18,32 +20,32 @@ def test_identity_is_neutral(model):
     e = ao.identity_element(model)
     for _ in range(20):
         g = ao.sample_element(model, rng)
-        assert _element_distance(model, ao.multiply(model, g, e, PARAMS), g) < 1e-15
-        assert _element_distance(model, ao.multiply(model, e, g, PARAMS), g) < 1e-15
+        assert distance(ao.multiply(model, g, e, PARAMS), g) < 1e-15
+        assert distance(ao.multiply(model, e, g, PARAMS), g) < 1e-15
 
 
 def test_base_law_matches_closed_form():
-    g = GroupParam(theta=0.4, x=(1.0, 2.0), t=0.3)
-    g2 = GroupParam(theta=-0.1, x=(0.5, -1.5), t=0.8)
+    g = np.array([0.4, 1.0, 2.0, 0.3])
+    g2 = np.array([-0.1, 0.5, -1.5, 0.8])
     out = ao.multiply(ModelId.BASE, g, g2, PARAMS)
-    assert out.theta == pytest.approx(0.3)
-    assert np.allclose(out.xvec(), ao.rotation(0.4) @ g2.xvec() + g.xvec())
-    assert out.t == pytest.approx(1.1)
+    assert out[0] == pytest.approx(0.3)
+    assert np.allclose(out[1:3], ao.rotation(0.4) @ g2[1:3] + g[1:3])
+    assert out[3] == pytest.approx(1.1)
 
 
 def test_central1_cocycle_value_on_unit_translations():
-    g = GroupParam(theta=0.0, x=(1.0, 0.0), t=0.0, phi=0.0)
-    g2 = GroupParam(theta=0.0, x=(0.0, 1.0), t=0.0, phi=0.0)
+    g = ao.one_param_element(ModelId.CENTRAL1, "P1", 1.0)
+    g2 = ao.one_param_element(ModelId.CENTRAL1, "P2", 1.0)
     out = ao.multiply(ModelId.CENTRAL1, g, g2, PARAMS)
-    assert out.phi == pytest.approx(0.5)
+    assert out[4] == pytest.approx(0.5)  # phi
 
 
 def test_cocycle_examples():
     e = ao.identity_element(ModelId.BASE)
-    g = GroupParam(theta=0.3, x=(0.4, -0.9), t=0.1)
+    g = np.array([0.3, 0.4, -0.9, 0.1])
     assert ao.cocycle(e, g, PARAMS) == 0.0
-    a = GroupParam(x=(1.0, 0.0))
-    b = GroupParam(x=(0.0, 1.0))
+    a = ao.one_param_element(ModelId.BASE, "P1", 1.0)
+    b = ao.one_param_element(ModelId.BASE, "P2", 1.0)
     assert ao.cocycle(a, b, PARAMS) == pytest.approx(0.5)
 
 
@@ -69,21 +71,21 @@ def test_associativity_random_triples(model):
                            PARAMS)
         right = ao.multiply(model, g1, ao.multiply(model, g2, g3, PARAMS),
                             PARAMS)
-        assert _element_distance(model, left, right) < 1e-12
+        assert distance(left, right) < 1e-12
 
 
 def test_base_inverse_closed_form():
-    g = GroupParam(theta=0.7, x=(2.0, -1.0), t=1.5)
+    g = np.array([0.7, 2.0, -1.0, 1.5])
     ginv = ao.inverse(ModelId.BASE, g, PARAMS)
-    assert ginv.theta == pytest.approx(-0.7)
-    assert np.allclose(ginv.xvec(), -(ao.rotation(-0.7) @ g.xvec()))
-    assert ginv.t == pytest.approx(-1.5)
+    assert ginv[0] == pytest.approx(-0.7)
+    assert np.allclose(ginv[1:3], -(ao.rotation(-0.7) @ g[1:3]))
+    assert ginv[3] == pytest.approx(-1.5)
 
 
 def test_inverse_of_identity():
     for model in ALL_MODELS:
         e = ao.identity_element(model)
-        assert _element_distance(model, ao.inverse(model, e, PARAMS), e) == 0.0
+        assert distance(ao.inverse(model, e, PARAMS), e) == 0.0
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -93,17 +95,53 @@ def test_inverse_round_trip(model):
     for _ in range(100):
         g = ao.sample_element(model, rng)
         ginv = ao.inverse(model, g, PARAMS)
-        assert _element_distance(model, ao.multiply(model, g, ginv, PARAMS),
-                                 e) < 1e-12
-        assert _element_distance(model, ao.multiply(model, ginv, g, PARAMS),
-                                 e) < 1e-12
+        assert distance(ao.multiply(model, g, ginv, PARAMS), e) < 1e-12
+        assert distance(ao.multiply(model, ginv, g, PARAMS), e) < 1e-12
 
 
 def test_model_mismatch_raises():
-    g = GroupParam(theta=0.1, x=(0.0, 0.0), t=0.0)  # base fields only
-    g2 = ao.identity_element(ModelId.CENTRAL1)
-    with pytest.raises(ao.ModelMismatchError):
-        ao.multiply(ModelId.CENTRAL1, g, g2, PARAMS)
+    # a base element (4 slots) and vectors of the wrong length for central1
+    g = np.array([0.1, 0.0, 0.0, 0.0])
+    e = ao.identity_element(ModelId.CENTRAL1)
+    stack = np.zeros((3, 4))
+    for call in (lambda: ao.multiply(ModelId.CENTRAL1, g, e, PARAMS),
+                 lambda: ao.multiply(ModelId.CENTRAL1, e, stack, PARAMS),
+                 lambda: ao.inverse(ModelId.CENTRAL1, g, PARAMS),
+                 lambda: ao.adjoint(ModelId.CENTRAL1, e, np.zeros(4), PARAMS),
+                 lambda: ao.coadjoint(ModelId.CENTRAL1, e, np.zeros(6), PARAMS),
+                 lambda: ao.coadjoint(ModelId.CENTRAL1, stack, np.zeros(5),
+                                      PARAMS)):
+        with pytest.raises(ao.ModelMismatchError):
+            call()
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_stacked_elements_match_row_by_row(model):
+    # one broadcasting closed form: an (N, d) stack gives the 1-D results
+    # exactly, row by row, and one element acts on a stack of vectors
+    rng = np.random.default_rng(22)
+    n, d = 25, ao.structure_tensor(model).dim
+    g, g2 = ao.sample_element(model, rng, (2, n))
+    v = rng.uniform(-1, 1, (n, d))
+    batched = {
+        "multiply": ao.multiply(model, g, g2, PARAMS),
+        "inverse": ao.inverse(model, g, PARAMS),
+        "adjoint": ao.adjoint(model, g, v, PARAMS),
+        "coadjoint": ao.coadjoint(model, g, v, PARAMS),
+        "coadjoint of one element": ao.coadjoint(model, g[0], v, PARAMS),
+    }
+    rows = {
+        "multiply": [ao.multiply(model, a, b, PARAMS) for a, b in zip(g, g2)],
+        "inverse": [ao.inverse(model, a, PARAMS) for a in g],
+        "adjoint": [ao.adjoint(model, a, x, PARAMS) for a, x in zip(g, v)],
+        "coadjoint": [ao.coadjoint(model, a, x, PARAMS)
+                      for a, x in zip(g, v)],
+        "coadjoint of one element": [ao.coadjoint(model, g[0], x, PARAMS)
+                                     for x in v],
+    }
+    for name, out in batched.items():
+        assert out.shape == (n, d), name
+        assert np.array_equal(out, np.array(rows[name])), name
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -115,7 +153,7 @@ def test_adjoint_at_identity_is_identity_map(model):
 
 
 def test_adjoint_central1_pure_rotation():
-    g = GroupParam(theta=0.9, x=(0.0, 0.0), t=0.0, phi=0.0)
+    g = ao.one_param_element(ModelId.CENTRAL1, "J", 0.9)
     dx = ao.algebra_vector(ModelId.CENTRAL1, P1=1.0, P2=-2.0, S=0.7)
     out = ao.adjoint(ModelId.CENTRAL1, g, dx, PARAMS)
     assert np.allclose(out[1:3], ao.rotation(0.9) @ dx[1:3])
@@ -131,10 +169,9 @@ def test_adjoint_derivative_matches_bracket(model):
     for _ in range(10):
         y = rng.uniform(-1, 1, t.dim)
         dx = rng.uniform(-1, 1, t.dim)
-        plus = ao.adjoint(model, element_from_algebra(model, y, step), dx,
-                          PARAMS)
-        minus = ao.adjoint(model, element_from_algebra(model, y, -step), dx,
-                           PARAMS)
+        # parameters s y agree with exp(s y) to O(s^2)
+        plus = ao.adjoint(model, step * y, dx, PARAMS)
+        minus = ao.adjoint(model, -step * y, dx, PARAMS)
         fd = (plus - minus) / (2 * step)
         assert np.max(np.abs(fd - ao.bracket(t, y, dx))) < 1e-6
 
