@@ -69,6 +69,7 @@ from .orbit_chart import (
     canonicalize_noncentral,
     casimirs,
     chart_from_dual,
+    chart_poisson,
     coordinate_gradient,
     dual_from_chart,
     gradient_fd,

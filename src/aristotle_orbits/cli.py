@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -72,6 +73,8 @@ def _parse_floats(text, name: str) -> np.ndarray:
         raise UsageError(f"could not parse {name}: {exc}") from None
     if not vals:
         raise UsageError(f"{name} is empty")
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"{name} must be finite numbers, got {vals}")
     return np.array(vals)
 
 
@@ -80,18 +83,31 @@ def _parse_labels(items: list[str]) -> dict[str, float]:
     for item in items or []:
         if "=" not in item:
             raise UsageError(f"label override {item!r} is not name=value")
-        name, _, value = item.partition("=")
+        name, _, text = item.partition("=")
         try:
-            out[name.strip()] = float(value)
+            value = float(text)
         except ValueError:
             raise UsageError(f"label override {item!r} has a non-numeric "
                              "value") from None
+        if not math.isfinite(value):
+            raise UsageError(f"label override {item!r} is not finite")
+        out[name.strip()] = value
     return out
+
+
+def _finite_number(value, name: str) -> float:
+    """value as a float if it is a finite number (a bool is not one)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise UsageError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _params_from_args(args) -> ModelParams:
     try:
-        return ModelParams(m=args.m, omega=args.omega, r=args.r)
+        return ModelParams(m=_finite_number(args.m, "m"),
+                           omega=_finite_number(args.omega, "omega"),
+                           r=_finite_number(args.r, "r"))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -153,13 +169,9 @@ def _config_corruption(cfg: dict) -> dict | None:
             raise UsageError(f"corrupt {key!r} must be one of the "
                              f"{model.value} generators {labels}, got "
                              f"{corrupt.get(key)!r}")
-    delta = corrupt.get("delta", 1.0)
-    if (isinstance(delta, bool) or not isinstance(delta, (int, float))
-            or not np.isfinite(delta)):
-        raise UsageError(f"corrupt 'delta' must be a finite number, got "
-                         f"{delta!r}")
+    delta = _finite_number(corrupt.get("delta", 1.0), "corrupt 'delta'")
     return {"model": model.value, "a": corrupt["a"], "b": corrupt["b"],
-            "out": corrupt["out"], "delta": float(delta)}
+            "out": corrupt["out"], "delta": delta}
 
 
 def cmd_verify(args) -> int:
@@ -254,21 +266,23 @@ def _named_hamiltonian(name: str, model: ModelId, point: oc.OrbitPoint,
 
 
 def _trajectory_rows(traj: dyn.Trajectory) -> tuple[list[str], list[list[float]]]:
+    """Column names and rows (t, chart coordinates, Casimirs) of traj.
+
+    Adding 0.0 normalizes negative zero as _fmt does, so repr of each row
+    value is its _fmt string.
+    """
     header = (["t"] + list(oc.CHART_COORDS[traj.model])
               + list(traj.casimir_names))
-    rows = []
-    for i, t in enumerate(traj.times):
-        rows.append([float(t)] + [float(v) for v in traj.points[i].coords]
-                    + [float(v) for v in traj.casimir_series[i]])
-    return header, rows
+    table = np.column_stack((traj.times, traj.coords,
+                             traj.casimir_series)) + 0.0
+    return header, table.tolist()
 
 
 def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     header, rows = _trajectory_rows(traj)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def read_trajectory_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -316,10 +330,11 @@ def cmd_simulate(args) -> int:
     model = ModelId.from_name(args.model)
     if model is ModelId.BASE:
         raise UsageError("the base model has no orbit chart to simulate on")
-    args.steps = int(args.steps)
-    args.dt = float(args.dt)
+    if isinstance(args.steps, bool) or not isinstance(args.steps, int):
+        raise UsageError(f"steps must be an integer, got {args.steps!r}")
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
+    args.dt = _finite_number(args.dt, "dt")
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
     z0 = _initial_point(model, args, params)
@@ -337,10 +352,10 @@ def cmd_simulate(args) -> int:
     try:
         traj = dyn.hamiltonian_flow(model, spec, z0, params)
     except dyn.FlowSingularityError as exc:
-        if exc.partial is not None and len(exc.partial.points) > 0:
+        if exc.partial is not None and len(exc.partial.times) > 0:
             write_trajectory_csv(args.out, exc.partial)
             print(f"wrote partial trajectory "
-                  f"({len(exc.partial.points)} rows) to {args.out}",
+                  f"({len(exc.partial.times)} rows) to {args.out}",
                   file=sys.stderr)
         print(f"flow singularity: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

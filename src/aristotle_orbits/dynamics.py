@@ -18,11 +18,23 @@ noncommutativity {p1, p2} = -m omega acts exactly like a magnetic field
 of magnitude m omega (the flow only ever sees that product, exposed as
 magnetic_strength).
 
+The Poisson tensor is the closed form orbit_chart.chart_poisson at the
+orbit's Casimir labels: read once for the chart-constant central1, central2
+and double tensors, and at every right-hand-side evaluation for the
+noncentral one, whose {j, p} and {j, q} entries depend on the state.
+
 Integrators: classical RK4, and the implicit midpoint rule solved by fixed
 point iteration (tolerance 1e-12, at most 50 sweeps).  Midpoint re-reads
 the Poisson tensor at the midpoint state, which handles the chart-dependent
 noncentral tensor.  Flows are sequential per trajectory; distinct
 trajectories can be integrated concurrently.
+
+A Hamiltonian flow stays on its starting orbit by construction, so its
+Casimir columns are the orbit labels, and the chart coordinates are
+recorded as integrated (the noncentral angle phi_f is not wrapped into
+(-pi, pi]).  What can drift is the energy, recorded per step, and the
+consistency of the final chart point with its labels, measured once by
+reconstructing its dual point.
 """
 
 from __future__ import annotations
@@ -93,32 +105,46 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time series of chart points with per-step invariant values."""
+    """Sampled flow: one row per time in every series.
+
+    coords is the (n, d) array of chart coordinates and casimir_series the
+    (n, len(casimir_names)) array of Casimir values: computed per sample
+    from the dual point on group time flows, the orbit labels broadcast on
+    Hamiltonian flows.  Hamiltonian flows also carry the energy per sample
+    and casimir_residual, |Casimirs of the final point's dual
+    reconstruction - labels| per Casimir name.
+    """
 
     model: ModelId
     times: np.ndarray = field(repr=False)
-    points: tuple[OrbitPoint, ...] = field(repr=False)
+    coords: np.ndarray = field(repr=False)
     casimir_names: tuple[str, ...]
     casimir_series: np.ndarray = field(repr=False)
     hamiltonian_series: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([p.coords for p in self.points])
+    casimir_residual: np.ndarray | None = field(default=None, repr=False)
 
     def drift(self) -> dict[str, float]:
         return invariant_drift(self)
 
 
 def invariant_drift(traj: Trajectory) -> dict[str, float]:
-    """Max absolute deviation from the initial value, per named invariant."""
-    if len(traj.points) == 0:
+    """Drift per named invariant, plus "H" for Hamiltonian flows.
+
+    A Casimir's drift is its casimir_residual where the trajectory has one,
+    else the max absolute deviation of its series from the initial value;
+    H's is the max absolute deviation of the energy from its initial value.
+    """
+    if len(traj.times) == 0:
         raise ValueError("empty trajectory")
-    series = traj.casimir_series
-    out = {
-        name: float(np.max(np.abs(series[:, i] - series[0, i])))
-        for i, name in enumerate(traj.casimir_names)
-    }
+    if traj.casimir_residual is not None:
+        out = {name: float(v) for name, v in
+               zip(traj.casimir_names, traj.casimir_residual)}
+    else:
+        series = traj.casimir_series
+        out = {
+            name: float(np.max(np.abs(series[:, i] - series[0, i])))
+            for i, name in enumerate(traj.casimir_names)
+        }
     if traj.hamiltonian_series is not None:
         h = traj.hamiltonian_series
         out["H"] = float(np.max(np.abs(h - h[0])))
@@ -144,12 +170,12 @@ def _group_trajectory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
                       params: ModelParams) -> Trajectory:
     xi0 = oc.dual_from_chart(z0, params)
     times = spec.dt * np.arange(spec.nsteps + 1)
-    points = tuple(oc.chart_from_dual(model, xi, params)
-                   for xi in time_flow_exact(model, xi0, times, params))
+    points = [oc.chart_from_dual(model, xi, params)
+              for xi in time_flow_exact(model, xi0, times, params)]
     return Trajectory(
         model=model,
         times=times,
-        points=points,
+        coords=np.array([pt.coords for pt in points]),
         casimir_names=oc.CASIMIR_NAMES[model],
         casimir_series=np.array([pt.casimirs.values for pt in points]),
     )
@@ -161,19 +187,18 @@ _CONSTANT_PI = (ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.DOUBLE)
 def _rhs_factory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
                  params: ModelParams):
     grad = spec.gradient or oc.gradient_fd(spec.hamiltonian)
+    labels = z0.casimirs.values
     if model in _CONSTANT_PI:
         # chart-constant Poisson tensor; only the noncentral chart carries
         # state-dependent entries
-        pi_t = oc.poisson_tensor(model, z0, params).T
+        pi_t = oc.chart_poisson(model, z0.array(), labels, params).T
 
         def rhs(z: np.ndarray) -> np.ndarray:
-            return pi_t @ grad(z)
+            return pi_t.dot(grad(z))
         return rhs
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        point = z0.replace_coords(z)
-        pi = oc.poisson_tensor(model, point, params)
-        return pi.T @ grad(z)
+        return oc.chart_poisson(model, z, labels, params).T.dot(grad(z))
     return rhs
 
 
@@ -185,13 +210,16 @@ def _rk4_step(rhs, z: np.ndarray, dt: float) -> np.ndarray:
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+_amax = np.maximum.reduce  # ndarray.max without its Python-level wrapper
+
+
 def _midpoint_step(rhs, z: np.ndarray, dt: float, tol: float,
                    max_iterations: int) -> np.ndarray:
     z_new = z + dt * rhs(z)
-    scale = tol * (1.0 + float(np.max(np.abs(z))))
+    scale = tol * (1.0 + float(_amax(abs(z))))
     for _ in range(max_iterations):
         z_next = z + dt * rhs(0.5 * (z + z_new))
-        if np.max(np.abs(z_next - z_new)) < scale:
+        if _amax(abs(z_next - z_new)) < scale:
             return z_next
         z_new = z_next
     raise SolverConvergenceError(
@@ -206,10 +234,9 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
 
     Group time flows are sampled from the exact coadjoint action, so their
     Casimir series exercises the full dual-space motion.  Hamiltonian flows
-    advance the chart coordinates; the recorded CasimirSet comes from the
-    chart-to-dual reconstruction and doubles as a round-trip consistency
-    check, while the recorded Hamiltonian series measures real integrator
-    drift.
+    advance the chart coordinates on z0's orbit: their Casimir series is
+    z0's labels, and the drift they report is the energy series and the
+    final point's reconstruction residual (see Trajectory).
     """
     if z0.model is not model:
         raise gm.ModelMismatchError("initial point belongs to "
@@ -223,18 +250,24 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
                                                  spec.max_iterations))
     times = spec.dt * np.arange(spec.nsteps + 1)
     z = z0.array()
-    points = [z0]
-    cas_rows = [z0.casimirs.values]
-    h_vals = [float(spec.hamiltonian(z))]
+    coords = np.empty((spec.nsteps + 1, z.size))
+    h_vals = np.empty(spec.nsteps + 1)
+    coords[0] = z
+    h_vals[0] = spec.hamiltonian(z)
 
-    def partial() -> Trajectory:
+    def trajectory(n: int) -> Trajectory:
+        """The first n samples."""
+        labels = np.array(z0.casimirs.values)
+        final = z0.replace_coords(coords[n - 1])
+        rebuilt = oc.casimirs(model, oc.dual_from_chart(final, params), params)
         return Trajectory(
             model=model,
-            times=times[:len(points)],
-            points=tuple(points),
+            times=times[:n],
+            coords=coords[:n],
             casimir_names=oc.CASIMIR_NAMES[model],
-            casimir_series=np.array(cas_rows),
-            hamiltonian_series=np.array(h_vals),
+            casimir_series=np.broadcast_to(labels, (n, labels.size)),
+            hamiltonian_series=h_vals[:n],
+            casimir_residual=np.abs(np.array(rebuilt.values) - labels),
         )
 
     for n in range(spec.nsteps):
@@ -242,16 +275,14 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
             z = step(rhs, z, spec.dt)
         except (oc.ChartDegeneracyError, oc.SingularityError) as exc:
             raise FlowSingularityError(f"step {n}: {exc}", step=n,
-                                       partial=partial()) from exc
-        if not np.all(np.isfinite(z)):
+                                       partial=trajectory(n + 1)) from exc
+        if not np.isfinite(z).all():
             raise FlowSingularityError(
-                f"step {n}: non-finite state {z}", step=n, partial=partial())
-        pt = oc.chart_from_dual(model, oc.dual_from_chart(
-            z0.replace_coords(z), params), params)
-        points.append(pt)
-        cas_rows.append(pt.casimirs.values)
-        h_vals.append(float(spec.hamiltonian(z)))
-    return partial()
+                f"step {n}: non-finite state {z}", step=n,
+                partial=trajectory(n + 1))
+        coords[n + 1] = z
+        h_vals[n + 1] = spec.hamiltonian(z)
+    return trajectory(spec.nsteps + 1)
 
 
 def kinetic_hamiltonian(model: ModelId, params: ModelParams = DEFAULT_PARAMS):
@@ -262,15 +293,16 @@ def kinetic_hamiltonian(model: ModelId, params: ModelParams = DEFAULT_PARAMS):
     """
     names = oc.CHART_COORDS[model]
     idx = [i for i, name in enumerate(names) if name in ("p", "p1", "p2")]
+    # the momentum coordinates are adjacent in every chart
+    mom = slice(idx[0], idx[-1] + 1)
     m = params.m
 
     def ham(z: np.ndarray) -> float:
-        return float(sum(z[i] ** 2 for i in idx)) / (2.0 * m)
+        return float((z[mom] ** 2).sum()) / (2.0 * m)
 
     def grad(z: np.ndarray) -> np.ndarray:
         g = np.zeros(len(names))
-        for i in idx:
-            g[i] = z[i] / m
+        g[mom] = z[mom] / m
         return g
     return ham, grad
 

@@ -20,14 +20,16 @@ other in general:
   m omega, h omega and k blocks, and for the noncentral model its inverse
   carries the 1 / (m omega f sin phi) prefactor.
 * poisson_tensor returns the Poisson matrix Pi of the chart coordinate
-  functions, the pushforward -Jac K Jac^T of the dual Poisson structure
-  {F, G}(xi) = -<xi, [dF, dG]>.  Its entries are the chart bracket tables:
-  {p, q} = 1, {l, alpha} = 1, {j, phi_f} = 1, {j, p} = m omega q,
-  {j, q} = -p / (m omega), {p_i, p_j} = -m omega eps_ij,
-  {p_i, q^j} = delta_i^j.
+  functions, written in closed form (chart_poisson).  It equals the
+  pushforward -Jac K Jac^T of the dual Poisson structure
+  {F, G}(xi) = -<xi, [dF, dG]>, which the verify suite rebuilds from the
+  structure constants as its oracle.  On default orbits its entries are
+  the chart bracket tables {p, q} = 1, {l, alpha} = 1, {j, phi_f} = 1,
+  {j, p} = m omega q, {j, q} = -p / (m omega), {p_i, p_j} = -m omega eps_ij,
+  {p_i, q^j} = delta_i^j; off them the charge enters (see chart_poisson).
 
 The inverse of poisson_tensor (omega_chart below) is the symplectic matrix
-of the chart, used by the integrators; Pi @ omega_chart = identity always.
+of the chart; Pi @ omega_chart = identity always.
 
 Casimir functions use the per-orbit action scale: the extension charge
 (l for central1, h elsewhere) divided by r**2 plays the role of m omega,
@@ -336,7 +338,8 @@ def chart_jacobian(model: ModelId, xi,
 
     Derivatives along Casimir-only directions (h, k rows of the structure)
     are dropped; those directions carry a vanishing Poisson structure, so
-    the pushforward below is unaffected.
+    the pushforward -Jac K Jac^T, which the verify suite checks
+    poisson_tensor against, is unaffected.
     """
     xi = np.asarray(xi, dtype=float)
     n = gm.dim(model)
@@ -379,18 +382,60 @@ def chart_jacobian(model: ModelId, xi,
     raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
 
 
+def chart_poisson(model: ModelId, z, labels,
+                  params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Poisson matrix Pi_{ab} = {z_a, z_b} at chart coordinates z.
+
+    labels are the orbit's Casimir values in CASIMIR_NAMES order.  Closed
+    form of the pushforward -Jac K Jac^T, with kappa = charge / (m omega
+    r**2) (charge l for central1, h elsewhere; kappa = 1 on default orbits):
+
+    central1    {p, q} = kappa
+    central2    {p, q} = kappa, {l, alpha} = 1
+    noncentral  {j, phi_f} = 1, {j, p} = m omega q, {j, q} = -p / (m omega),
+                {p, q} = kappa
+    double      {p1, p2} = -h / r**2, {p_i, q^j} = delta_i^j
+
+    The Hooke constant k cancels from the double chart: q = -f / k meets
+    [P_i, F_j] = K delta_ij.  Only the noncentral matrix depends on z.
+    """
+    mw = params.m_omega
+    r2 = params.r**2
+    charge = labels[0]  # l on central1, h on the other charts
+    kappa = charge / (mw * r2)
+    if model is ModelId.CENTRAL1:
+        return np.array([[0.0, kappa], [-kappa, 0.0]])
+    if model is ModelId.CENTRAL2:
+        return np.array([[0.0, kappa, 0.0, 0.0],
+                         [-kappa, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, 1.0],
+                         [0.0, 0.0, -1.0, 0.0]])
+    if model is ModelId.NONCENTRAL:
+        jp = mw * z[3]
+        jq = -z[2] / mw
+        return np.array([[0.0, 1.0, jp, jq],
+                         [-1.0, 0.0, 0.0, 0.0],
+                         [-jp, 0.0, 0.0, kappa],
+                         [-jq, 0.0, -kappa, 0.0]])
+    if model is ModelId.DOUBLE:
+        b = charge / r2
+        return np.array([[0.0, -b, 1.0, 0.0],
+                         [b, 0.0, 0.0, 1.0],
+                         [-1.0, 0.0, 0.0, 0.0],
+                         [0.0, -1.0, 0.0, 0.0]])
+    raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+
+
 def poisson_tensor(model: ModelId, point: OrbitPoint,
                    params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Poisson matrix Pi_{ab} = {z_a, z_b} of the chart coordinates.
+    """Poisson matrix of the chart coordinates at an orbit point.
 
-    Pushforward -Jac K Jac^T of the dual structure {F, G} = -<xi, [dF, dG]>;
-    reproduces the chart bracket tables listed in the module docstring.
+    chart_poisson at the point's coordinates and Casimir labels.
     """
-    xi = dual_from_chart(point, params)
-    tensor = gm.structure_tensor(model, params)
-    k_full = kirillov_matrix(tensor, xi)
-    jac = chart_jacobian(model, xi, params)
-    return -(jac @ k_full @ jac.T)
+    if point.model is not model:
+        raise gm.ModelMismatchError(f"point belongs to {point.model.value}, "
+                                    f"not {model.value}")
+    return chart_poisson(model, point.coords, point.casimirs.values, params)
 
 
 def phase_space_blocks(model: ModelId, point: OrbitPoint,

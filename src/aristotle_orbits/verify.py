@@ -248,59 +248,62 @@ def _casimir_gradients(model: ModelId, xi: np.ndarray,
     return cols
 
 
-def _expected_poisson(model: ModelId, z: np.ndarray,
-                      params: ModelParams) -> np.ndarray:
-    """The chart bracket tables, written out entry by entry."""
-    mw = params.m_omega
-    if model is ModelId.CENTRAL1:
-        return np.array([[0.0, 1.0], [-1.0, 0.0]])
-    if model is ModelId.CENTRAL2:
-        pi = np.zeros((4, 4))
-        pi[0, 1] = 1.0
-        pi[2, 3] = 1.0
-        return pi - pi.T
-    if model is ModelId.NONCENTRAL:
-        _, _, p, q = z
-        pi = np.zeros((4, 4))
-        pi[0, 1] = 1.0          # {j, phi_f}
-        pi[0, 2] = mw * q       # {j, p}
-        pi[0, 3] = -p / mw      # {j, q}
-        pi[2, 3] = 1.0          # {p, q}
-        return pi - pi.T
-    if model is ModelId.DOUBLE:
-        pi = np.zeros((4, 4))
-        pi[0, 1] = -mw          # {p1, p2} = -m omega eps_12
-        pi[0, 2] = 1.0          # {p_i, q^j} = delta
-        pi[1, 3] = 1.0
-        return pi - pi.T
-    raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+def _pushforward_poisson(model: ModelId, point: oc.OrbitPoint,
+                         params: ModelParams) -> np.ndarray:
+    """Chart Poisson matrix -Jac K Jac^T, rebuilt from the structure constants.
+
+    The oracle for the closed form orbit_chart.poisson_tensor: the dual
+    point is reconstructed from the chart point and its labels, K is the
+    Kirillov matrix there and Jac the chart Jacobian.
+    """
+    xi = oc.dual_from_chart(point, params)
+    k_full = kirillov_matrix(gm.structure_tensor(model, params), xi)
+    jac = oc.chart_jacobian(model, xi, params)
+    return -(jac @ k_full @ jac.T)
+
+
+def _charge(rng: np.random.Generator) -> float:
+    """A label of either sign with magnitude in [0.5, 2)."""
+    return float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0))
 
 
 def _sample_point(model: ModelId, rng: np.random.Generator,
-                  params: ModelParams) -> oc.OrbitPoint:
+                  params: ModelParams, any_orbit: bool = False
+                  ) -> oc.OrbitPoint:
+    """Chart point with coordinates in [-1, 1].
+
+    The orbit is a default one (noncentral: force in [0.5, 1.5)) unless
+    any_orbit is set; then the charge (l or h) and, on the double chart,
+    the Hooke constant k are drawn by _charge as well.
+    """
     z = rng.uniform(-1.0, 1.0, size=len(oc.CHART_COORDS[model]))
     labels = {}
     if model is ModelId.NONCENTRAL:
         labels["f"] = 0.5 + float(rng.uniform(0.0, 1.0))
+    if any_orbit:
+        labels["l" if model is ModelId.CENTRAL1 else "h"] = _charge(rng)
+        if model is ModelId.DOUBLE:
+            labels["k"] = _charge(rng)
     return oc.orbit_point(model, z, params, **labels)
 
 
 def check_bracket_tables(report: Report, params: ModelParams, models,
                          rng: np.random.Generator, n: int = 100) -> None:
+    """Closed-form chart Poisson tensor against its pushforward, any orbit."""
     for model in models:
         if model not in CHART_MODELS:
             continue
         worst = 0.0
         for _ in range(n):
-            point = _sample_point(model, rng, params)
+            point = _sample_point(model, rng, params, any_orbit=True)
             pi = oc.poisson_tensor(model, point, params)
             worst = max(worst, float(np.max(np.abs(
-                pi - _expected_poisson(model, point.array(), params)))))
+                pi - _pushforward_poisson(model, point, params)))))
         report.add(f"{model.value}: chart bracket table", worst, 1e-12)
 
         worst_inv = 0.0
         for _ in range(10):
-            point = _sample_point(model, rng, params)
+            point = _sample_point(model, rng, params, any_orbit=True)
             pi = oc.poisson_tensor(model, point, params)
             om = oc.omega_chart(model, point, params)
             worst_inv = max(worst_inv, float(np.max(np.abs(

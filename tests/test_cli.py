@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aristotle_orbits import cli
+from aristotle_orbits import ModelId, Trajectory, cli
 
 
 def run(argv):
@@ -171,6 +171,29 @@ def test_simulate_csv_round_trips_bit_exactly(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_trajectory_csv_matches_per_value_format(tmp_path):
+    # the one-pass writer against the per-value _fmt join, on values whose
+    # shortest repr is long, signed, subnormal or exponent-formatted
+    awkward = [-0.0, 1e-300, 0.1 + 0.2, 1.7976931348623157e308, -5e-324,
+               123456789012345680.0, 1.0 / 3.0, -2.5e-7, 0.0, 42.0]
+    times = np.array([0.0, 0.1 + 0.2, 1e300])
+    coords = np.array(awkward[:4] + awkward[2:6] + awkward[6:10]).reshape(3, 4)
+    casimirs = np.array(awkward[::-1] + awkward[:2]).reshape(3, 4)
+    traj = Trajectory(model=ModelId.DOUBLE, times=times, coords=coords,
+                      casimir_names=("h", "k", "s", "U"),
+                      casimir_series=casimirs)
+    out = tmp_path / "traj.csv"
+    cli.write_trajectory_csv(str(out), traj)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,p1,p2,q1,q2,h,k,s,U"
+    for i, line in enumerate(lines[1:]):
+        row = [times[i], *coords[i], *casimirs[i]]
+        assert line == ",".join(cli._fmt(v) for v in row)
+    _, data = cli.read_trajectory_csv(str(out))
+    table = np.column_stack((times, coords, casimirs)) + 0.0
+    assert np.array_equal(data.view(np.uint64), table.view(np.uint64))
+
+
 def test_simulate_json_document_carries_drift(tmp_path):
     out = tmp_path / "traj.json"
     code = run(["simulate", "--model", "double", "--flow", "hamiltonian",
@@ -182,6 +205,46 @@ def test_simulate_json_document_carries_drift(tmp_path):
     assert len(doc["rows"]) == 201
     assert doc["drift"]["H"] < 1e-9
     assert doc["drift"]["s"] < 1e-12
+
+
+_STEPS, _DT, _POINT = ["--steps", "10"], ["--dt", "0.1"], ["--point=1,0,0,0"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags,cfg", [
+    (["--dt", "nan"] + _STEPS + _POINT, None),
+    (["--dt", "inf"] + _STEPS + _POINT, None),
+    (_DT + _STEPS + ["--point=1,0,0,nan"], None),
+    (_DT + _POINT, {"steps": "x"}),
+    (_STEPS + _POINT, {"dt": "0.1"}),
+    (_DT + _STEPS + _POINT, {"m": float("inf")}),
+], ids=["dt-nan", "dt-inf", "point-nan", "steps-string", "dt-string",
+        "m-inf"])
+def test_simulate_bad_input_is_one_line_usage_error(tmp_path, capsys, flags,
+                                                    cfg):
+    out = tmp_path / "traj.csv"
+    argv = ["simulate", "--model", "double", "--flow", "hamiltonian",
+            "--out", str(out)] + flags
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv += ["--config", str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--model", "double", "--xi", "0,1,0,0,0,nan,1,1"],
+    ["bracket", "--model", "double", "--at", "0,0,0,0", "--f", "p1",
+     "--g", "p2", "--label", "h=inf"],
+], ids=["orbit-xi-nan", "bracket-label-inf"])
+def test_non_finite_numbers_are_one_line_usage_errors(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_simulate_zero_steps_is_usage_error(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import aristotle_orbits as ao
 from aristotle_orbits import FlowSpec, ModelId, ModelParams
+from aristotle_orbits import dynamics, group_models, orbit_chart
 from aristotle_orbits.dynamics import _midpoint_step, _rk4_step
 from aristotle_orbits.lie_core import EPS0
 from helpers import cyclotron_exact
@@ -197,6 +198,95 @@ def test_casimir_drift_small_under_midpoint_kinetic_flow():
         assert drift[name] < 1e-6
 
 
+@pytest.mark.parametrize("model", CHART_MODELS)
+def test_kinetic_hamiltonian_matches_per_coordinate_loop(model):
+    params = ModelParams(m=1.7)
+    ham, grad = ao.kinetic_hamiltonian(model, params)
+    idx = [i for i, name in enumerate(ao.CHART_COORDS[model])
+           if name in ("p", "p1", "p2")]
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        z = rng.uniform(-3.0, 3.0, size=len(ao.CHART_COORDS[model]))
+        g = np.zeros(z.size)
+        for i in idx:
+            g[i] = z[i] / params.m
+        assert np.array_equal(grad(z), g)
+        assert ham(z) == float(sum(z[i] ** 2 for i in idx)) / (2.0 * params.m)
+
+
+def _cyclotron_flow(nsteps: int):
+    ham, grad = ao.kinetic_hamiltonian(ModelId.DOUBLE, PARAMS)
+    z0 = ao.orbit_point(ModelId.DOUBLE, (0.8, -0.4, 0.2, 0.6), PARAMS)
+    spec = FlowSpec(kind="hamiltonian", dt=1e-2, nsteps=nsteps,
+                    integrator="implicit-midpoint", hamiltonian=ham,
+                    gradient=grad)
+    return z0, ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, PARAMS)
+
+
+def test_hamiltonian_flow_records_orbit_labels():
+    z0, traj = _cyclotron_flow(50)
+    assert traj.coords.shape == (51, 4)
+    assert traj.casimir_series.shape == (51, 4)
+    assert np.array_equal(traj.casimir_series,
+                          np.tile(z0.casimirs.values, (51, 1)))
+
+
+def test_casimir_drift_reports_the_reconstruction_error(monkeypatch):
+    # a dual reconstruction whose energy is off by 1e-6 must show as U drift
+    real = orbit_chart.dual_from_chart
+
+    def shifted(point, params=PARAMS):
+        xi = real(point, params).copy()
+        xi[3] += 1e-6
+        return xi
+
+    monkeypatch.setattr(orbit_chart, "dual_from_chart", shifted)
+    _, traj = _cyclotron_flow(50)
+    drift = ao.invariant_drift(traj)
+    assert drift["U"] == pytest.approx(1e-6, rel=1e-6)
+    for name in ("h", "k", "s", "H"):
+        assert drift[name] < 1e-12
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of each named library function, in every namespace."""
+    counts = dict.fromkeys(names, 0)
+    modules = (ao, dynamics, group_models, orbit_chart)
+    for name in names:
+        home = group_models if name == "structure_tensor" else orbit_chart
+        real = getattr(home, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("case", ["noncentral-energy", "double-kinetic"])
+def test_hamiltonian_flow_does_no_per_step_rebuilds(monkeypatch, case):
+    if case == "noncentral-energy":
+        model = ModelId.NONCENTRAL
+        z0 = ao.orbit_point(model, (0.4, 0.7, 0.3, -0.2), PARAMS, f=1.1)
+        ham, grad = ao.energy_hamiltonian(model, z0, PARAMS)
+    else:
+        model = ModelId.DOUBLE
+        z0 = ao.orbit_point(model, (0.8, -0.4, 0.2, 0.6), PARAMS)
+        ham, grad = ao.kinetic_hamiltonian(model, PARAMS)
+    spec = FlowSpec(kind="hamiltonian", dt=1e-3, nsteps=200,
+                    integrator="implicit-midpoint", hamiltonian=ham,
+                    gradient=grad)
+    counts = _count_calls(monkeypatch, ("structure_tensor", "chart_from_dual",
+                                        "dual_from_chart"))
+    traj = ao.hamiltonian_flow(model, spec, z0, PARAMS)
+    assert len(traj.times) == 201
+    assert counts["structure_tensor"] == 0
+    assert counts["chart_from_dual"] == 0
+    assert counts["dual_from_chart"] <= 1
+
+
 # -------------------------------------------------------------- machinery
 
 def test_flow_spec_validation():
@@ -212,7 +302,8 @@ def test_flow_spec_validation():
 
 def test_invariant_drift_rejects_empty_trajectory():
     traj = ao.Trajectory(model=ModelId.CENTRAL1, times=np.array([]),
-                         points=(), casimir_names=("l", "E", "s"),
+                         coords=np.zeros((0, 2)),
+                         casimir_names=("l", "E", "s"),
                          casimir_series=np.zeros((0, 3)))
     with pytest.raises(ValueError):
         ao.invariant_drift(traj)
@@ -255,7 +346,7 @@ def test_flow_singularity_carries_step_index_and_partial_trajectory():
     exc = info.value
     assert exc.step > 0
     assert exc.partial is not None
-    assert len(exc.partial.points) == exc.step + 1
+    assert len(exc.partial.times) == exc.step + 1
     assert np.all(np.isfinite(exc.partial.coords))
 
 

@@ -4,7 +4,7 @@ import pytest
 import aristotle_orbits as ao
 from aristotle_orbits import ModelId, ModelParams
 from aristotle_orbits.verify import (
-    _expected_poisson,
+    _pushforward_poisson,
     _sample_point,
     printed_noncentral_omega_inverse,
 )
@@ -182,10 +182,36 @@ def test_noncentral_omega_singular_at_aligned_force():
 def test_poisson_tensor_reproduces_bracket_tables(model):
     rng = np.random.default_rng(29)
     for _ in range(100):
-        point = _sample_point(model, rng, PARAMS)
+        point = _sample_point(model, rng, PARAMS, any_orbit=True)
         pi = ao.poisson_tensor(model, point, PARAMS)
-        assert np.max(np.abs(pi - _expected_poisson(model, point.array(),
-                                                    PARAMS))) < 1e-12
+        assert np.max(np.abs(pi - _pushforward_poisson(model, point,
+                                                       PARAMS))) < 1e-12
+
+
+@pytest.mark.parametrize("model", CHART_MODELS)
+def test_poisson_tensor_matches_pushforward_off_default_orbit(model):
+    # charge 5 and Hooke constant 7 where m omega r^2 = 6: the default-orbit
+    # tables ({p, q} = 1, {p1, p2} = -m omega) are off here by 1/6 and 1
+    params = ModelParams(m=2.0, omega=3.0)
+    labels = {ModelId.CENTRAL1: {"l": 5.0}, ModelId.CENTRAL2: {"h": 5.0},
+              ModelId.NONCENTRAL: {"h": 5.0, "f": 1.2},
+              ModelId.DOUBLE: {"h": 5.0, "k": 7.0}}[model]
+    coords = (0.3, -0.4, 0.7, 0.2)[:len(ao.CHART_COORDS[model])]
+    point = ao.orbit_point(model, coords, params, **labels)
+    pi = ao.poisson_tensor(model, point, params)
+    assert np.max(np.abs(pi - _pushforward_poisson(model, point,
+                                                   params))) < 1e-12
+    if model is ModelId.DOUBLE:
+        assert pi[0, 1] == pytest.approx(-5.0)          # {p1, p2} = -h / r^2
+    else:
+        i_p = ao.CHART_COORDS[model].index("p")
+        assert pi[i_p, i_p + 1] == pytest.approx(5.0 / 6.0)  # {p, q}
+
+
+def test_poisson_tensor_rejects_a_foreign_point():
+    point = ao.orbit_point(ModelId.CENTRAL1, (0.1, 0.2), PARAMS)
+    with pytest.raises(ao.ModelMismatchError):
+        ao.poisson_tensor(ModelId.DOUBLE, point, PARAMS)
 
 
 @pytest.mark.parametrize("model", CHART_MODELS)
