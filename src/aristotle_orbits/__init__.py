@@ -14,7 +14,8 @@ Layers:
   closed-form adjoint/coadjoint actions for each model, on group elements
   that are parameter arrays with optional leading batch axes.
 * orbit_chart: orbit coordinates, Casimir invariants, restricted forms,
-  Poisson tensors and brackets.
+  Poisson tensors and brackets; chart points and Casimir labels are
+  arrays with optional leading batch axes.
 * dynamics: exact group time flows and numeric Hamiltonian flows with
   invariant-drift tracking.
 * cli / verify: the aristotle-orbits command line tool and its property
@@ -62,7 +63,6 @@ from .orbit_chart import (
     CASIMIR_NAMES,
     CHART_COORDS,
     OMEGA_BASIS,
-    CasimirSet,
     ChartDegeneracyError,
     OrbitPoint,
     SingularityError,

@@ -219,9 +219,11 @@ def cmd_orbit(args) -> int:
           f"{', '.join(oc.CHART_COORDS[model])}):")
     print(_fmt_matrix(oc.poisson_tensor(model, point, params)))
     print("chart point: " + ", ".join(
-        f"{n} = {_fmt(v)}" for n, v in zip(point.coord_names, point.coords)))
+        f"{n} = {_fmt(v)}"
+        for n, v in zip(oc.CHART_COORDS[model], point.coords)))
     print("casimirs: " + ", ".join(
-        f"{n} = {_fmt(v)}" for n, v in point.casimirs.as_dict().items()))
+        f"{n} = {_fmt(v)}"
+        for n, v in zip(oc.CASIMIR_NAMES[model], point.labels)))
     return EXIT_OK
 
 
@@ -259,7 +261,7 @@ def _named_hamiltonian(name: str, model: ModelId, point: oc.OrbitPoint,
 
         def ham(z):
             return float(oc.canonicalize_noncentral(
-                point.replace_coords(z), params)[0])
+                oc.OrbitPoint(model, z, point.labels), params)[0])
         return ham, grad
     raise UsageError(f"unknown hamiltonian {name!r}; choose kinetic, "
                      "energy or canonical")

@@ -170,14 +170,14 @@ def _group_trajectory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
                       params: ModelParams) -> Trajectory:
     xi0 = oc.dual_from_chart(z0, params)
     times = spec.dt * np.arange(spec.nsteps + 1)
-    points = [oc.chart_from_dual(model, xi, params)
-              for xi in time_flow_exact(model, xi0, times, params)]
+    points = oc.chart_from_dual(model, time_flow_exact(model, xi0, times,
+                                                       params), params)
     return Trajectory(
         model=model,
         times=times,
-        coords=np.array([pt.coords for pt in points]),
+        coords=points.coords,
         casimir_names=oc.CASIMIR_NAMES[model],
-        casimir_series=np.array([pt.casimirs.values for pt in points]),
+        casimir_series=points.labels,
     )
 
 
@@ -187,11 +187,11 @@ _CONSTANT_PI = (ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.DOUBLE)
 def _rhs_factory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
                  params: ModelParams):
     grad = spec.gradient or oc.gradient_fd(spec.hamiltonian)
-    labels = z0.casimirs.values
+    labels = z0.labels.tolist()  # Python floats for the per-step arithmetic
     if model in _CONSTANT_PI:
         # chart-constant Poisson tensor; only the noncentral chart carries
         # state-dependent entries
-        pi_t = oc.chart_poisson(model, z0.array(), labels, params).T
+        pi_t = oc.chart_poisson(model, z0.coords, labels, params).T
 
         def rhs(z: np.ndarray) -> np.ndarray:
             return pi_t.dot(grad(z))
@@ -249,7 +249,7 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
             else lambda f, z, dt: _midpoint_step(f, z, dt, spec.solver_tol,
                                                  spec.max_iterations))
     times = spec.dt * np.arange(spec.nsteps + 1)
-    z = z0.array()
+    z = np.asarray(z0.coords, dtype=float)
     coords = np.empty((spec.nsteps + 1, z.size))
     h_vals = np.empty(spec.nsteps + 1)
     coords[0] = z
@@ -257,8 +257,8 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
 
     def trajectory(n: int) -> Trajectory:
         """The first n samples."""
-        labels = np.array(z0.casimirs.values)
-        final = z0.replace_coords(coords[n - 1])
+        labels = z0.labels
+        final = OrbitPoint(model, coords[n - 1], labels)
         rebuilt = oc.casimirs(model, oc.dual_from_chart(final, params), params)
         return Trajectory(
             model=model,
@@ -267,7 +267,7 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
             casimir_names=oc.CASIMIR_NAMES[model],
             casimir_series=np.broadcast_to(labels, (n, labels.size)),
             hamiltonian_series=h_vals[:n],
-            casimir_residual=np.abs(np.array(rebuilt.values) - labels),
+            casimir_residual=np.abs(rebuilt - labels),
         )
 
     for n in range(spec.nsteps):
@@ -314,17 +314,16 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
     Generates exactly the group time flow, restricted to the chart, so it
     reproduces dl/dt = h omega (central2) and dp/dt = -k q (double).
     """
-    names = oc.CHART_COORDS[model]
-    cas = point.casimirs
+    lab = dict(zip(oc.CASIMIR_NAMES[model], point.labels.tolist()))
     r2 = params.r**2
     if model is ModelId.CENTRAL1:
         def ham(z):
-            return cas.get("E")
+            return lab["E"]
 
         def grad(z):
             return np.zeros(2)
     elif model is ModelId.CENTRAL2:
-        hw = cas.get("h") * params.omega
+        hw = lab["h"] * params.omega
 
         def ham(z):
             return -hw * z[3]
@@ -332,13 +331,12 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
         def grad(z):
             return np.array([0.0, 0.0, 0.0, -hw])
     elif model is ModelId.NONCENTRAL:
-        h = cas.get("h")
-        fmag = cas.get("f")
-        mw_eff = h / r2
+        fmag, U = lab["f"], lab["U"]
+        mw_eff = lab["h"] / r2
 
         def ham(z):
             _, phi_f, p, q = z
-            return cas.get("U") - (fmag / mw_eff) * (
+            return U - (fmag / mw_eff) * (
                 p * np.sin(phi_f) + mw_eff * q * np.cos(phi_f))
 
         def grad(z):
@@ -351,10 +349,10 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
                 -fmag * np.cos(phi_f),
             ])
     elif model is ModelId.DOUBLE:
-        k = cas.get("k")
+        k, U = lab["k"], lab["U"]
 
         def ham(z):
-            return cas.get("U") + 0.5 * k * (z[2] ** 2 + z[3] ** 2)
+            return U + 0.5 * k * (z[2] ** 2 + z[3] ** 2)
 
         def grad(z):
             return np.array([0.0, 0.0, k * z[2], k * z[3]])

@@ -24,6 +24,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +85,10 @@ class ModelParams:
     r: float = 1.0
 
     def __post_init__(self):
-        if not (self.m > 0 and self.omega > 0 and self.r > 0):
-            raise ValueError("ModelParams requires m > 0, omega > 0, r > 0")
+        values = (self.m, self.omega, self.r)
+        if not all(v > 0 and math.isfinite(v) for v in values):
+            raise ValueError("ModelParams requires finite m > 0, omega > 0, "
+                             "r > 0")
 
     @property
     def c(self) -> float:

@@ -8,8 +8,18 @@ noncentral  (j, phi_f, p, q) with f1 = f cos(phi_f), f2 = f sin(phi_f);
             labels (h, f, U).
 double      (p1, p2, q1, q2) with q = -f / k; labels (h, k, s, U).
 
-A chart point together with its CasimirSet determines the dual point
-exactly, so dual_from_chart(chart_from_dual(xi)) round-trips bit for bit.
+An OrbitPoint holds arrays: coords (..., d) in CHART_COORDS order and
+labels (..., c), the orbit's Casimir values in CASIMIR_NAMES order.
+Leading axes are batch axes, as for the group elements of group_models:
+casimirs, chart_from_dual and dual_from_chart are written once per chart
+with slot-first views, so one call maps a single point or a stack of
+points, and a stacked call equals the row-by-row calls bit for bit.
+
+A chart point together with its labels determines the dual point, and
+dual_from_chart(chart_from_dual(xi)) returns xi up to rounding, not bit
+for bit: of 10000 nondegenerate sample_dual points per chart, 12 to 81 %
+come back changed in some slot, by at most 8.9e-16 at m = omega = r = 1
+and 2.0e-15 at (m, omega, r) = (1.7, 0.6, 1.3).
 
 Two distinct matrix objects live here and they are not inverses of each
 other in general:
@@ -29,7 +39,9 @@ other in general:
   {p_i, q^j} = delta_i^j; off them the charge enters (see chart_poisson).
 
 The inverse of poisson_tensor (omega_chart below) is the symplectic matrix
-of the chart; Pi @ omega_chart = identity always.
+of the chart.  Pulled back along the orbit directions A = Jac K[:, basis]
+it gives omega_matrix again, A^T omega_chart A = omega_matrix, which ties
+the two objects together.
 
 Casimir functions use the per-orbit action scale: the extension charge
 (l for central1, h elsewhere) divided by r**2 plays the role of m omega,
@@ -40,13 +52,14 @@ parameters directly, matching the defaults where charge = m omega r**2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import ModelParams, cross2, kirillov_matrix
+from .lie_core import ModelParams, kirillov_matrix
 from . import group_models as gm
-from .group_models import ModelId
+from .group_models import ModelId, _cross, _dot, _slot_first, _trailing
 
 DEG_TOL = 1e-12
 
@@ -83,58 +96,59 @@ OMEGA_BASIS: dict[ModelId, tuple[str, ...]] = {
     ModelId.DOUBLE: ("P1", "P2", "F1", "F2"),
 }
 
+#: Keywords orbit_point takes per chart: the orbit's charges, and the dual
+#: coordinates j and E where the chart leaves them hidden (j is a
+#: noncentral chart coordinate, and central2's alpha fixes E).
+_LABEL_KEYS: dict[ModelId, tuple[str, ...]] = {
+    ModelId.CENTRAL1: ("l", "E", "j"),
+    ModelId.CENTRAL2: ("h", "j"),
+    ModelId.NONCENTRAL: ("h", "f", "E"),
+    ModelId.DOUBLE: ("h", "k", "j", "E"),
+}
 
-@dataclass(frozen=True)
-class CasimirSet:
-    """Named invariant values of one orbit, ordered per CASIMIR_NAMES."""
-
-    model: ModelId
-    values: tuple[float, ...]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return CASIMIR_NAMES[self.model]
-
-    def get(self, name: str) -> float:
-        return self.values[self.names.index(name)]
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values))
+#: Dual slot of j (0) or E (3) that a Casimir carries with unit weight:
+#: s = j + ..., U = E + ... and, on central1, E itself.
+_HIDDEN_SLOT = {"s": 0, "U": 3, "E": 3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitPoint:
-    """Chart coordinates plus the CasimirSet labeling the orbit."""
+    """Chart points and the Casimir labels of their orbits.
+
+    coords (..., d) follows CHART_COORDS[model] and labels (..., c)
+    CASIMIR_NAMES[model]; their batch shapes broadcast together.
+    """
 
     model: ModelId
-    coords: tuple[float, ...]
-    casimirs: CasimirSet
-
-    @property
-    def coord_names(self) -> tuple[str, ...]:
-        return CHART_COORDS[self.model]
-
-    def coord(self, name: str) -> float:
-        return self.coords[self.coord_names.index(name)]
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-    def replace_coords(self, coords) -> "OrbitPoint":
-        return OrbitPoint(self.model, tuple(float(v) for v in coords),
-                          self.casimirs)
+    coords: np.ndarray
+    labels: np.ndarray
 
 
-def _require_nonzero(value: float, name: str, model: ModelId) -> None:
-    if abs(value) < DEG_TOL:
+def _require_nonzero(value, name: str, model: ModelId) -> None:
+    smallest = abs(value).min()
+    if smallest < DEG_TOL:
         raise ChartDegeneracyError(
-            f"{model.value}: |{name}| = {abs(value):.3e} is below the "
+            f"{model.value}: |{name}| = {smallest:.3e} is below the "
             f"degeneracy threshold {DEG_TOL:.0e}"
         )
 
 
-def casimirs(model: ModelId, xi, params: ModelParams = DEFAULT_PARAMS) -> CasimirSet:
-    """Casimir invariants at the dual point xi.
+def _stack(parts) -> np.ndarray:
+    """Slot values stacked along a new last axis, undoing _slot_first.
+
+    Batch shapes broadcast, so chart coordinates of a stack of points can
+    meet the labels of one orbit.
+    """
+    try:
+        out = np.array(parts, dtype=float)
+    except ValueError:  # the batch shapes differ
+        out = np.array(np.broadcast_arrays(*parts), dtype=float)
+    return out.transpose(*range(1, out.ndim), 0)
+
+
+def casimirs(model: ModelId, xi, params: ModelParams = DEFAULT_PARAMS
+             ) -> np.ndarray:
+    """Casimir invariants (..., c) at the dual points xi (..., n).
 
     central1: (l, E, s) with s = j + |p|^2 r^2 / (2 l)
     central2: (h, s) with the same s built on h
@@ -146,165 +160,139 @@ def casimirs(model: ModelId, xi, params: ModelParams = DEFAULT_PARAMS) -> Casimi
     coadjoint action for every dual point; at charge = m omega r**2 they
     reduce to the m omega forms of the chart documentation.
     """
-    xi = np.asarray(xi, dtype=float)
+    v = _slot_first(_trailing(model, xi))
     r2 = params.r**2
-    j, p, E = xi[0], xi[1:3], xi[3]
+    j, p, E = v[0], v[1:3], v[3]
     if model is ModelId.CENTRAL1:
-        l = xi[4]
+        l = v[4]
         _require_nonzero(l, "l", model)
-        s = j + (p @ p) * r2 / (2.0 * l)
-        return CasimirSet(model, (l, E, s))
+        return _stack((l, E, j + _dot(p, p) * r2 / (2.0 * l)))
     if model is ModelId.CENTRAL2:
-        h = xi[5]
+        h = v[5]
         _require_nonzero(h, "h", model)
-        s = j + (p @ p) * r2 / (2.0 * h)
-        return CasimirSet(model, (h, s))
+        return _stack((h, j + _dot(p, p) * r2 / (2.0 * h)))
     if model is ModelId.NONCENTRAL:
-        f = xi[4:6]
-        h = xi[6]
+        f, h = v[4:6], v[6]
         _require_nonzero(h, "h", model)
-        fmag = float(np.hypot(f[0], f[1]))
+        fmag = np.hypot(f[0], f[1])
         _require_nonzero(fmag, "f", model)
-        U = E + (r2 / h) * cross2(p, f)
-        return CasimirSet(model, (h, fmag, U))
+        return _stack((h, fmag, E + (r2 / h) * _cross(p, f)))
     if model is ModelId.DOUBLE:
-        f = xi[4:6]
-        h, k = xi[6], xi[7]
+        f, h, k = v[4:6], v[6], v[7]
         _require_nonzero(k, "k", model)
         q = -f / k
-        s = j + cross2(p, q) - h * (q @ q) / (2.0 * r2)
-        U = E - 0.5 * k * (q @ q)
-        return CasimirSet(model, (h, k, s, U))
+        qq = _dot(q, q)
+        return _stack((h, k, j + _cross(p, q) - h * qq / (2.0 * r2),
+                       E - 0.5 * k * qq))
     raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
 
 
 def chart_from_dual(model: ModelId, xi,
                     params: ModelParams = DEFAULT_PARAMS) -> OrbitPoint:
-    """Chart point of the dual vector xi, with its CasimirSet recorded."""
-    xi = np.asarray(xi, dtype=float)
-    cas = casimirs(model, xi, params)
+    """Chart points of the dual points xi (..., n), labelled by casimirs.
+
+    Raises ChartDegeneracyError if any slot of xi is not finite.
+    """
+    xi = _trailing(model, xi)
+    if not np.isfinite(xi).all():
+        raise ChartDegeneracyError(f"{model.value}: dual point must be finite")
+    labels = casimirs(model, xi, params)
+    v = _slot_first(xi)
+    q = -v[2] / params.m_omega
+    if model is ModelId.CENTRAL1:
+        coords = (v[1], q)
+    elif model is ModelId.CENTRAL2:
+        coords = (v[1], q, v[4], -v[3] / (v[5] * params.omega))
+    elif model is ModelId.NONCENTRAL:
+        coords = (v[0], np.arctan2(v[5], v[4]), v[1], q)
+    else:  # double; casimirs rejected the models without a chart
+        coords = (v[1], v[2], -v[4] / v[7], -v[5] / v[7])
+    return OrbitPoint(model, _stack(coords), labels)
+
+
+def _dual_point(model: ModelId, coords, lab: dict,
+                params: ModelParams) -> np.ndarray:
+    """Dual points (..., n) of chart coordinates (..., d).
+
+    lab maps the charges (l or h, f, k) and the hidden j and E to values
+    that broadcast against the coordinates' batch shape.
+    """
+    z = _slot_first(np.asarray(coords, dtype=float))
     mw = params.m_omega
     if model is ModelId.CENTRAL1:
-        coords = (xi[1], -xi[2] / mw)
+        p, q = z
+        parts = (lab["j"], p, -mw * q, lab["E"], lab["l"])
     elif model is ModelId.CENTRAL2:
-        h = cas.get("h")
-        coords = (xi[1], -xi[2] / mw, xi[4], -xi[3] / (h * params.omega))
+        p, q, l, alpha = z
+        h = lab["h"]
+        parts = (lab["j"], p, -mw * q, -alpha * h * params.omega, l, h)
     elif model is ModelId.NONCENTRAL:
-        phi_f = float(np.arctan2(xi[5], xi[4]))
-        coords = (xi[0], phi_f, xi[1], -xi[2] / mw)
-    elif model is ModelId.DOUBLE:
-        k = cas.get("k")
-        coords = (xi[1], xi[2], -xi[4] / k, -xi[5] / k)
+        j, phi_f, p, q = z
+        f = lab["f"]
+        parts = (j, p, -mw * q, lab["E"], f * np.cos(phi_f),
+                 f * np.sin(phi_f), lab["h"])
     else:
-        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
-    return OrbitPoint(model, tuple(float(v) for v in coords), cas)
+        p1, p2, q1, q2 = z
+        k = lab["k"]
+        parts = (lab["j"], p1, p2, lab["E"], -k * q1, -k * q2, lab["h"], k)
+    return _stack(parts)
 
 
 def dual_from_chart(point: OrbitPoint,
                     params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Dual vector reconstructed from a chart point and its CasimirSet."""
+    """Dual vectors (..., n) reconstructed from chart points and labels.
+
+    The coordinates and the charges fix every dual slot but the hidden j
+    and E.  Each Casimir that carries one of them does so with unit
+    weight (s = j + ..., U = E + ..., and E on central1), so the slot is
+    the label minus that Casimir evaluated with j = E = 0.
+    """
     model = point.model
-    z = point.array()
-    cas = point.casimirs
-    r2 = params.r**2
-    mw = params.m_omega
-    if model is ModelId.CENTRAL1:
-        p, q = z
-        l, E_, s = cas.values
-        pvec = np.array([p, -mw * q])
-        j = s - (pvec @ pvec) * r2 / (2.0 * l)
-        return np.array([j, pvec[0], pvec[1], E_, l])
-    if model is ModelId.CENTRAL2:
-        p, q, l, alpha = z
-        h, s = cas.values
-        pvec = np.array([p, -mw * q])
-        j = s - (pvec @ pvec) * r2 / (2.0 * h)
-        E_ = -alpha * h * params.omega
-        return np.array([j, pvec[0], pvec[1], E_, l, h])
-    if model is ModelId.NONCENTRAL:
-        j, phi_f, p, q = z
-        h, fmag, U = cas.values
-        pvec = np.array([p, -mw * q])
-        fvec = fmag * np.array([np.cos(phi_f), np.sin(phi_f)])
-        E_ = U - (r2 / h) * cross2(pvec, fvec)
-        return np.array([j, pvec[0], pvec[1], E_, fvec[0], fvec[1], h])
-    if model is ModelId.DOUBLE:
-        p1, p2, q1, q2 = z
-        h, k, s, U = cas.values
-        qvec = np.array([q1, q2])
-        fvec = -k * qvec
-        j = s - cross2([p1, p2], qvec) + h * (qvec @ qvec) / (2.0 * r2)
-        E_ = U + 0.5 * k * (qvec @ qvec)
-        return np.array([j, p1, p2, E_, fvec[0], fvec[1], h, k])
-    raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    names = CASIMIR_NAMES[model]
+    labels = np.asarray(point.labels, dtype=float)
+    lab = dict(zip(names, _slot_first(labels)), j=0.0, E=0.0)
+    xi = _dual_point(model, point.coords, lab, params)
+    at_zero = casimirs(model, xi, params)
+    for i, name in enumerate(names):
+        if name in _HIDDEN_SLOT:
+            xi[..., _HIDDEN_SLOT[name]] = labels[..., i] - at_zero[..., i]
+    return xi
 
 
 def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
                 **labels) -> OrbitPoint:
-    """Chart point with default orbit labels.
+    """Chart points (..., d) on the orbit fixed by default or given labels.
 
-    Defaults: charge l = h = m omega r**2, Hooke constant k = 1, the hidden
-    angular momentum j = 0 and hidden energy E = 0; for the noncentral
-    model the force magnitude defaults to f = 1.  Any label can be
-    overridden by keyword (central1: l, E; central2: h; noncentral: h, f,
-    E; double: h, k, E; plus j where it is not a chart coordinate).
+    Defaults: charge l = h = m omega r**2, Hooke constant k = 1, force
+    magnitude f = 1, and the hidden dual coordinates j = 0 and E = 0.
+    Keywords per chart (_LABEL_KEYS), each a number: central1 l, E, j;
+    central2 h, j; noncentral h, f, E; double h, k, j, E.  The charges
+    are stored as given; s and U are the casimirs of the dual point.
+    Other keywords and non-finite input raise ChartDegeneracyError.
     """
-    coords = tuple(float(v) for v in coords)
-    if len(coords) != len(CHART_COORDS[model]):
-        raise ChartDegeneracyError(
-            f"{model.value} chart needs {len(CHART_COORDS[model])} "
-            f"coordinates, got {len(coords)}"
-        )
-    r2 = params.r**2
-    mw = params.m_omega
-    if "j" in labels and model is ModelId.NONCENTRAL:
-        raise ChartDegeneracyError("j is a chart coordinate of the "
-                                   "noncentral model, not an orbit label")
-    j0 = float(labels.pop("j", 0.0))
-    E0 = float(labels.pop("E", 0.0))
-    if model is ModelId.CENTRAL1:
-        l = float(labels.pop("l", params.l_sub))
-        _check_no_extra(labels)
-        _require_nonzero(l, "l", model)
-        p, q = coords
-        pvec = np.array([p, -mw * q])
-        s = j0 + (pvec @ pvec) * r2 / (2.0 * l)
-        return OrbitPoint(model, coords, CasimirSet(model, (l, E0, s)))
-    if model is ModelId.CENTRAL2:
-        h = float(labels.pop("h", params.l_sub))
-        _check_no_extra(labels)
-        _require_nonzero(h, "h", model)
-        p, q = coords[0], coords[1]
-        pvec = np.array([p, -mw * q])
-        s = j0 + (pvec @ pvec) * r2 / (2.0 * h)
-        return OrbitPoint(model, coords, CasimirSet(model, (h, s)))
-    if model is ModelId.NONCENTRAL:
-        h = float(labels.pop("h", params.l_sub))
-        fmag = float(labels.pop("f", 1.0))
-        _check_no_extra(labels)
-        _require_nonzero(h, "h", model)
-        _require_nonzero(fmag, "f", model)
-        _, phi_f, p, q = coords
-        pvec = np.array([p, -mw * q])
-        fvec = fmag * np.array([np.cos(phi_f), np.sin(phi_f)])
-        U = E0 + (r2 / h) * cross2(pvec, fvec)
-        return OrbitPoint(model, coords, CasimirSet(model, (h, fmag, U)))
-    if model is ModelId.DOUBLE:
-        h = float(labels.pop("h", params.l_sub))
-        k = float(labels.pop("k", 1.0))
-        _check_no_extra(labels)
-        _require_nonzero(k, "k", model)
-        p = np.array(coords[0:2])
-        q = np.array(coords[2:4])
-        s = j0 + cross2(p, q) - h * (q @ q) / (2.0 * r2)
-        U = E0 - 0.5 * k * (q @ q)
-        return OrbitPoint(model, coords, CasimirSet(model, (h, k, s, U)))
-    raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
-
-
-def _check_no_extra(labels: dict) -> None:
-    if labels:
-        raise ChartDegeneracyError(f"unknown orbit labels {sorted(labels)}")
+    keys = _LABEL_KEYS.get(model)
+    if keys is None:
+        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    unknown = sorted(set(labels) - set(keys))
+    if unknown:
+        raise ChartDegeneracyError(f"{model.value} orbit labels are "
+                                   f"{', '.join(keys)}; got {unknown}")
+    z = np.array(coords, dtype=float)
+    d = len(CHART_COORDS[model])
+    if z.shape[-1:] != (d,):
+        raise ChartDegeneracyError(f"{model.value} chart needs {d} "
+                                   f"coordinates, got shape {z.shape}")
+    labels = {name: float(value) for name, value in labels.items()}
+    if not (np.isfinite(z).all() and all(map(math.isfinite, labels.values()))):
+        raise ChartDegeneracyError(f"{model.value}: chart coordinates and "
+                                   "labels must be finite")
+    lab = {"l": params.l_sub, "h": params.l_sub, "f": 1.0, "k": 1.0,
+           "j": 0.0, "E": 0.0, **labels}
+    values = casimirs(model, _dual_point(model, z, lab, params), params)
+    for i, name in enumerate(CASIMIR_NAMES[model]):
+        if name in keys:
+            values[..., i] = lab[name]
+    return OrbitPoint(model, z, values)
 
 
 def omega_matrix(model: ModelId, point: OrbitPoint,
@@ -428,14 +416,14 @@ def chart_poisson(model: ModelId, z, labels,
 
 def poisson_tensor(model: ModelId, point: OrbitPoint,
                    params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Poisson matrix of the chart coordinates at an orbit point.
+    """Poisson matrix of the chart coordinates at one orbit point.
 
     chart_poisson at the point's coordinates and Casimir labels.
     """
     if point.model is not model:
         raise gm.ModelMismatchError(f"point belongs to {point.model.value}, "
                                     f"not {model.value}")
-    return chart_poisson(model, point.coords, point.casimirs.values, params)
+    return chart_poisson(model, point.coords, point.labels, params)
 
 
 def phase_space_blocks(model: ModelId, point: OrbitPoint,
@@ -503,7 +491,7 @@ def poisson_bracket(model: ModelId, fgrad, ggrad, point: OrbitPoint,
     fgrad and ggrad map a chart coordinate array to a gradient array; use
     gradient_fd to lift plain scalar functions.
     """
-    z = point.array()
+    z = point.coords
     pi = poisson_tensor(model, point, params)
     return float(np.asarray(fgrad(z)) @ pi @ np.asarray(ggrad(z)))
 
@@ -523,7 +511,7 @@ def coordinate_gradient(model: ModelId, name: str):
 
 def canonicalize_noncentral(point: OrbitPoint,
                             params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Canonical chart (energy, time, p, q) of a noncentral orbit point.
+    """Canonical chart (energy, time, p, q) of noncentral orbit points.
 
     energy = j omega + p**2 / (2 m) + m omega**2 q**2 / 2 and
     time = phi_f / omega; in this chart {energy, time} = {p, q} = 1 and
@@ -532,10 +520,10 @@ def canonicalize_noncentral(point: OrbitPoint,
     if point.model is not ModelId.NONCENTRAL:
         raise gm.ModelMismatchError("canonical chart applies to the "
                                     "noncentral model")
-    j, phi_f, p, q = point.array()
+    j, phi_f, p, q = _slot_first(np.asarray(point.coords, dtype=float))
     w = params.omega
     energy = j * w + p**2 / (2.0 * params.m) + 0.5 * params.m * w**2 * q**2
-    return np.array([energy, phi_f / w, p, q])
+    return _stack((energy, phi_f / w, p, q))
 
 
 def canonical_energy_gradient(params: ModelParams = DEFAULT_PARAMS):

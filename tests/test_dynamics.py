@@ -148,7 +148,7 @@ def test_double_energy_flow_matches_exact_time_flow():
     exact = ao.chart_from_dual(
         ModelId.DOUBLE, ao.time_flow_exact(ModelId.DOUBLE, xi, t_end, PARAMS),
         PARAMS)
-    assert np.max(np.abs(traj.coords[-1] - exact.array())) < 1e-12
+    assert np.max(np.abs(traj.coords[-1] - exact.coords)) < 1e-12
 
 
 def test_central2_energy_flow_advances_l():
@@ -158,7 +158,8 @@ def test_central2_energy_flow_advances_l():
                     integrator="implicit-midpoint", hamiltonian=ham,
                     gradient=grad)
     traj = ao.hamiltonian_flow(ModelId.CENTRAL2, spec, z0, PARAMS)
-    hw = z0.casimirs.get("h") * PARAMS.omega
+    h, _ = z0.labels
+    hw = h * PARAMS.omega
     # dl/dt = h omega; p, q, alpha frozen
     assert traj.coords[-1][2] == pytest.approx(hw * 1.0, abs=1e-9)
     assert np.max(np.abs(traj.coords[-1][[0, 1, 3]]
@@ -171,8 +172,8 @@ def test_noncentral_canonical_flow_moves_only_the_angle():
                         f=1.1)
 
     def ham(z):
-        return float(ao.canonicalize_noncentral(z0.replace_coords(z),
-                                                PARAMS)[0])
+        point = ao.OrbitPoint(ModelId.NONCENTRAL, z, z0.labels)
+        return float(ao.canonicalize_noncentral(point, PARAMS)[0])
 
     spec = FlowSpec(kind="hamiltonian", dt=1e-2, nsteps=100,
                     integrator="implicit-midpoint", hamiltonian=ham,
@@ -228,7 +229,7 @@ def test_hamiltonian_flow_records_orbit_labels():
     assert traj.coords.shape == (51, 4)
     assert traj.casimir_series.shape == (51, 4)
     assert np.array_equal(traj.casimir_series,
-                          np.tile(z0.casimirs.values, (51, 1)))
+                          np.tile(z0.labels, (51, 1)))
 
 
 def test_casimir_drift_reports_the_reconstruction_error(monkeypatch):
@@ -285,6 +286,23 @@ def test_hamiltonian_flow_does_no_per_step_rebuilds(monkeypatch, case):
     assert counts["structure_tensor"] == 0
     assert counts["chart_from_dual"] == 0
     assert counts["dual_from_chart"] <= 1
+
+
+def test_group_flow_chart_calls_do_not_grow_with_nsteps(monkeypatch):
+    xi = ao.dual_vector(ModelId.NONCENTRAL, j=0.4, p1=0.3, p2=-0.2, E=0.7,
+                        f1=0.5, f2=-0.1, h=1.0)
+    z0 = ao.chart_from_dual(ModelId.NONCENTRAL, xi, PARAMS)
+    counts = _count_calls(monkeypatch, ("chart_from_dual", "dual_from_chart",
+                                        "casimirs"))
+    seen = []
+    for nsteps in (10, 1000):
+        spec = FlowSpec(kind="group-time-flow", dt=1e-3, nsteps=nsteps)
+        traj = ao.hamiltonian_flow(ModelId.NONCENTRAL, spec, z0, PARAMS)
+        assert traj.coords.shape == (nsteps + 1, 4)
+        seen.append(dict(counts))
+        counts.update(dict.fromkeys(counts, 0))
+    assert seen[0] == seen[1]
+    assert seen[0]["chart_from_dual"] == 1
 
 
 # -------------------------------------------------------------- machinery

@@ -230,3 +230,10 @@ def test_model_params_validation_and_derived_scales():
     p = ModelParams(m=2.0, omega=3.0, r=0.5)
     assert p.c == pytest.approx(1.5)
     assert p.l_sub == pytest.approx(2.0 * 3.0 * 0.25)
+
+
+@pytest.mark.parametrize("name", ["m", "omega", "r"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_model_params_reject_non_finite_scales(name, value):
+    with pytest.raises(ValueError):
+        ModelParams(**{name: value})

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import aristotle_orbits as ao
-from aristotle_orbits import ModelId, ModelParams
+from aristotle_orbits import ModelId, ModelParams, orbit_chart
 from aristotle_orbits.verify import (
+    Report,
     _pushforward_poisson,
     _sample_point,
+    check_bracket_tables,
     printed_noncentral_omega_inverse,
 )
 
@@ -18,31 +20,32 @@ CHART_MODELS = [ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.NONCENTRAL,
 
 def test_central1_casimir_reduces_to_j_at_rest():
     xi = ao.dual_vector(ModelId.CENTRAL1, j=0.8, l=1.0)
-    cas = ao.casimirs(ModelId.CENTRAL1, xi, PARAMS)
-    assert cas.get("s") == pytest.approx(0.8)
-    assert cas.get("l") == 1.0
-    assert cas.get("E") == 0.0
+    l, E, s = ao.casimirs(ModelId.CENTRAL1, xi, PARAMS)
+    assert s == pytest.approx(0.8)
+    assert l == 1.0
+    assert E == 0.0
 
 
 def test_central1_casimir_known_value():
     xi = ao.dual_vector(ModelId.CENTRAL1, j=0.0, p1=1.0, p2=0.0, E=0.0, l=1.0)
-    assert ao.casimirs(ModelId.CENTRAL1, xi, PARAMS).get("s") == pytest.approx(0.5)
+    _, _, s = ao.casimirs(ModelId.CENTRAL1, xi, PARAMS)
+    assert s == pytest.approx(0.5)
 
 
 def test_double_casimir_energy_at_origin():
     xi = ao.dual_vector(ModelId.DOUBLE, j=0.4, E=1.3, h=1.0, k=1.0)
-    cas = ao.casimirs(ModelId.DOUBLE, xi, PARAMS)
-    assert cas.get("U") == pytest.approx(1.3)
-    assert cas.get("s") == pytest.approx(0.4)
+    _, _, s, U = ao.casimirs(ModelId.DOUBLE, xi, PARAMS)
+    assert U == pytest.approx(1.3)
+    assert s == pytest.approx(0.4)
 
 
 def test_noncentral_casimirs_documented_forms():
     xi = ao.dual_vector(ModelId.NONCENTRAL, j=0.1, p1=0.6, p2=-0.2, E=0.9,
                         f1=0.3, f2=0.4, h=PARAMS.l_sub)
-    cas = ao.casimirs(ModelId.NONCENTRAL, xi, PARAMS)
-    assert cas.get("f") == pytest.approx(0.5)
+    _, f, U = ao.casimirs(ModelId.NONCENTRAL, xi, PARAMS)
+    assert f == pytest.approx(0.5)
     # U = E + (p x f) / (m omega) when h = m omega r^2
-    assert cas.get("U") == pytest.approx(0.9 + (0.6 * 0.4 - (-0.2) * 0.3))
+    assert U == pytest.approx(0.9 + (0.6 * 0.4 - (-0.2) * 0.3))
 
 
 @pytest.mark.parametrize("model", CHART_MODELS)
@@ -51,9 +54,8 @@ def test_casimir_invariance_under_random_coadjoint(model):
     for _ in range(500):
         xi = ao.sample_dual(model, rng, nondegenerate=True)
         g = ao.sample_element(model, rng)
-        before = np.array(ao.casimirs(model, xi, PARAMS).values)
-        after = np.array(
-            ao.casimirs(model, ao.coadjoint(model, g, xi, PARAMS), PARAMS).values)
+        before = ao.casimirs(model, xi, PARAMS)
+        after = ao.casimirs(model, ao.coadjoint(model, g, xi, PARAMS), PARAMS)
         assert np.max(np.abs(after - before)) < 1e-9
 
 
@@ -106,8 +108,10 @@ def test_chart_from_dual_double_zero_force():
 def test_chart_from_dual_noncentral_polar_angle():
     xi = ao.dual_vector(ModelId.NONCENTRAL, f2=2.0, h=1.0)
     point = ao.chart_from_dual(ModelId.NONCENTRAL, xi, PARAMS)
-    assert point.coord("phi_f") == pytest.approx(np.pi / 2)
-    assert point.casimirs.get("f") == pytest.approx(2.0)
+    _, phi_f, _, _ = point.coords
+    _, f, _ = point.labels
+    assert phi_f == pytest.approx(np.pi / 2)
+    assert f == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("model", CHART_MODELS)
@@ -125,6 +129,79 @@ def test_orbit_point_rejects_wrong_arity_and_unknown_labels():
         ao.orbit_point(ModelId.CENTRAL1, (1.0,), PARAMS)
     with pytest.raises(ao.ChartDegeneracyError):
         ao.orbit_point(ModelId.CENTRAL1, (1.0, 2.0), PARAMS, bogus=1.0)
+    # central2 fixes E through alpha and the noncentral chart has j as a
+    # coordinate, so neither is a label there
+    with pytest.raises(ao.ChartDegeneracyError):
+        ao.orbit_point(ModelId.CENTRAL2, (0.1, 0.2, 0.3, 0.4), PARAMS, E=5.0)
+    with pytest.raises(ao.ChartDegeneracyError):
+        ao.orbit_point(ModelId.NONCENTRAL, (0.1, 0.2, 0.3, 0.4), PARAMS, j=1.0)
+
+
+@pytest.mark.parametrize("model", CHART_MODELS)
+def test_stacked_chart_maps_match_row_by_row(model):
+    params = ModelParams(m=1.7, omega=0.6, r=1.3)
+    rng = np.random.default_rng(26)
+    xis = np.array([ao.sample_dual(model, rng, nondegenerate=True)
+                    for _ in range(64)])
+    cas = ao.casimirs(model, xis, params)
+    points = ao.chart_from_dual(model, xis, params)
+    back = ao.dual_from_chart(points, params)
+    d = len(ao.CHART_COORDS[model])
+    c = len(ao.CASIMIR_NAMES[model])
+    assert cas.shape == points.labels.shape == (64, c)
+    assert points.coords.shape == (64, d)
+    assert back.shape == xis.shape
+    zs = rng.uniform(-1.0, 1.0, size=(64, d))
+    stacked = ao.orbit_point(model, zs, params)
+    stacked_back = ao.dual_from_chart(stacked, params)
+    for i, xi in enumerate(xis):
+        row = ao.chart_from_dual(model, xi, params)
+        assert np.array_equal(ao.casimirs(model, xi, params), cas[i])
+        assert np.array_equal(row.coords, points.coords[i])
+        assert np.array_equal(row.labels, points.labels[i])
+        assert np.array_equal(ao.dual_from_chart(row, params), back[i])
+        single = ao.orbit_point(model, zs[i], params)
+        assert np.array_equal(single.labels, stacked.labels[i])
+        assert np.array_equal(ao.dual_from_chart(single, params),
+                              stacked_back[i])
+
+
+def test_orbit_point_stores_given_labels_and_hidden_coordinates():
+    # f is stored as given, not recomputed as |f (cos, sin)|
+    phis = np.linspace(-np.pi, np.pi, 2001)
+    zs = np.column_stack((np.zeros_like(phis), phis, np.zeros_like(phis),
+                          np.zeros_like(phis)))
+    point = ao.orbit_point(ModelId.NONCENTRAL, zs, PARAMS, f=1.0, h=0.7)
+    assert np.all(point.labels[:, 0] == 0.7)
+    assert np.all(point.labels[:, 1] == 1.0)
+    # the hidden j and E come back from the labels s and U
+    point = ao.orbit_point(ModelId.DOUBLE, (0.3, -0.2, 0.5, 0.1), PARAMS,
+                           h=1.5, k=-2.0, j=0.25, E=-0.75)
+    h, k, _, _ = point.labels
+    assert (h, k) == (1.5, -2.0)
+    xi = ao.dual_from_chart(point, PARAMS)
+    assert xi[0] == pytest.approx(0.25, abs=1e-15)
+    assert xi[3] == pytest.approx(-0.75, abs=1e-15)
+    point = ao.orbit_point(ModelId.CENTRAL2, (0.1, 0.2, 0.3, 0.4), PARAMS,
+                           j=0.5)
+    assert ao.dual_from_chart(point, PARAMS)[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ao.chart_from_dual(ModelId.CENTRAL1, [np.nan, 0, 0, 0, 1], PARAMS),
+    lambda: ao.chart_from_dual(
+        ModelId.DOUBLE, [[0, 1, 0, 0, 0.5, 0, 1, 1],
+                         [0, 1, 0, 0, np.inf, 0, 1, 1]], PARAMS),
+    lambda: ao.orbit_point(ModelId.CENTRAL1, [np.nan, 0.0], PARAMS),
+    lambda: ao.orbit_point(ModelId.NONCENTRAL, [0.0, np.inf, 0.0, 0.0],
+                           PARAMS),
+    lambda: ao.orbit_point(ModelId.DOUBLE, [0.0, 0.0, 0.0, 0.0], PARAMS,
+                           k=-np.inf),
+], ids=["xi-nan", "xi-stack-inf", "coord-nan", "angle-inf", "label-inf"])
+def test_chart_maps_reject_non_finite_input(call):
+    with pytest.raises(ao.ChartDegeneracyError) as info:
+        call()
+    assert "finite" in str(info.value) and "\n" not in str(info.value)
 
 
 # -------------------------------------------------------- restricted forms
@@ -163,7 +240,7 @@ def test_noncentral_omega_inverts_documented_inverse():
     rng = np.random.default_rng(27)
     for _ in range(20):
         point = _sample_point(ModelId.NONCENTRAL, rng, PARAMS)
-        if abs(np.sin(point.coord("phi_f"))) < 1e-3:
+        if abs(np.sin(point.coords[1])) < 1e-3:  # phi_f
             continue
         om = ao.omega_matrix(ModelId.NONCENTRAL, point, PARAMS)
         prod = om @ printed_noncentral_omega_inverse(point, PARAMS)
@@ -224,6 +301,26 @@ def test_poisson_tensor_inverts_chart_form(model):
         assert np.max(np.abs(pi @ om - np.eye(pi.shape[0]))) < 1e-10
 
 
+def test_inverts_chart_form_row_fails_on_a_wrong_tensor(monkeypatch):
+    # omega_chart is the inverse of poisson_tensor, so the row pulls it back
+    # to the restricted form, which does not go through chart_poisson
+    real = ao.chart_poisson
+
+    def scaled(model, z, labels, params=PARAMS):
+        pi = real(model, z, labels, params).copy()
+        pi[0, 1] *= 1.001
+        pi[1, 0] *= 1.001
+        return pi
+
+    monkeypatch.setattr(orbit_chart, "chart_poisson", scaled)
+    report = Report(seed=0)
+    check_bracket_tables(report, PARAMS, CHART_MODELS,
+                         np.random.default_rng(0))
+    rows = [c for c in report.checks if "inverts chart form" in c.name]
+    assert len(rows) == 4
+    assert all(c.status == "fail" and c.measured > 1e-4 for c in rows)
+
+
 def test_poisson_bracket_antisymmetry_on_same_function():
     rng = np.random.default_rng(33)
     point = _sample_point(ModelId.NONCENTRAL, rng, PARAMS)
@@ -252,7 +349,7 @@ def test_noncentral_bracket_values():
     br = lambda a, b: ao.poisson_bracket(ModelId.NONCENTRAL, g(a), g(b),
                                          point, PARAMS)
     mw = PARAMS.m_omega
-    p, q = point.coord("p"), point.coord("q")
+    _, _, p, q = point.coords
     assert br("j", "p") == pytest.approx(mw * q)
     assert br("phi_f", "q") == 0.0
     assert br("j", "phi_f") == pytest.approx(1.0)
@@ -287,7 +384,7 @@ def test_chart_bracket_jacobi_identity(model):
 
         def nested(g1, g2, g3):
             inner = lambda z: ao.poisson_bracket(
-                model, g2, g3, point.replace_coords(z), PARAMS)
+                model, g2, g3, ao.OrbitPoint(model, z, point.labels), PARAMS)
             return ao.poisson_bracket(model, g1, ao.gradient_fd(inner),
                                       point, PARAMS)
 
