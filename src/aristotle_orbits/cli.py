@@ -260,11 +260,16 @@ def _named_hamiltonian(name: str, model: ModelId, point: oc.OrbitPoint,
         grad = oc.canonical_energy_gradient(params)
 
         def ham(z):
-            return float(oc.canonicalize_noncentral(
-                oc.OrbitPoint(model, z, point.labels), params)[0])
+            return oc.canonicalize_noncentral(
+                oc.OrbitPoint(model, z, point.labels), params)[..., 0]
         return ham, grad
     raise UsageError(f"unknown hamiltonian {name!r}; choose kinetic, "
                      "energy or canonical")
+
+
+def _trajectory_header(traj: dyn.Trajectory) -> list[str]:
+    return (["t"] + list(oc.CHART_COORDS[traj.model])
+            + list(traj.casimir_names))
 
 
 def _trajectory_rows(traj: dyn.Trajectory) -> tuple[list[str], list[list[float]]]:
@@ -273,18 +278,29 @@ def _trajectory_rows(traj: dyn.Trajectory) -> tuple[list[str], list[list[float]]
     Adding 0.0 normalizes negative zero as _fmt does, so repr of each row
     value is its _fmt string.
     """
-    header = (["t"] + list(oc.CHART_COORDS[traj.model])
-              + list(traj.casimir_names))
     table = np.column_stack((traj.times, traj.coords,
                              traj.casimir_series)) + 0.0
-    return header, table.tolist()
+    return _trajectory_header(traj), table.tolist()
 
 
 def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
-    header, rows = _trajectory_rows(traj)
+    """Write the rows of _trajectory_rows as CSV, with the same strings.
+
+    Values are formatted a column at a time.  When every Casimir row
+    equals the first, as on Hamiltonian flows, that block is formatted
+    once and ends every line.
+    """
+    series = traj.casimir_series
+    constant = len(series) > 0 and bool((series == series[0]).all())
+    table = np.column_stack((traj.times, traj.coords)
+                            + (() if constant else (series,))) + 0.0
+    end = "\n"
+    if constant:
+        end = "".join("," + repr(v) for v in (series[0] + 0.0).tolist()) + end
+    columns = (map(repr, col) for col in table.T.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.write(",".join(_trajectory_header(traj)) + "\n")
+        fh.writelines(",".join(row) + end for row in zip(*columns))
 
 
 def read_trajectory_csv(path: str) -> tuple[list[str], np.ndarray]:

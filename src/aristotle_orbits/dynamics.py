@@ -32,9 +32,15 @@ trajectories can be integrated concurrently.
 A Hamiltonian flow stays on its starting orbit by construction, so its
 Casimir columns are the orbit labels, and the chart coordinates are
 recorded as integrated (the noncentral angle phi_f is not wrapped into
-(-pi, pi]).  What can drift is the energy, recorded per step, and the
+(-pi, pi]).  What can drift is the energy, recorded per sample, and the
 consistency of the final chart point with its labels, measured once by
 reconstructing its dual point.
+
+Hamiltonians broadcast like the group laws and chart maps: a Hamiltonian
+maps chart coordinates (..., d) to energies (...).  The step loop only
+calls the gradient; the energy series is one Hamiltonian call on the whole
+(n, d) coordinate array once the trajectory (or the partial trajectory of
+a failed flow) is built.
 """
 
 from __future__ import annotations
@@ -76,16 +82,19 @@ class FlowSpec:
     """What to integrate and how.
 
     kind is "group-time-flow" or "hamiltonian".  For the latter,
-    hamiltonian maps a chart coordinate array to a scalar and gradient
-    (if given) maps it to the gradient array; otherwise central finite
-    differences are used.
+    hamiltonian maps chart coordinates (..., d) to energies (...), with
+    leading batch axes as in the chart maps: the flow calls it once, on
+    the (n, d) array of its samples, for the energy series.  A scalar
+    result is every sample's energy; any other shape than (n,) raises
+    ValueError.  gradient (if given) maps one point (d,) to its gradient
+    (d,); otherwise central finite differences of hamiltonian are used.
     """
 
     kind: str = "group-time-flow"
     dt: float = 1e-3
     nsteps: int = 10_000
     integrator: str = "implicit-midpoint"
-    hamiltonian: Callable[[np.ndarray], float] | None = None
+    hamiltonian: Callable[[np.ndarray], np.ndarray | float] | None = None
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     solver_tol: float = 1e-12
     max_iterations: int = 50
@@ -213,6 +222,19 @@ def _rk4_step(rhs, z: np.ndarray, dt: float) -> np.ndarray:
 _amax = np.maximum.reduce  # ndarray.max without its Python-level wrapper
 
 
+def _energy_series(hamiltonian, coords: np.ndarray) -> np.ndarray:
+    """Energies (n,) of the samples coords (n, d), from one call."""
+    n = len(coords)
+    h = np.asarray(hamiltonian(coords), dtype=float)
+    if h.shape == ():
+        return np.full(n, h)
+    if h.shape != (n,):
+        raise ValueError(f"hamiltonian must map chart coordinates "
+                         f"{coords.shape} to energies ({n},) or a scalar, "
+                         f"got shape {h.shape}")
+    return h
+
+
 def _midpoint_step(rhs, z: np.ndarray, dt: float, tol: float,
                    max_iterations: int) -> np.ndarray:
     z_new = z + dt * rhs(z)
@@ -245,15 +267,14 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
         return _group_trajectory(model, z0, spec, params)
 
     rhs = _rhs_factory(model, z0, spec, params)
-    step = (_rk4_step if spec.integrator == "rk4"
+    rk4 = spec.integrator == "rk4"
+    step = (_rk4_step if rk4
             else lambda f, z, dt: _midpoint_step(f, z, dt, spec.solver_tol,
                                                  spec.max_iterations))
     times = spec.dt * np.arange(spec.nsteps + 1)
     z = np.asarray(z0.coords, dtype=float)
     coords = np.empty((spec.nsteps + 1, z.size))
-    h_vals = np.empty(spec.nsteps + 1)
     coords[0] = z
-    h_vals[0] = spec.hamiltonian(z)
 
     def trajectory(n: int) -> Trajectory:
         """The first n samples."""
@@ -266,7 +287,7 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
             coords=coords[:n],
             casimir_names=oc.CASIMIR_NAMES[model],
             casimir_series=np.broadcast_to(labels, (n, labels.size)),
-            hamiltonian_series=h_vals[:n],
+            hamiltonian_series=_energy_series(spec.hamiltonian, coords[:n]),
             casimir_residual=np.abs(rebuilt - labels),
         )
 
@@ -276,34 +297,38 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
         except (oc.ChartDegeneracyError, oc.SingularityError) as exc:
             raise FlowSingularityError(f"step {n}: {exc}", step=n,
                                        partial=trajectory(n + 1)) from exc
-        if not np.isfinite(z).all():
+        # _midpoint_step returns an iterate only when its distance to the
+        # previous one is below a scale; a nan or inf component makes that
+        # distance nan or inf, which never compares below it, so only RK4
+        # can step to a non-finite state
+        if rk4 and not np.isfinite(z).all():
             raise FlowSingularityError(
                 f"step {n}: non-finite state {z}", step=n,
                 partial=trajectory(n + 1))
         coords[n + 1] = z
-        h_vals[n + 1] = spec.hamiltonian(z)
     return trajectory(spec.nsteps + 1)
 
 
 def kinetic_hamiltonian(model: ModelId, params: ModelParams = DEFAULT_PARAMS):
     """(H, grad H) for H = |p|^2 / (2 m) on the model's chart.
 
-    On the double chart this is the magnetic example: p circles at
-    frequency omega with period 2 pi / omega.
+    H maps coordinates (..., d) to (...).  On the double chart this is the
+    magnetic example: p circles at frequency omega with period 2 pi / omega.
     """
     names = oc.CHART_COORDS[model]
     idx = [i for i, name in enumerate(names) if name in ("p", "p1", "p2")]
     # the momentum coordinates are adjacent in every chart
     mom = slice(idx[0], idx[-1] + 1)
     m = params.m
+    # grad H = z / mass: m on the momentum slots, inf (giving zeros) elsewhere
+    mass = np.full(len(names), np.inf)
+    mass[mom] = m
 
-    def ham(z: np.ndarray) -> float:
-        return float((z[mom] ** 2).sum()) / (2.0 * m)
+    def ham(z: np.ndarray) -> np.ndarray:
+        return (z[..., mom] ** 2).sum(axis=-1) / (2.0 * m)
 
     def grad(z: np.ndarray) -> np.ndarray:
-        g = np.zeros(len(names))
-        g[mom] = z[mom] / m
-        return g
+        return z / mass
     return ham, grad
 
 
@@ -311,14 +336,20 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
                        params: ModelParams = DEFAULT_PARAMS):
     """(H, grad H) for the energy coordinate E pulled back to the chart.
 
-    Generates exactly the group time flow, restricted to the chart, so it
-    reproduces dl/dt = h omega (central2) and dp/dt = -k q (double).
+    H maps coordinates (..., d) to (...).  Generates exactly the group
+    time flow, restricted to the chart, so it reproduces dl/dt = h omega
+    (central2) and dp/dt = -k q (double).
     """
-    lab = dict(zip(oc.CASIMIR_NAMES[model], point.labels.tolist()))
+    names = oc.CASIMIR_NAMES.get(model)
+    if names is None:
+        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    lab = dict(zip(names, point.labels.tolist()))
     r2 = params.r**2
     if model is ModelId.CENTRAL1:
+        E = lab["E"]
+
         def ham(z):
-            return lab["E"]
+            return np.full(np.shape(z)[:-1], E)
 
         def grad(z):
             return np.zeros(2)
@@ -326,7 +357,7 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
         hw = lab["h"] * params.omega
 
         def ham(z):
-            return -hw * z[3]
+            return -hw * z[..., 3]
 
         def grad(z):
             return np.array([0.0, 0.0, 0.0, -hw])
@@ -335,7 +366,7 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
         mw_eff = lab["h"] / r2
 
         def ham(z):
-            _, phi_f, p, q = z
+            phi_f, p, q = z[..., 1], z[..., 2], z[..., 3]
             return U - (fmag / mw_eff) * (
                 p * np.sin(phi_f) + mw_eff * q * np.cos(phi_f))
 
@@ -348,14 +379,12 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
                 -v * np.sin(phi_f),
                 -fmag * np.cos(phi_f),
             ])
-    elif model is ModelId.DOUBLE:
+    else:  # double; the lookup above rejected the models without a chart
         k, U = lab["k"], lab["U"]
 
         def ham(z):
-            return U + 0.5 * k * (z[2] ** 2 + z[3] ** 2)
+            return U + 0.5 * k * (z[..., 2] ** 2 + z[..., 3] ** 2)
 
         def grad(z):
             return np.array([0.0, 0.0, k * z[2], k * z[3]])
-    else:
-        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
     return ham, grad

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import ModelParams, kirillov_matrix
+from .lie_core import DimensionMismatchError, ModelParams, kirillov_matrix
 from . import group_models as gm
 from .group_models import ModelId, _cross, _dot, _slot_first, _trailing
 
@@ -268,7 +268,8 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
     Keywords per chart (_LABEL_KEYS), each a number: central1 l, E, j;
     central2 h, j; noncentral h, f, E; double h, k, j, E.  The charges
     are stored as given; s and U are the casimirs of the dual point.
-    Other keywords and non-finite input raise ChartDegeneracyError.
+    Other keywords, non-finite input and a noncentral force magnitude
+    f <= 0 raise ChartDegeneracyError.
     """
     keys = _LABEL_KEYS.get(model)
     if keys is None:
@@ -286,6 +287,10 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
     if not (np.isfinite(z).all() and all(map(math.isfinite, labels.values()))):
         raise ChartDegeneracyError(f"{model.value}: chart coordinates and "
                                    "labels must be finite")
+    if labels.get("f", 1.0) <= 0.0:
+        # f is the magnitude |(f1, f2)|, which casimirs would report instead
+        raise ChartDegeneracyError(f"{model.value} force magnitude f must be "
+                                   f"positive, got {labels['f']!r}")
     lab = {"l": params.l_sub, "h": params.l_sub, "f": 1.0, "k": 1.0,
            "j": 0.0, "E": 0.0, **labels}
     values = casimirs(model, _dual_point(model, z, lab, params), params)
@@ -293,6 +298,21 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
         if name in keys:
             values[..., i] = lab[name]
     return OrbitPoint(model, z, values)
+
+
+def _one_point(model: ModelId, point: OrbitPoint) -> None:
+    """Reject a point of another model or a stack of points."""
+    if model not in CHART_COORDS:
+        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    if point.model is not model:
+        raise gm.ModelMismatchError(f"point belongs to {point.model.value}, "
+                                    f"not {model.value}")
+    d, c = len(CHART_COORDS[model]), len(CASIMIR_NAMES[model])
+    shapes = (np.shape(point.coords), np.shape(point.labels))
+    if shapes != ((d,), (c,)):
+        raise DimensionMismatchError(
+            f"{model.value}: expected one point, coords of shape ({d},) and "
+            f"labels of shape ({c},); got {shapes[0]} and {shapes[1]}")
 
 
 def omega_matrix(model: ModelId, point: OrbitPoint,
@@ -306,6 +326,7 @@ def omega_matrix(model: ModelId, point: OrbitPoint,
     Here mw is the orbit charge over r**2, equal to m omega on default
     orbits.
     """
+    _one_point(model, point)
     xi = dual_from_chart(point, params)
     if model is ModelId.NONCENTRAL:
         f2 = xi[5]
@@ -418,11 +439,11 @@ def poisson_tensor(model: ModelId, point: OrbitPoint,
                    params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
     """Poisson matrix of the chart coordinates at one orbit point.
 
-    chart_poisson at the point's coordinates and Casimir labels.
+    chart_poisson at the point's coordinates and Casimir labels.  A point
+    of another model raises ModelMismatchError, a stack of points
+    DimensionMismatchError.
     """
-    if point.model is not model:
-        raise gm.ModelMismatchError(f"point belongs to {point.model.value}, "
-                                    f"not {model.value}")
+    _one_point(model, point)
     return chart_poisson(model, point.coords, point.labels, params)
 
 

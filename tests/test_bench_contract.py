@@ -2,8 +2,7 @@
 
 Loads perfbench/run.py, tracer.py and workloads.py by path, without
 editing them, and checks that every function the per-layer report reads
-is traced, then runs one checked op of the verify and group-flow
-workloads.
+is traced, then runs one checked op of each workload.
 """
 
 import importlib.util
@@ -44,7 +43,7 @@ def test_every_name_the_report_reads_is_traced(bench):
     assert sorted(wanted - traced) == []
 
 
-@pytest.mark.parametrize("workload", ["Verify", "GroupFlow"])
+@pytest.mark.parametrize("workload", ["Verify", "Hamiltonian", "GroupFlow"])
 def test_one_checked_op(bench, tmp_path, workload):
     _, _, workloads = bench
     wl = getattr(workloads, workload)(1, str(tmp_path))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import aristotle_orbits as ao
 from aristotle_orbits import ModelId, Trajectory, cli
 
 
@@ -194,6 +195,63 @@ def test_trajectory_csv_matches_per_value_format(tmp_path):
     assert np.array_equal(data.view(np.uint64), table.view(np.uint64))
 
 
+def _per_row_csv(path, traj):
+    """The writer that formats every value of every row, Casimirs included."""
+    header = ["t", *ao.CHART_COORDS[traj.model], *traj.casimir_names]
+    table = np.column_stack((traj.times, traj.coords,
+                             traj.casimir_series)) + 0.0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n"
+                      for row in table.tolist())
+
+
+def _hamiltonian_trajectory():
+    params = ao.ModelParams(m=1.7, omega=0.6, r=1.3)
+    ham, grad = ao.kinetic_hamiltonian(ModelId.DOUBLE, params)
+    z0 = ao.orbit_point(ModelId.DOUBLE, (0.8, -0.4, 0.2, 0.6), params,
+                        h=1.4, k=0.7)
+    spec = ao.FlowSpec(kind="hamiltonian", dt=1e-2, nsteps=300,
+                       integrator="implicit-midpoint", hamiltonian=ham,
+                       gradient=grad)
+    return ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, params)
+
+
+def _group_trajectory():
+    params = ao.ModelParams(m=1.7, omega=0.6, r=1.3)
+    xi = ao.dual_vector(ModelId.NONCENTRAL, j=0.4, p1=0.3, p2=-0.2, E=0.7,
+                        f1=0.5, f2=-0.1, h=1.0)
+    z0 = ao.chart_from_dual(ModelId.NONCENTRAL, xi, params)
+    spec = ao.FlowSpec(kind="group-time-flow", dt=1e-2, nsteps=300)
+    traj = ao.hamiltonian_flow(ModelId.NONCENTRAL, spec, z0, params)
+    series = traj.casimir_series
+    assert not (series == series[0]).all()  # the per-row path
+    return traj
+
+
+def _signed_zero_trajectory():
+    coords = np.array([[-0.0, 0.5, -0.0, 1e-300], [0.0, -0.0, 0.25, -5e-324],
+                       [0.1 + 0.2, -0.0, -0.0, 0.0]])
+    # rows equal under ==, spelled with either zero
+    series = np.array([[-0.0, 1.0, 0.1 + 0.2, -2.5e-7],
+                       [0.0, 1.0, 0.1 + 0.2, -2.5e-7],
+                       [-0.0, 1.0, 0.1 + 0.2, -2.5e-7]])
+    return Trajectory(model=ModelId.DOUBLE, times=np.array([-0.0, 0.5, 1.0]),
+                      coords=coords, casimir_names=("h", "k", "s", "U"),
+                      casimir_series=series)
+
+
+@pytest.mark.parametrize("make", [_hamiltonian_trajectory, _group_trajectory,
+                                  _signed_zero_trajectory],
+                         ids=["hamiltonian", "group", "signed-zero"])
+def test_trajectory_csv_equals_the_per_row_writer(tmp_path, make):
+    traj = make()
+    out, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
+    cli.write_trajectory_csv(str(out), traj)
+    _per_row_csv(str(ref), traj)
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_simulate_json_document_carries_drift(tmp_path):
     out = tmp_path / "traj.json"
     code = run(["simulate", "--model", "double", "--flow", "hamiltonian",
@@ -245,6 +303,20 @@ def test_non_finite_numbers_are_one_line_usage_errors(capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("f", ["-1", "0"])
+def test_simulate_non_positive_force_label_is_usage_error(tmp_path, capsys, f):
+    out = tmp_path / "traj.csv"
+    code = run(["simulate", "--model", "noncentral", "--flow", "hamiltonian",
+                "--hamiltonian", "energy", "--point=0.1,0.5,0.2,0.3",
+                "--label", f"f={f}", "--steps", "10", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_simulate_zero_steps_is_usage_error(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import aristotle_orbits as ao
 from aristotle_orbits import FlowSpec, ModelId, ModelParams
-from aristotle_orbits import dynamics, group_models, orbit_chart
+from aristotle_orbits import cli, dynamics, group_models, orbit_chart
 from aristotle_orbits.dynamics import _midpoint_step, _rk4_step
 from aristotle_orbits.lie_core import EPS0
 from helpers import cyclotron_exact
@@ -173,7 +173,7 @@ def test_noncentral_canonical_flow_moves_only_the_angle():
 
     def ham(z):
         point = ao.OrbitPoint(ModelId.NONCENTRAL, z, z0.labels)
-        return float(ao.canonicalize_noncentral(point, PARAMS)[0])
+        return ao.canonicalize_noncentral(point, PARAMS)[..., 0]
 
     spec = FlowSpec(kind="hamiltonian", dt=1e-2, nsteps=100,
                     integrator="implicit-midpoint", hamiltonian=ham,
@@ -357,7 +357,7 @@ def test_flow_singularity_carries_step_index_and_partial_trajectory():
 
     z0 = ao.orbit_point(ModelId.DOUBLE, (1.0, 0.0, 0.0, 0.0), PARAMS)
     spec = FlowSpec(kind="hamiltonian", dt=0.1, nsteps=100,
-                    integrator="rk4", hamiltonian=lambda z: z[2],
+                    integrator="rk4", hamiltonian=lambda z: z[..., 2],
                     gradient=grad)
     with pytest.raises(ao.FlowSingularityError) as info:
         ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, PARAMS)
@@ -373,3 +373,103 @@ def test_flow_rejects_foreign_initial_point():
     spec = FlowSpec(kind="group-time-flow", dt=0.1, nsteps=1)
     with pytest.raises(ao.ModelMismatchError):
         ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, PARAMS)
+
+
+# ------------------------------------------------- broadcasting hamiltonians
+
+BROADCAST_PARAMS = ModelParams(m=1.7, omega=0.6, r=1.3)
+_START = {
+    ModelId.CENTRAL1: ((0.4, -0.3), {"l": 0.8, "E": 0.3}),
+    ModelId.CENTRAL2: ((0.3, -0.2, 0.5, 0.1), {"h": 1.2}),
+    ModelId.NONCENTRAL: ((0.4, 0.7, 0.3, -0.2), {"h": 0.9, "f": 1.1}),
+    ModelId.DOUBLE: ((0.8, -0.4, 0.2, 0.6), {"h": 1.4, "k": 0.7}),
+}
+
+
+def _named(name, model):
+    coords, labels = _START[model]
+    point = ao.orbit_point(model, coords, BROADCAST_PARAMS, **labels)
+    return cli._named_hamiltonian(name, model, point, BROADCAST_PARAMS)[0]
+
+
+@pytest.mark.parametrize("name,model", [
+    *[("kinetic", m) for m in CHART_MODELS],
+    *[("energy", m) for m in CHART_MODELS],
+    ("canonical", ModelId.NONCENTRAL),
+])
+def test_named_hamiltonians_broadcast_bit_for_bit(name, model):
+    ham = _named(name, model)
+    rng = np.random.default_rng(61)
+    zs = rng.uniform(-3.0, 3.0, size=(64, len(ao.CHART_COORDS[model])))
+    stacked = ham(zs)
+    assert stacked.shape == (64,)
+    rows = np.array([ham(z) for z in zs])
+    assert np.array_equal(stacked.view(np.uint64), rows.view(np.uint64))
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "implicit-midpoint"])
+def test_hamiltonian_calls_do_not_grow_with_nsteps(integrator):
+    ham, grad = ao.kinetic_hamiltonian(ModelId.DOUBLE, PARAMS)
+    calls = []
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return ham(z)
+
+    z0 = ao.orbit_point(ModelId.DOUBLE, (0.8, -0.4, 0.2, 0.6), PARAMS)
+    seen = []
+    for nsteps in (10, 1000):
+        spec = FlowSpec(kind="hamiltonian", dt=1e-3, nsteps=nsteps,
+                        integrator=integrator, hamiltonian=counted,
+                        gradient=grad)
+        traj = ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, PARAMS)
+        assert np.array_equal(traj.hamiltonian_series, ham(traj.coords))
+        seen.append(list(calls))
+        calls.clear()
+    assert seen == [[(11, 4)], [(1001, 4)]]
+
+
+@pytest.mark.parametrize("ham", [lambda z: z, lambda z: z[2],
+                                 lambda z: np.ones(3)],
+                         ids=["per-coordinate", "row", "fixed-length"])
+def test_hamiltonian_of_the_wrong_shape_is_rejected(ham):
+    _, grad = ao.kinetic_hamiltonian(ModelId.DOUBLE, PARAMS)
+    z0 = ao.orbit_point(ModelId.DOUBLE, (0.8, -0.4, 0.2, 0.6), PARAMS)
+    spec = FlowSpec(kind="hamiltonian", dt=1e-2, nsteps=10,
+                    integrator="rk4", hamiltonian=ham, gradient=grad)
+    with pytest.raises(ValueError, match=r"\(11,\)") as info:
+        ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, PARAMS)
+    assert "\n" not in str(info.value)
+
+
+def test_scalar_hamiltonian_broadcasts_to_every_sample():
+    z0 = ao.orbit_point(ModelId.DOUBLE, (0.2, 0.4, -0.1, 0.3), PARAMS)
+    spec = FlowSpec(kind="hamiltonian", dt=0.05, nsteps=20,
+                    hamiltonian=lambda z: 2.5,
+                    gradient=lambda z: np.zeros(4))
+    traj = ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, PARAMS)
+    assert np.array_equal(traj.hamiltonian_series, np.full(21, 2.5))
+
+
+def test_partial_trajectory_carries_its_energy_series():
+    def grad(z):
+        if z[0] < 0.5:
+            return np.full(4, np.nan)
+        return np.array([0.0, 0.0, 1.0, 0.0])
+
+    z0 = ao.orbit_point(ModelId.DOUBLE, (1.0, 0.0, 0.0, 0.0), PARAMS)
+    spec = FlowSpec(kind="hamiltonian", dt=0.1, nsteps=100,
+                    integrator="rk4", hamiltonian=lambda z: 3.0 * z[..., 0],
+                    gradient=grad)
+    with pytest.raises(ao.FlowSingularityError) as info:
+        ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, PARAMS)
+    partial = info.value.partial
+    assert len(partial.hamiltonian_series) == len(partial.times) > 1
+    assert np.array_equal(partial.hamiltonian_series,
+                          3.0 * partial.coords[:, 0])
+
+
+def test_energy_hamiltonian_rejects_the_base_model():
+    point = ao.orbit_point(ModelId.CENTRAL1, (0.1, 0.2), PARAMS)
+    with pytest.raises(ao.ModelMismatchError, match="base"):
+        ao.energy_hamiltonian(ModelId.BASE, point, PARAMS)

@@ -137,6 +137,13 @@ def test_orbit_point_rejects_wrong_arity_and_unknown_labels():
         ao.orbit_point(ModelId.NONCENTRAL, (0.1, 0.2, 0.3, 0.4), PARAMS, j=1.0)
 
 
+@pytest.mark.parametrize("f", [0.0, -1.0])
+def test_orbit_point_rejects_a_non_positive_force_magnitude(f):
+    with pytest.raises(ao.ChartDegeneracyError, match="positive") as info:
+        ao.orbit_point(ModelId.NONCENTRAL, (0.1, 0.5, 0.2, 0.3), PARAMS, f=f)
+    assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("model", CHART_MODELS)
 def test_stacked_chart_maps_match_row_by_row(model):
     params = ModelParams(m=1.7, omega=0.6, r=1.3)
@@ -458,3 +465,27 @@ def test_canonicalize_rejects_other_models():
     point = ao.orbit_point(ModelId.CENTRAL1, (0.1, 0.2), PARAMS)
     with pytest.raises(ao.ModelMismatchError):
         ao.canonicalize_noncentral(point, PARAMS)
+
+
+@pytest.mark.parametrize("model", CHART_MODELS)
+def test_one_point_functions_reject_stacked_points(model):
+    d = len(ao.CHART_COORDS[model])
+    c = len(ao.CASIMIR_NAMES[model])
+    stacked = ao.orbit_point(model, np.zeros((3, d)), PARAMS)
+    mixed = ao.OrbitPoint(model, stacked.coords[0], stacked.labels)
+    grad = ao.coordinate_gradient(model, ao.CHART_COORDS[model][0])
+    calls = [
+        lambda p: ao.poisson_tensor(model, p, PARAMS),
+        lambda p: ao.omega_chart(model, p, PARAMS),
+        lambda p: ao.omega_matrix(model, p, PARAMS),
+        lambda p: ao.poisson_bracket(model, grad, grad, p, PARAMS),
+    ]
+    if model in (ModelId.CENTRAL1, ModelId.DOUBLE):
+        calls.append(lambda p: ao.phase_space_blocks(model, p, PARAMS))
+    for call in calls:
+        for point in (stacked, mixed):
+            with pytest.raises(ao.DimensionMismatchError) as info:
+                call(point)
+            message = str(info.value)
+            assert f"({d},)" in message and f"({c},)" in message
+            assert "\n" not in message
