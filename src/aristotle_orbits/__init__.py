@@ -32,12 +32,10 @@ from .lie_core import (
     bracket,
     coad_matrix,
     cross2,
-    eps_map,
     eps_vec,
     exp_coadjoint,
     jacobi_defect,
     kirillov_matrix,
-    pairing,
     rotation,
 )
 from .group_models import (

@@ -127,7 +127,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config document must be a JSON object")

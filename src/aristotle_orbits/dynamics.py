@@ -21,7 +21,8 @@ magnetic_strength).
 The Poisson tensor is the closed form orbit_chart.chart_poisson at the
 orbit's Casimir labels: read once for the chart-constant central1, central2
 and double tensors, and at every right-hand-side evaluation for the
-noncentral one, whose {j, p} and {j, q} entries depend on the state.
+noncentral one, whose {j, p} and {j, q} entries depend on the state (there
+through its one-point literal form, which skips the shape checks).
 
 Integrators: classical RK4, and the implicit midpoint rule solved by fixed
 point iteration (tolerance 1e-12, at most 50 sweeps).  Midpoint re-reads
@@ -45,6 +46,7 @@ a failed flow) is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -102,10 +104,18 @@ class FlowSpec:
     def __post_init__(self):
         if self.kind not in ("group-time-flow", "hamiltonian"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.nsteps < 1:
-            raise ValueError("nsteps must be at least 1")
+        for name in ("dt", "solver_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float, np.floating))
+                    and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, "
+                                 f"got {value!r}")
+        for name in ("nsteps", "max_iterations"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer))
+                    and not isinstance(value, bool) and value >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, "
+                                 f"got {value!r}")
         if self.integrator not in ("rk4", "implicit-midpoint"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.kind == "hamiltonian" and self.hamiltonian is None:
@@ -206,8 +216,11 @@ def _rhs_factory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
             return pi_t.dot(grad(z))
         return rhs
 
+    mw = params.m_omega
+    kappa = labels[0] / (mw * params.r**2)  # as in chart_poisson
+
     def rhs(z: np.ndarray) -> np.ndarray:
-        return oc.chart_poisson(model, z, labels, params).T.dot(grad(z))
+        return oc._noncentral_poisson(z, kappa, mw).T.dot(grad(z))
     return rhs
 
 

@@ -395,40 +395,47 @@ def sample_element(model: ModelId, rng: np.random.Generator,
 
 
 def sample_dual(model: ModelId, rng: np.random.Generator,
-                nondegenerate: bool = False) -> np.ndarray:
+                nondegenerate: bool = False,
+                size: int | tuple[int, ...] | None = None) -> np.ndarray:
     """Random dual vector with coordinates in [-1, 1].
 
     With nondegenerate=True the extension charges (l, h, k) are pushed away
     from zero and the force magnitude is kept positive, so chart maps and
-    Casimir denominators are well conditioned.
+    Casimir denominators are well conditioned.  size gives leading batch
+    axes, as for sample_element; a stack of n draws equals n single draws
+    from the same generator state.
     """
-    xi = rng.uniform(-1.0, 1.0, size=dim(model))
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    xi = rng.uniform(-1.0, 1.0, size=(*shape, dim(model)))
     if nondegenerate:
         labels = DUAL_LABELS[model]
         for name in ("l", "h", "k"):
             if name in labels:
                 i = labels.index(name)
-                xi[i] = np.sign(xi[i]) * (0.5 + 0.5 * abs(xi[i]))
-                if xi[i] == 0.0:
-                    xi[i] = 1.0
+                x = xi[..., i]
+                xi[..., i] = np.where(x == 0.0, 1.0,
+                                      np.sign(x) * (0.5 + 0.5 * np.abs(x)))
         if "f1" in labels:
-            i = labels.index("f1")
-            f = xi[i:i + 2]
-            norm = np.hypot(f[0], f[1])
-            if norm < 0.3:
-                xi[i:i + 2] = (0.6, 0.45)
+            f = xi[..., labels.index("f1"):labels.index("f2") + 1]
+            small = np.hypot(f[..., 0], f[..., 1]) < 0.3
+            f[...] = np.where(small[..., None], (0.6, 0.45), f)
     return xi
 
 
 def dual_vector(model: ModelId, **components) -> np.ndarray:
-    """Dual vector from named components, zero elsewhere (e.g. j=1, p1=0.5)."""
+    """Dual vector from named components, zero elsewhere (e.g. j=1, p1=0.5).
+
+    Array components give a stack of vectors (..., n) of their broadcast
+    shape.
+    """
     labels = DUAL_LABELS[model]
-    xi = np.zeros(len(labels))
+    shape = np.broadcast_shapes(*map(np.shape, components.values()))
+    xi = np.zeros(shape + (len(labels),))
     for name, value in components.items():
         if name not in labels:
             raise ModelMismatchError(f"{name!r} is not a dual label of "
                                      f"{model.value}")
-        xi[labels.index(name)] = value
+        xi[..., labels.index(name)] = value
     return xi
 
 

@@ -61,15 +61,6 @@ def eps_vec(u) -> np.ndarray:
     return np.array([u[1], -u[0]], dtype=float)
 
 
-def eps_map(u) -> np.ndarray:
-    """The matrix [[0, u2], [-u1, 0]] carrying the rotation-translation mix.
-
-    Its nonzero entries are the components of eps_vec(u); contracting the
-    rows against (1, 1) recovers eps_vec(u) itself.
-    """
-    return np.array([[0.0, u[1]], [-u[0], 0.0]])
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical scales shared by all models.
@@ -140,20 +131,24 @@ class StructureTensor:
         return StructureTensor(labels=tuple(labels), c=c)
 
 
-def _check_dim(t: StructureTensor, v: np.ndarray, name: str) -> np.ndarray:
+def _check_trailing(t: StructureTensor, v, name: str) -> np.ndarray:
+    """v as a float array (..., n): leading axes are batch axes."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (t.dim,):
+    if v.shape[-1:] != (t.dim,):
         raise DimensionMismatchError(
-            f"{name} has shape {v.shape}, expected ({t.dim},)"
+            f"{name} has shape {v.shape}, expected (..., {t.dim})"
         )
     return v
 
 
 def bracket(t: StructureTensor, x, y) -> np.ndarray:
-    """Lie bracket [x, y]^c = sum_ab C^c_{ab} x^a y^b."""
-    x = _check_dim(t, x, "x")
-    y = _check_dim(t, y, "y")
-    return np.einsum("abc,a,b->c", t.c, x, y)
+    """Lie brackets [x, y]^c = sum_ab C^c_{ab} x^a y^b.
+
+    x and y are (..., n) with batch axes that broadcast together.
+    """
+    x = _check_trailing(t, x, "x")
+    y = _check_trailing(t, y, "y")
+    return np.einsum("abc,...a,...b->...c", t.c, x, y)
 
 def jacobi_defect(t: StructureTensor) -> float:
     """Max-norm of the cyclic sum [[e_a,e_b],e_c] + [[e_b,e_c],e_a] + [[e_c,e_a],e_b].
@@ -167,56 +162,61 @@ def jacobi_defect(t: StructureTensor) -> float:
 
 
 def ad_matrix(t: StructureTensor, x) -> np.ndarray:
-    """Matrix of ad_x, with (ad_x)^c_b = sum_a C^c_{ab} x^a.
+    """Matrices (..., n, n) of ad_x, with (ad_x)^c_b = sum_a C^c_{ab} x^a.
 
-    Satisfies ad_matrix(t, x) @ y == bracket(t, x, y) for all y.
+    x is (..., n); leading axes are batch axes.  Satisfies
+    ad_matrix(t, x) @ y == bracket(t, x, y) for all y.
     """
-    x = _check_dim(t, x, "x")
-    return np.einsum("abc,a->cb", t.c, x)
+    x = _check_trailing(t, x, "x")
+    return np.einsum("abc,...a->...cb", t.c, x)
 
 
 def coad_matrix(t: StructureTensor, x) -> np.ndarray:
-    """Matrix of the infinitesimal coadjoint action, -ad_matrix(t, x).T.
+    """Matrices of the infinitesimal coadjoint action, -ad_matrix(t, x)^T.
 
     Acting on dual coordinate vectors it satisfies the pairing identity
     <coad(x) xi, y> + <xi, ad(x) y> = 0.
     """
-    return -ad_matrix(t, x).T
+    return -np.swapaxes(ad_matrix(t, x), -1, -2)
 
 
 def kirillov_matrix(t: StructureTensor, xi) -> np.ndarray:
-    """Antisymmetric form K_{ab} = sum_c C^c_{ab} xi_c at the dual point xi."""
-    xi = _check_dim(t, xi, "xi")
-    return np.einsum("abc,c->ab", t.c, xi)
+    """Antisymmetric forms K_{ab} = sum_c C^c_{ab} xi_c at dual points xi.
 
-
-def pairing(xi, y) -> float:
-    """Duality pairing <xi, y> of a dual vector with an algebra vector."""
-    return float(np.dot(np.asarray(xi, dtype=float), np.asarray(y, dtype=float)))
+    xi is (..., n) and the result (..., n, n); leading axes are batch axes.
+    """
+    xi = _check_trailing(t, xi, "xi")
+    return np.einsum("abc,...c->...ab", t.c, xi)
 
 
 def exp_coadjoint(t: StructureTensor, x, xi, tol: float = 1e-12,
                   max_terms: int = 200) -> np.ndarray:
     """exp(coad_matrix(t, x)) @ xi by truncated power series.
 
-    Reference oracle for the closed-form group coadjoint actions.  Terms are
-    accumulated until the next term's max-norm drops below tol * (1 + |xi|);
-    the coadjoint matrices of the built-in models are rotation-plus-nilpotent,
+    Reference oracle for the closed-form group coadjoint actions.  x and xi
+    are (..., n) with batch axes that broadcast together.  Each sample
+    accumulates terms until its next term's max-norm drops below
+    tol * (1 + |xi|), so a stacked call equals the single calls; the
+    coadjoint matrices of the built-in models are rotation-plus-nilpotent,
     so the series terminates quickly.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    xi = _check_dim(t, xi, "xi")
+    x = _check_trailing(t, x, "x")
+    xi = _check_trailing(t, xi, "xi")
     m = coad_matrix(t, x)
-    acc = xi.copy()
-    term = xi.copy()
-    scale = tol * (1.0 + float(np.max(np.abs(xi))))
+    acc = np.array(np.broadcast_to(xi, np.broadcast_shapes(x.shape,
+                                                           xi.shape)))
+    term = acc
+    scale = tol * (1.0 + np.abs(acc).max(axis=-1))
+    active = np.ones(scale.shape, dtype=bool)
     for n in range(1, max_terms + 1):
-        term = (m @ term) / n
-        acc = acc + term
-        if np.max(np.abs(term)) < scale:
+        term = (m @ term[..., None])[..., 0] / n
+        acc = np.where(active[..., None], acc + term, acc)
+        active &= ~(np.abs(term).max(axis=-1) < scale)
+        if not active.any():
             return acc
     raise SeriesConvergenceError(
         f"coadjoint exponential series did not converge within {max_terms} "
-        f"terms (last term norm {np.max(np.abs(term)):.3e})"
+        f"terms (last term norm {np.abs(term).max():.3e})"
     )

@@ -13,7 +13,14 @@ labels (..., c), the orbit's Casimir values in CASIMIR_NAMES order.
 Leading axes are batch axes, as for the group elements of group_models:
 casimirs, chart_from_dual and dual_from_chart are written once per chart
 with slot-first views, so one call maps a single point or a stack of
-points, and a stacked call equals the row-by-row calls bit for bit.
+points, and a stacked call equals the row-by-row calls bit for bit.  The
+matrix-valued maps follow the same rule with two trailing matrix axes:
+chart_jacobian returns (..., d, n), and chart_poisson, poisson_tensor,
+omega_matrix and omega_chart return (..., d, d) (phase_space_blocks its
+blocks likewise, poisson_bracket a value per point).  A point of another
+model raises ModelMismatchError; coords and labels whose trailing lengths
+are wrong or whose batch shapes do not broadcast raise a one-line
+DimensionMismatchError.
 
 A chart point together with its labels determines the dual point, and
 dual_from_chart(chart_from_dual(xi)) returns xi up to rounding, not bit
@@ -52,7 +59,6 @@ parameters directly, matching the defaults where charge = m omega r**2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,10 +251,12 @@ def dual_from_chart(point: OrbitPoint,
     The coordinates and the charges fix every dual slot but the hidden j
     and E.  Each Casimir that carries one of them does so with unit
     weight (s = j + ..., U = E + ..., and E on central1), so the slot is
-    the label minus that Casimir evaluated with j = E = 0.
+    the label minus that Casimir evaluated with j = E = 0.  Batch shapes
+    of coords and labels that do not broadcast raise DimensionMismatchError.
     """
     model = point.model
     names = CASIMIR_NAMES[model]
+    _batch_shape(model, point.coords, point.labels)
     labels = np.asarray(point.labels, dtype=float)
     lab = dict(zip(names, _slot_first(labels)), j=0.0, E=0.0)
     xi = _dual_point(model, point.coords, lab, params)
@@ -265,7 +273,8 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
 
     Defaults: charge l = h = m omega r**2, Hooke constant k = 1, force
     magnitude f = 1, and the hidden dual coordinates j = 0 and E = 0.
-    Keywords per chart (_LABEL_KEYS), each a number: central1 l, E, j;
+    Keywords per chart (_LABEL_KEYS), each a number or an array that
+    broadcasts against the batch shape of coords: central1 l, E, j;
     central2 h, j; noncentral h, f, E; double h, k, j, E.  The charges
     are stored as given; s and U are the casimirs of the dual point.
     Other keywords, non-finite input and a noncentral force magnitude
@@ -283,14 +292,22 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
     if z.shape[-1:] != (d,):
         raise ChartDegeneracyError(f"{model.value} chart needs {d} "
                                    f"coordinates, got shape {z.shape}")
-    labels = {name: float(value) for name, value in labels.items()}
-    if not (np.isfinite(z).all() and all(map(math.isfinite, labels.values()))):
+    labels = {name: np.asarray(value, dtype=float)
+              for name, value in labels.items()}
+    try:
+        np.broadcast_shapes(z.shape[:-1], *(v.shape for v in labels.values()))
+    except ValueError:
+        raise ChartDegeneracyError(
+            f"{model.value}: label shapes do not broadcast against the "
+            f"batch shape {z.shape[:-1]} of coords") from None
+    if not all(np.isfinite(v).all() for v in (z, *labels.values())):
         raise ChartDegeneracyError(f"{model.value}: chart coordinates and "
                                    "labels must be finite")
-    if labels.get("f", 1.0) <= 0.0:
+    f = labels.get("f", 1.0)
+    if np.min(f) <= 0.0:
         # f is the magnitude |(f1, f2)|, which casimirs would report instead
         raise ChartDegeneracyError(f"{model.value} force magnitude f must be "
-                                   f"positive, got {labels['f']!r}")
+                                   f"positive, got {float(np.min(f))!r}")
     lab = {"l": params.l_sub, "h": params.l_sub, "f": 1.0, "k": 1.0,
            "j": 0.0, "E": 0.0, **labels}
     values = casimirs(model, _dual_point(model, z, lab, params), params)
@@ -300,19 +317,34 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
     return OrbitPoint(model, z, values)
 
 
-def _one_point(model: ModelId, point: OrbitPoint) -> None:
-    """Reject a point of another model or a stack of points."""
+def _batch_shape(model: ModelId, coords, labels) -> tuple[int, ...]:
+    """Batch shape of chart coordinates (..., d) and labels (..., c).
+
+    Raises a one-line DimensionMismatchError for wrong trailing lengths or
+    batch shapes that do not broadcast.
+    """
+    d, c = len(CHART_COORDS[model]), len(CASIMIR_NAMES[model])
+    zs, ls = np.shape(coords), np.shape(labels)
+    if zs[-1:] != (d,) or ls[-1:] != (c,):
+        raise DimensionMismatchError(
+            f"{model.value}: expected coords (..., {d}) and labels "
+            f"(..., {c}); got {zs} and {ls}")
+    try:
+        return np.broadcast_shapes(zs[:-1], ls[:-1])
+    except ValueError:
+        raise DimensionMismatchError(
+            f"{model.value}: batch shapes {zs[:-1]} of coords and "
+            f"{ls[:-1]} of labels do not broadcast") from None
+
+
+def _check_point(model: ModelId, point: OrbitPoint) -> None:
+    """Reject a point of another model or with mismatched shapes."""
     if model not in CHART_COORDS:
         raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
     if point.model is not model:
         raise gm.ModelMismatchError(f"point belongs to {point.model.value}, "
                                     f"not {model.value}")
-    d, c = len(CHART_COORDS[model]), len(CASIMIR_NAMES[model])
-    shapes = (np.shape(point.coords), np.shape(point.labels))
-    if shapes != ((d,), (c,)):
-        raise DimensionMismatchError(
-            f"{model.value}: expected one point, coords of shape ({d},) and "
-            f"labels of shape ({c},); got {shapes[0]} and {shapes[1]}")
+    _batch_shape(model, point.coords, point.labels)
 
 
 def omega_matrix(model: ModelId, point: OrbitPoint,
@@ -324,80 +356,84 @@ def omega_matrix(model: ModelId, point: OrbitPoint,
     noncentral: on (J, F1, P1, P2), singular where f sin(phi_f) = 0;
     double: m omega and k blocks on (P1, P2, F1, F2).
     Here mw is the orbit charge over r**2, equal to m omega on default
-    orbits.
+    orbits.  A stacked point gives the stacked matrices (..., d, d).
     """
-    _one_point(model, point)
+    _check_point(model, point)
     xi = dual_from_chart(point, params)
     if model is ModelId.NONCENTRAL:
-        f2 = xi[5]
-        if abs(f2) < DEG_TOL:
+        f2 = np.abs(xi[..., 5]).min()
+        if f2 < DEG_TOL:
             raise SingularityError(
                 "noncentral restricted form is singular where "
-                f"f*sin(phi_f) = {f2:.3e}"
+                f"|f*sin(phi_f)| = {f2:.3e}"
             )
     tensor = gm.structure_tensor(model, params)
-    k_full = kirillov_matrix(tensor, xi)
     idx = [tensor.index(lab) for lab in OMEGA_BASIS[model]]
-    return k_full[np.ix_(idx, idx)]
+    return kirillov_matrix(tensor, xi)[..., idx, :][..., idx]
 
 
 def chart_jacobian(model: ModelId, xi,
                    params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Jacobian of the chart coordinates with respect to dual coordinates.
+    """Jacobians (..., d, n) of the chart coordinates at dual points (..., n).
 
     Derivatives along Casimir-only directions (h, k rows of the structure)
     are dropped; those directions carry a vanishing Poisson structure, so
     the pushforward -Jac K Jac^T, which the verify suite checks
     poisson_tensor against, is unaffected.
     """
-    xi = np.asarray(xi, dtype=float)
-    n = gm.dim(model)
-    mw = params.m_omega
+    if model not in CHART_COORDS:
+        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    xi = _trailing(model, xi)
+    v = _slot_first(xi)
+    inv_mw = -1.0 / params.m_omega
+    # nonzero entries {(chart row, dual column): value}
     if model is ModelId.CENTRAL1:
-        jac = np.zeros((2, n))
-        jac[0, 1] = 1.0
-        jac[1, 2] = -1.0 / mw
-        return jac
-    if model is ModelId.CENTRAL2:
-        h = xi[5]
+        entries = {(0, 1): 1.0, (1, 2): inv_mw}
+    elif model is ModelId.CENTRAL2:
+        h = v[5]
         _require_nonzero(h, "h", model)
-        jac = np.zeros((4, n))
-        jac[0, 1] = 1.0
-        jac[1, 2] = -1.0 / mw
-        jac[2, 4] = 1.0
-        jac[3, 3] = -1.0 / (h * params.omega)
-        return jac
-    if model is ModelId.NONCENTRAL:
-        f = xi[4:6]
-        fsq = float(f @ f)
-        if fsq < DEG_TOL**2:
+        entries = {(0, 1): 1.0, (1, 2): inv_mw, (2, 4): 1.0,
+                   (3, 3): -1.0 / (h * params.omega)}
+    elif model is ModelId.NONCENTRAL:
+        f = v[4:6]
+        fsq = _dot(f, f)
+        if fsq.min() < DEG_TOL**2:
             raise ChartDegeneracyError("noncentral chart needs f > 0")
-        jac = np.zeros((4, n))
-        jac[0, 0] = 1.0
-        jac[1, 4] = -f[1] / fsq
-        jac[1, 5] = f[0] / fsq
-        jac[2, 1] = 1.0
-        jac[3, 2] = -1.0 / mw
-        return jac
-    if model is ModelId.DOUBLE:
-        k = xi[7]
+        entries = {(0, 0): 1.0, (1, 4): -f[1] / fsq, (1, 5): f[0] / fsq,
+                   (2, 1): 1.0, (3, 2): inv_mw}
+    else:
+        k = v[7]
         _require_nonzero(k, "k", model)
-        jac = np.zeros((4, n))
-        jac[0, 1] = 1.0
-        jac[1, 2] = 1.0
-        jac[2, 4] = -1.0 / k
-        jac[3, 5] = -1.0 / k
-        return jac
-    raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+        entries = {(0, 1): 1.0, (1, 2): 1.0, (2, 4): -1.0 / k,
+                   (3, 5): -1.0 / k}
+    jac = np.zeros(xi.shape[:-1] + (len(CHART_COORDS[model]), xi.shape[-1]))
+    for (row, col), value in entries.items():
+        jac[..., row, col] = value
+    return jac
+
+
+def _noncentral_poisson(z, kappa: float, mw: float) -> np.ndarray:
+    """chart_poisson at one noncentral point z (4,), kappa and m omega given.
+
+    Written as literals, which is about twice as fast as filling a stack;
+    the noncentral Hamiltonian right-hand side calls it per evaluation.
+    """
+    jp = mw * z[3]
+    jq = -z[2] / mw
+    return np.array([[0.0, 1.0, jp, jq],
+                     [-1.0, 0.0, 0.0, 0.0],
+                     [-jp, 0.0, 0.0, kappa],
+                     [-jq, 0.0, -kappa, 0.0]])
 
 
 def chart_poisson(model: ModelId, z, labels,
                   params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Poisson matrix Pi_{ab} = {z_a, z_b} at chart coordinates z.
+    """Poisson matrices Pi_{ab} = {z_a, z_b} (..., d, d) at chart points z.
 
-    labels are the orbit's Casimir values in CASIMIR_NAMES order.  Closed
-    form of the pushforward -Jac K Jac^T, with kappa = charge / (m omega
-    r**2) (charge l for central1, h elsewhere; kappa = 1 on default orbits):
+    z is (..., d) and labels (..., c), the orbits' Casimir values in
+    CASIMIR_NAMES order; their batch shapes broadcast.  Closed form of the
+    pushforward -Jac K Jac^T, with kappa = charge / (m omega r**2) (charge
+    l for central1, h elsewhere; kappa = 1 on default orbits):
 
     central1    {p, q} = kappa
     central2    {p, q} = kappa, {l, alpha} = 1
@@ -408,42 +444,41 @@ def chart_poisson(model: ModelId, z, labels,
     The Hooke constant k cancels from the double chart: q = -f / k meets
     [P_i, F_j] = K delta_ij.  Only the noncentral matrix depends on z.
     """
+    if model not in CHART_COORDS:
+        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    z = np.asarray(z, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    batch = _batch_shape(model, z, labels)
     mw = params.m_omega
     r2 = params.r**2
-    charge = labels[0]  # l on central1, h on the other charts
+    charge = labels[..., 0]
     kappa = charge / (mw * r2)
+    # entries above the diagonal {(a, b): {z_a, z_b}}
     if model is ModelId.CENTRAL1:
-        return np.array([[0.0, kappa], [-kappa, 0.0]])
-    if model is ModelId.CENTRAL2:
-        return np.array([[0.0, kappa, 0.0, 0.0],
-                         [-kappa, 0.0, 0.0, 0.0],
-                         [0.0, 0.0, 0.0, 1.0],
-                         [0.0, 0.0, -1.0, 0.0]])
-    if model is ModelId.NONCENTRAL:
-        jp = mw * z[3]
-        jq = -z[2] / mw
-        return np.array([[0.0, 1.0, jp, jq],
-                         [-1.0, 0.0, 0.0, 0.0],
-                         [-jp, 0.0, 0.0, kappa],
-                         [-jq, 0.0, -kappa, 0.0]])
-    if model is ModelId.DOUBLE:
-        b = charge / r2
-        return np.array([[0.0, -b, 1.0, 0.0],
-                         [b, 0.0, 0.0, 1.0],
-                         [-1.0, 0.0, 0.0, 0.0],
-                         [0.0, -1.0, 0.0, 0.0]])
-    raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+        upper = {(0, 1): kappa}
+    elif model is ModelId.CENTRAL2:
+        upper = {(0, 1): kappa, (2, 3): 1.0}
+    elif model is ModelId.NONCENTRAL:
+        upper = {(0, 1): 1.0, (0, 2): mw * z[..., 3], (0, 3): -z[..., 2] / mw,
+                 (2, 3): kappa}
+    else:
+        upper = {(0, 1): -(charge / r2), (0, 2): 1.0, (1, 3): 1.0}
+    d = z.shape[-1]
+    pi = np.zeros(batch + (d, d))
+    for (a, b), value in upper.items():
+        pi[..., a, b] = value
+        pi[..., b, a] = -value
+    return pi
 
 
 def poisson_tensor(model: ModelId, point: OrbitPoint,
                    params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Poisson matrix of the chart coordinates at one orbit point.
+    """Poisson matrices (..., d, d) of the chart coordinates at orbit points.
 
-    chart_poisson at the point's coordinates and Casimir labels.  A point
-    of another model raises ModelMismatchError, a stack of points
-    DimensionMismatchError.
+    chart_poisson at the points' coordinates and Casimir labels.  A point
+    of another model raises ModelMismatchError.
     """
-    _one_point(model, point)
+    _check_point(model, point)
     return chart_poisson(model, point.coords, point.labels, params)
 
 
@@ -457,7 +492,8 @@ def phase_space_blocks(model: ModelId, point: OrbitPoint,
     {q^i, p_j} = delta^i_j, {p_i, p_j} = F_ij.  The double model carries
     the magnetic block F = -m omega eps and a vanishing G; central1 is the
     canonical 1-pair case.  The G slot is structural plumbing: no built-in
-    model produces a nonzero dual magnetic block.
+    model produces a nonzero dual magnetic block.  A stacked point gives
+    stacked blocks.
     """
     if model is ModelId.CENTRAL1:
         p_idx, q_idx = [0], [1]
@@ -468,20 +504,20 @@ def phase_space_blocks(model: ModelId, point: OrbitPoint,
             f"{model.value} chart has no global momentum/position split")
     pi = poisson_tensor(model, point, params)
     return {
-        "momentum_momentum": pi[np.ix_(p_idx, p_idx)],
-        "position_position": pi[np.ix_(q_idx, q_idx)],
-        "position_momentum": pi[np.ix_(q_idx, p_idx)],
+        "momentum_momentum": pi[..., p_idx, :][..., p_idx],
+        "position_position": pi[..., q_idx, :][..., q_idx],
+        "position_momentum": pi[..., q_idx, :][..., p_idx],
     }
 
 
 def omega_chart(model: ModelId, point: OrbitPoint,
                 params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Symplectic matrix of the chart, the inverse of poisson_tensor."""
+    """Symplectic matrices of the chart, the inverses of poisson_tensor."""
     pi = poisson_tensor(model, point, params)
-    det = np.linalg.det(pi)
-    if abs(det) < DEG_TOL:
+    det = np.abs(np.linalg.det(pi)).min()
+    if det < DEG_TOL:
         raise SingularityError(
-            f"chart Poisson tensor is singular (det = {det:.3e})"
+            f"chart Poisson tensor is singular (|det| = {det:.3e})"
         )
     return np.linalg.inv(pi)
 
@@ -490,31 +526,35 @@ def gradient_fd(f):
     """Gradient of a scalar chart function by central differences.
 
     Steps are 1e-6 * (1 + |z_i|) per coordinate, balancing truncation and
-    rounding at double precision.
+    rounding at double precision.  f maps chart points (..., d) to (...),
+    and the gradient of a stack of points is the stack of gradients.
     """
     def grad(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         out = np.empty_like(z)
-        for i in range(z.size):
-            step = 1e-6 * (1.0 + abs(z[i]))
+        for i in range(z.shape[-1]):
+            step = 1e-6 * (1.0 + np.abs(z[..., i]))
             zp, zm = z.copy(), z.copy()
-            zp[i] += step
-            zm[i] -= step
-            out[i] = (f(zp) - f(zm)) / (2.0 * step)
+            zp[..., i] += step
+            zm[..., i] -= step
+            out[..., i] = (f(zp) - f(zm)) / (2.0 * step)
         return out
     return grad
 
 
 def poisson_bracket(model: ModelId, fgrad, ggrad, point: OrbitPoint,
-                    params: ModelParams = DEFAULT_PARAMS) -> float:
+                    params: ModelParams = DEFAULT_PARAMS):
     """{f, g} = grad f . Pi . grad g at the chart point.
 
-    fgrad and ggrad map a chart coordinate array to a gradient array; use
-    gradient_fd to lift plain scalar functions.
+    fgrad and ggrad map chart coordinates (..., d) to gradients (..., d);
+    use gradient_fd to lift plain scalar functions.  One point gives a
+    float, a stacked point an array of the batch shape.
     """
     z = point.coords
     pi = poisson_tensor(model, point, params)
-    return float(np.asarray(fgrad(z)) @ pi @ np.asarray(ggrad(z)))
+    fg, gg = np.asarray(fgrad(z)), np.asarray(ggrad(z))
+    out = (fg[..., None, :] @ pi @ gg[..., :, None])[..., 0, 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def coordinate_gradient(model: ModelId, name: str):
@@ -548,9 +588,17 @@ def canonicalize_noncentral(point: OrbitPoint,
 
 
 def canonical_energy_gradient(params: ModelParams = DEFAULT_PARAMS):
-    """Gradient (in the noncentral chart) of the canonical energy function."""
+    """Gradient (in the noncentral chart) of the canonical energy function.
+
+    The gradient (omega, 0, p / m, m omega**2 q) maps chart points (..., 4)
+    to gradients (..., 4).
+    """
+    w, m = params.omega, params.m
+    # z / scale * factor + offset: inf zeroes the j and phi_f slots
+    scale = np.array([np.inf, np.inf, m, 1.0])
+    factor = np.array([1.0, 1.0, 1.0, m * w**2])
+    offset = np.array([w, 0.0, 0.0, 0.0])
+
     def grad(z: np.ndarray) -> np.ndarray:
-        _, _, p, q = z
-        w = params.omega
-        return np.array([w, 0.0, p / params.m, params.m * w**2 * q])
+        return np.asarray(z, dtype=float) / scale * factor + offset
     return grad

@@ -153,38 +153,32 @@ def check_adjoint_consistency(report: Report, params: ModelParams, models,
     step = 1e-5
     for model in models:
         tensor = gm.structure_tensor(model, params)
-        worst = 0.0
-        for _ in range(n):
-            y = rng.uniform(-1.0, 1.0, size=gm.dim(model))
-            dx = rng.uniform(-1.0, 1.0, size=gm.dim(model))
-            # parameters s y agree with exp(s y) to O(s^2), which the
-            # centered difference cancels
-            plus = gm.adjoint(model, step * y, dx, params)
-            minus = gm.adjoint(model, -step * y, dx, params)
-            fd = (plus - minus) / (2.0 * step)
-            worst = max(worst, float(np.max(np.abs(fd - bracket(tensor, y, dx)))))
-        report.add(f"{model.value}: adjoint/bracket consistency", worst, 1e-6)
+        # sample i draws y then dx, as n single draws would
+        y, dx = np.moveaxis(rng.uniform(-1.0, 1.0, size=(n, 2, gm.dim(model))),
+                            1, 0)
+        # parameters s y agree with exp(s y) to O(s^2), which the
+        # centered difference cancels
+        plus = gm.adjoint(model, step * y, dx, params)
+        minus = gm.adjoint(model, -step * y, dx, params)
+        fd = (plus - minus) / (2.0 * step)
+        report.add(f"{model.value}: adjoint/bracket consistency",
+                   _max_abs(fd, bracket(tensor, y, dx)), 1e-6)
 
 
 def check_coadjoint_oracle(report: Report, params: ModelParams,
                            models) -> None:
     """Closed-form coadjoint against the exponential series, per subgroup."""
-    svals = (-1.0, -0.37, 0.51, 1.0)
+    svals = np.array((-1.0, -0.37, 0.51, 1.0))
     for model in models:
         tensor = gm.structure_tensor(model, params)
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for label in gm.ALGEBRA_LABELS[model]:
-            y = gm.algebra_vector(model, **{label: 1.0})
-            for s in svals:
-                xi = rng.uniform(-1.0, 1.0, size=gm.dim(model))
-                series = exp_coadjoint(tensor, s * y, xi, tol=1e-14)
-                closed = gm.coadjoint(model,
-                                      gm.one_param_element(model, label, s),
-                                      xi, params)
-                worst = max(worst, float(np.max(np.abs(series - closed))))
+        n = gm.dim(model)
+        # x[a, i] = svals[i] e_a, the parameters of exp(svals[i] e_a)
+        x = svals[:, None] * np.eye(n)[:, None, :]
+        xi = np.random.default_rng(7).uniform(-1.0, 1.0, size=(n, len(svals),
+                                                               n))
+        series = exp_coadjoint(tensor, x, xi, tol=1e-14)
         report.add(f"{model.value}: coadjoint matches exponential oracle",
-                   worst, 1e-6)
+                   _max_abs(series, gm.coadjoint(model, x, xi, params)), 1e-6)
 
 
 def check_homomorphism(report: Report, params: ModelParams, models,
@@ -205,78 +199,86 @@ def check_casimirs(report: Report, params: ModelParams, models,
     for model in models:
         if model not in CHART_MODELS:
             continue
-        xis = np.array([gm.sample_dual(model, rng, nondegenerate=True)
-                        for _ in range(n)])
+        xis = gm.sample_dual(model, rng, nondegenerate=True, size=n)
         moved = gm.coadjoint(model, gm.sample_element(model, rng, n), xis,
                              params)
         report.add(f"{model.value}: casimir invariance",
                    _max_abs(oc.casimirs(model, moved, params),
                             oc.casimirs(model, xis, params)), 1e-9)
 
-        worst_sv = 0.0
-        tensor = gm.structure_tensor(model, params)
-        for _ in range(10):
-            xi = gm.sample_dual(model, rng, nondegenerate=True)
-            k_mat = kirillov_matrix(tensor, xi)
-            grads = _casimir_gradients(model, xi, params)
-            prod = k_mat @ grads
-            sv = np.linalg.svd(prod, compute_uv=False)
-            worst_sv = max(worst_sv, float(sv.max()) if sv.size else 0.0)
+        xi = gm.sample_dual(model, rng, nondegenerate=True, size=10)
+        prod = (kirillov_matrix(gm.structure_tensor(model, params), xi)
+                @ _casimir_gradients(model, xi, params))
+        sv = np.linalg.svd(prod, compute_uv=False)
         report.add(f"{model.value}: casimir gradients span kirillov kernel",
-                   worst_sv, 1e-8)
+                   float(sv.max()), 1e-8)
 
 
 def _casimir_gradients(model: ModelId, xi: np.ndarray,
                        params: ModelParams) -> np.ndarray:
-    """Centered-difference gradients of every Casimir at xi, one column each.
+    """Centered-difference gradients (..., n, c) of every Casimir at xi.
 
-    Row i differentiates along dual coordinate i with the step
-    1e-6 * (1 + |xi_i|); the 2n shifted points go through one casimirs call.
+    xi is (..., n); column k holds Casimir k's gradient.  Row i
+    differentiates along dual coordinate i with the step
+    1e-6 * (1 + |xi_i|); the 2n shifted points of every sample go through
+    one casimirs call.
     """
+    n = xi.shape[-1]
     steps = 1e-6 * (1.0 + np.abs(xi))
-    shifts = np.diag(steps)
-    vals = oc.casimirs(model, np.concatenate((xi + shifts, xi - shifts)),
-                       params)
-    n = xi.size
-    return (vals[:n] - vals[n:]) / (2.0 * steps[:, None])
+    shifts = steps[..., None] * np.eye(n)
+    xi = xi[..., None, :]
+    vals = oc.casimirs(model, np.concatenate((xi + shifts, xi - shifts),
+                                             axis=-2), params)
+    return (vals[..., :n, :] - vals[..., n:, :]) / (2.0 * steps[..., None])
 
 
 def _pushforward_poisson(model: ModelId, point: oc.OrbitPoint,
                          params: ModelParams) -> np.ndarray:
-    """Chart Poisson matrix -Jac K Jac^T, rebuilt from the structure constants.
+    """Chart Poisson matrices -Jac K Jac^T from the structure constants.
 
     The oracle for the closed form orbit_chart.poisson_tensor: the dual
-    point is reconstructed from the chart point and its labels, K is the
-    Kirillov matrix there and Jac the chart Jacobian.
+    points are reconstructed from the chart points and their labels, K is
+    the Kirillov matrix there and Jac the chart Jacobian.  A stacked point
+    gives the stacked matrices (..., d, d).
     """
     xi = oc.dual_from_chart(point, params)
     k_full = kirillov_matrix(gm.structure_tensor(model, params), xi)
     jac = oc.chart_jacobian(model, xi, params)
-    return -(jac @ k_full @ jac.T)
+    return -(jac @ k_full @ np.swapaxes(jac, -1, -2))
 
 
-def _charge(rng: np.random.Generator) -> float:
-    """A label of either sign with magnitude in [0.5, 2)."""
-    return float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0))
+def _charge(sign_draw, size_draw):
+    """Labels of either sign with magnitude in [0.5, 2) from draws in [0, 1)."""
+    return np.where(sign_draw < 0.5, -1.0, 1.0) * (0.5 + 1.5 * size_draw)
 
 
 def _sample_point(model: ModelId, rng: np.random.Generator,
-                  params: ModelParams, any_orbit: bool = False
-                  ) -> oc.OrbitPoint:
-    """Chart point with coordinates in [-1, 1].
+                  params: ModelParams, any_orbit: bool = False,
+                  size: int | None = None) -> oc.OrbitPoint:
+    """Chart point with coordinates in [-1, 1], or size of them stacked.
 
     The orbit is a default one (noncentral: force in [0.5, 1.5)) unless
     any_orbit is set; then the charge (l or h) and, on the double chart,
-    the Hooke constant k are drawn by _charge as well.
+    the Hooke constant k are drawn by _charge as well.  Each point takes
+    one row of uniform draws, in the order coordinates, force, charges, so
+    a stack of n points equals n single draws from the same generator
+    state.
     """
-    z = rng.uniform(-1.0, 1.0, size=len(oc.CHART_COORDS[model]))
-    labels = {}
-    if model is ModelId.NONCENTRAL:
-        labels["f"] = 0.5 + float(rng.uniform(0.0, 1.0))
+    d = len(oc.CHART_COORDS[model])
+    names = ["f"] if model is ModelId.NONCENTRAL else []
     if any_orbit:
-        labels["l" if model is ModelId.CENTRAL1 else "h"] = _charge(rng)
+        names.append("l" if model is ModelId.CENTRAL1 else "h")
         if model is ModelId.DOUBLE:
-            labels["k"] = _charge(rng)
+            names.append("k")
+    ndraws = d + sum(1 if name == "f" else 2 for name in names)
+    u = rng.random(size=(ndraws,) if size is None else (size, ndraws))
+    # Generator.uniform(low, high) is low + (high - low) * random()
+    z = -1.0 + 2.0 * u[..., :d]
+    draws = iter(gm._slot_first(u[..., d:]))
+    labels = {}
+    for name in names:
+        labels[name] = (0.5 + next(draws) if name == "f"
+                        else _charge(next(draws), next(draws)))
     return oc.orbit_point(model, z, params, **labels)
 
 
@@ -286,29 +288,25 @@ def check_bracket_tables(report: Report, params: ModelParams, models,
     for model in models:
         if model not in CHART_MODELS:
             continue
-        worst = 0.0
-        for _ in range(n):
-            point = _sample_point(model, rng, params, any_orbit=True)
-            pi = oc.poisson_tensor(model, point, params)
-            worst = max(worst, float(np.max(np.abs(
-                pi - _pushforward_poisson(model, point, params)))))
-        report.add(f"{model.value}: chart bracket table", worst, 1e-12)
+        points = _sample_point(model, rng, params, any_orbit=True, size=n)
+        report.add(f"{model.value}: chart bracket table",
+                   _max_abs(oc.poisson_tensor(model, points, params),
+                            _pushforward_poisson(model, points, params)),
+                   1e-12)
 
         # the inverse of the chart Poisson tensor, pulled back along the
         # orbit directions A = Jac K[:, basis], is the restricted form
         tensor = gm.structure_tensor(model, params)
         basis = [tensor.index(label) for label in oc.OMEGA_BASIS[model]]
-        worst_inv = 0.0
-        for _ in range(10):
-            point = _sample_point(model, rng, params, any_orbit=True)
-            xi = oc.dual_from_chart(point, params)
-            a = (oc.chart_jacobian(model, xi, params)
-                 @ kirillov_matrix(tensor, xi)[:, basis])
-            pulled = a.T @ oc.omega_chart(model, point, params) @ a
-            worst_inv = max(worst_inv, _max_abs(
-                pulled, oc.omega_matrix(model, point, params)))
+        points = _sample_point(model, rng, params, any_orbit=True, size=10)
+        xi = oc.dual_from_chart(points, params)
+        a = (oc.chart_jacobian(model, xi, params)
+             @ kirillov_matrix(tensor, xi)[..., basis])
+        pulled = (np.swapaxes(a, -1, -2)
+                  @ oc.omega_chart(model, points, params) @ a)
         report.add(f"{model.value}: poisson tensor inverts chart form",
-                   worst_inv, 1e-10)
+                   _max_abs(pulled, oc.omega_matrix(model, points, params)),
+                   1e-10)
 
 
 def _printed_omega(model: ModelId, point: oc.OrbitPoint,
@@ -337,19 +335,21 @@ def _printed_omega(model: ModelId, point: oc.OrbitPoint,
 
 def printed_noncentral_omega_inverse(point: oc.OrbitPoint,
                                      params: ModelParams) -> np.ndarray:
-    """The documented inverse form with its 1/(m omega f sin phi) prefactor."""
+    """The documented inverse form with its 1/(m omega f sin phi) prefactor.
+
+    A stacked point gives the stacked matrices (..., 4, 4).
+    """
     mw = params.m_omega
-    _, phi_f, p, q = point.coords
-    _, fmag, _ = point.labels
+    _, phi_f, p, q = gm._slot_first(np.asarray(point.coords))
+    fmag = point.labels[..., 1]
     p1, p2 = p, -mw * q
     fs = fmag * np.sin(phi_f)
-    m = np.array([
-        [0.0, -mw, 0.0, 0.0],
-        [mw, 0.0, p1, p2],
-        [0.0, -p1, 0.0, -fs],
-        [0.0, -p2, fs, 0.0],
-    ])
-    return m / (mw * fs)
+    m = np.zeros(np.shape(fs) + (4, 4))
+    for (a, b), value in {(0, 1): -mw, (1, 2): p1, (1, 3): p2,
+                          (2, 3): -fs}.items():
+        m[..., a, b] = value
+        m[..., b, a] = -value
+    return m / (mw * fs)[..., None, None]
 
 
 def check_restricted_forms(report: Report, params: ModelParams, models,
@@ -362,35 +362,31 @@ def check_restricted_forms(report: Report, params: ModelParams, models,
         diff = float(np.max(np.abs(om - _printed_omega(model, point, params))))
         report.add(f"{model.value}: restricted kirillov form", diff, 1e-12)
     if ModelId.NONCENTRAL in models:
-        worst = 0.0
-        for _ in range(10):
-            point = _sample_point(ModelId.NONCENTRAL, rng, params)
-            if abs(np.sin(point.coords[1])) < 1e-3:  # phi_f
-                continue
-            om = oc.omega_matrix(ModelId.NONCENTRAL, point, params)
-            prod = om @ printed_noncentral_omega_inverse(point, params)
-            worst = max(worst, float(np.max(np.abs(prod - np.eye(4)))))
+        points = _sample_point(ModelId.NONCENTRAL, rng, params, size=10)
+        keep = np.abs(np.sin(points.coords[:, 1])) >= 1e-3  # phi_f
+        points = oc.OrbitPoint(ModelId.NONCENTRAL, points.coords[keep],
+                               points.labels[keep])
+        om = oc.omega_matrix(ModelId.NONCENTRAL, points, params)
+        prod = om @ printed_noncentral_omega_inverse(points, params)
         report.add("noncentral: restricted form inverts documented inverse",
-                   worst, 1e-10)
+                   _max_abs(prod, np.eye(4)), 1e-10)
 
 
 def check_canonical_chart(report: Report, params: ModelParams, models,
                           rng: np.random.Generator, n: int = 100) -> None:
     if ModelId.NONCENTRAL not in models:
         return
-    worst = 0.0
     grad_h = oc.canonical_energy_gradient(params)
-    grad_tau = oc.gradient_fd(lambda z: z[1] / params.omega)
-    for _ in range(n):
-        point = _sample_point(ModelId.NONCENTRAL, rng, params)
-        val = oc.poisson_bracket(ModelId.NONCENTRAL, grad_h, grad_tau, point,
-                                 params)
-        worst = max(worst, abs(val - 1.0))
-    report.add("noncentral: canonical pair bracket {H, tau} = 1", worst, 1e-9)
+    grad_tau = oc.gradient_fd(lambda z: z[..., 1] / params.omega)
+    points = _sample_point(ModelId.NONCENTRAL, rng, params, size=n)
+    vals = oc.poisson_bracket(ModelId.NONCENTRAL, grad_h, grad_tau, points,
+                              params)
+    report.add("noncentral: canonical pair bracket {H, tau} = 1",
+               _max_abs(vals, 1.0), 1e-9)
 
 
 #: Exact time flows per chart model: the report row and the constant
-#: velocity of the dual point xi at frequency omega.
+#: velocity of the dual points xi (..., n) at frequency omega.
 TIME_FLOW_ROWS = {
     # the whole dual point is frozen
     ModelId.CENTRAL1: ("central1: time flow is trivial",
@@ -398,15 +394,17 @@ TIME_FLOW_ROWS = {
     # dl/dt = h omega, everything else frozen
     ModelId.CENTRAL2: ("central2: time flow advances l by h omega t",
                        lambda xi, w: gm.dual_vector(ModelId.CENTRAL2,
-                                                    l=xi[5] * w)),
+                                                    l=xi[..., 5] * w)),
     # dp/dt = f; the angular sector and all casimirs are frozen
     ModelId.NONCENTRAL: ("noncentral: time flow pushes p by f t, rest frozen",
                          lambda xi, w: gm.dual_vector(ModelId.NONCENTRAL,
-                                                      p1=xi[4], p2=xi[5])),
+                                                      p1=xi[..., 4],
+                                                      p2=xi[..., 5])),
     # dp/dt = f = -k q with q frozen
     ModelId.DOUBLE: ("double: time flow obeys dp/dt = -k q, dq/dt = 0",
                      lambda xi, w: gm.dual_vector(ModelId.DOUBLE,
-                                                  p1=xi[4], p2=xi[5])),
+                                                  p1=xi[..., 4],
+                                                  p2=xi[..., 5])),
 }
 
 
@@ -415,29 +413,23 @@ def check_time_flows(report: Report, params: ModelParams, models,
     for model, (name, velocity) in TIME_FLOW_ROWS.items():
         if model not in models:
             continue
-        worst = 0.0
-        for _ in range(20):
-            xi = gm.sample_dual(model, rng, nondegenerate=True)
-            t = float(rng.uniform(-2.0, 2.0))
-            out = dyn.time_flow_exact(model, xi, t, params)
-            expected = xi + velocity(xi, params.omega) * t
-            worst = max(worst, _max_abs(out, expected))
-        report.add(name, worst, 1e-12)
+        xi = gm.sample_dual(model, rng, nondegenerate=True, size=20)
+        t = rng.uniform(-2.0, 2.0, size=20)
+        out = dyn.time_flow_exact(model, xi, t, params)
+        expected = xi + velocity(xi, params.omega) * t[:, None]
+        report.add(name, _max_abs(out, expected), 1e-12)
 
     chart_selected = [m for m in models if m in CHART_MODELS]
     if chart_selected:
         # exact flow composes additively in t
         worst = 0.0
         for model in chart_selected:
-            for _ in range(10):
-                xi = gm.sample_dual(model, rng, nondegenerate=True)
-                t1 = float(rng.uniform(-1.0, 1.0))
-                t2 = float(rng.uniform(-1.0, 1.0))
-                a = dyn.time_flow_exact(model, xi, t1 + t2, params)
-                b = dyn.time_flow_exact(
-                    model, dyn.time_flow_exact(model, xi, t2, params), t1,
-                    params)
-                worst = max(worst, float(np.max(np.abs(a - b))))
+            xi = gm.sample_dual(model, rng, nondegenerate=True, size=10)
+            t1, t2 = rng.uniform(-1.0, 1.0, size=(2, 10))
+            a = dyn.time_flow_exact(model, xi, t1 + t2, params)
+            b = dyn.time_flow_exact(
+                model, dyn.time_flow_exact(model, xi, t2, params), t1, params)
+            worst = max(worst, _max_abs(a, b))
         report.add("time flow group property", worst, 1e-12)
 
 

@@ -72,6 +72,16 @@ def test_verify_bad_config_is_one_line_usage_error(tmp_path, capsys, cfg):
     assert "Traceback" not in err
 
 
+def test_verify_config_that_is_not_utf8_is_one_line_usage_error(tmp_path,
+                                                                capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert run(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--model", "base"],
     ["simulate", "--model", "double", "--flow", "group", "--dt", "0.1",

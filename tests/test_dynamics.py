@@ -249,6 +249,21 @@ def test_casimir_drift_reports_the_reconstruction_error(monkeypatch):
         assert drift[name] < 1e-12
 
 
+def test_noncentral_rhs_equals_the_chart_poisson_tensor():
+    # the right-hand side builds its Poisson matrix from one-point literals
+    params = ModelParams(m=1.7, omega=0.6, r=1.3)
+    rng = np.random.default_rng(47)
+    for _ in range(64):
+        z0 = ao.orbit_point(ModelId.NONCENTRAL, rng.uniform(-1, 1, 4), params,
+                            h=rng.uniform(-2, 2), f=rng.uniform(0.5, 1.5))
+        ham, grad = ao.energy_hamiltonian(ModelId.NONCENTRAL, z0, params)
+        spec = FlowSpec(kind="hamiltonian", hamiltonian=ham, gradient=grad)
+        rhs = dynamics._rhs_factory(ModelId.NONCENTRAL, z0, spec, params)
+        z = rng.uniform(-1, 1, 4)
+        pi = ao.chart_poisson(ModelId.NONCENTRAL, z, z0.labels, params)
+        assert np.array_equal(rhs(z), pi.T.dot(grad(z)))
+
+
 def _count_calls(monkeypatch, names):
     """Count calls of each named library function, in every namespace."""
     counts = dict.fromkeys(names, 0)
@@ -316,6 +331,25 @@ def test_flow_spec_validation():
         FlowSpec(kind="hamiltonian")
     with pytest.raises(ValueError):
         FlowSpec(integrator="euler")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dt", float("inf")),
+    ("solver_tol", float("nan")),
+    ("solver_tol", -1.0),
+    ("max_iterations", 0),
+    ("nsteps", 2.5),
+], ids=["dt-inf", "solver_tol-nan", "solver_tol-negative",
+        "max_iterations-zero", "nsteps-float"])
+def test_flow_spec_rejects_bad_numbers_in_one_line(field, value):
+    with pytest.raises(ValueError, match=field) as info:
+        FlowSpec(**{field: value})
+    assert "\n" not in str(info.value)
+
+
+def test_flow_spec_rejects_a_bool_step_count():
+    with pytest.raises(ValueError, match="nsteps"):
+        FlowSpec(nsteps=True)
 
 
 def test_invariant_drift_rejects_empty_trajectory():

@@ -250,3 +250,22 @@ def test_central1_time_translation_acts_trivially():
 def test_one_param_element_rejects_foreign_generator():
     with pytest.raises(ao.ModelMismatchError):
         ao.one_param_element(ModelId.BASE, "S", 1.0)
+
+
+@pytest.mark.parametrize("nondegenerate", [False, True])
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_stacked_sample_dual_equals_single_draws(model, nondegenerate):
+    stacked = ao.sample_dual(model, np.random.default_rng(9), nondegenerate,
+                             size=(40, 5))
+    assert stacked.shape == (40, 5, len(ao.DUAL_LABELS[model]))
+    rng = np.random.default_rng(9)
+    singles = [ao.sample_dual(model, rng, nondegenerate) for _ in range(200)]
+    assert np.array_equal(stacked.reshape(200, -1), singles)
+
+
+def test_stacked_dual_vector_broadcasts_its_components():
+    xi = ao.dual_vector(ModelId.DOUBLE, p1=np.arange(3.0), k=2.0)
+    assert xi.shape == (3, 8)
+    for i in range(3):
+        assert np.array_equal(xi[i], ao.dual_vector(ModelId.DOUBLE,
+                                                    p1=float(i), k=2.0))

@@ -22,13 +22,6 @@ def test_eps_vec_and_cross_conventions():
     assert ao.cross2(u, ao.eps_vec(u)) == pytest.approx(-(u @ u), abs=1e-15)
 
 
-def test_eps_map_entries_carry_eps_vec():
-    u = np.array([0.7, 2.5])
-    m = ao.eps_map(u)
-    assert np.array_equal(m, [[0.0, 2.5], [-0.7, 0.0]])
-    assert np.array_equal(m @ np.ones(2), ao.eps_vec(u))
-
-
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_structure_tensor_antisymmetry_is_exact(model):
     t = ao.structure_tensor(model, PARAMS)
@@ -123,8 +116,8 @@ def test_coad_pairing_identity():
             x = rng.uniform(-1, 1, t.dim)
             y = rng.uniform(-1, 1, t.dim)
             xi = rng.uniform(-1, 1, t.dim)
-            lhs = ao.pairing(ao.coad_matrix(t, x) @ xi, y)
-            rhs = -ao.pairing(xi, ao.ad_matrix(t, x) @ y)
+            lhs = (ao.coad_matrix(t, x) @ xi) @ y
+            rhs = -(xi @ (ao.ad_matrix(t, x) @ y))
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -237,3 +230,37 @@ def test_model_params_validation_and_derived_scales():
 def test_model_params_reject_non_finite_scales(name, value):
     with pytest.raises(ValueError):
         ModelParams(**{name: value})
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_stacked_algebra_matrices_match_row_by_row(model):
+    t = ao.structure_tensor(model, ModelParams(m=1.7, omega=0.6, r=1.3))
+    rng = np.random.default_rng(19)
+    x, y = rng.uniform(-1, 1, (2, 64, t.dim))
+    ad, coad = ao.ad_matrix(t, x), ao.coad_matrix(t, x)
+    kir, br = ao.kirillov_matrix(t, x), ao.bracket(t, x, y)
+    assert ad.shape == coad.shape == kir.shape == (64, t.dim, t.dim)
+    assert br.shape == (64, t.dim)
+    for i in range(64):
+        assert np.array_equal(ad[i], ao.ad_matrix(t, x[i]))
+        assert np.array_equal(coad[i], ao.coad_matrix(t, x[i]))
+        assert np.array_equal(kir[i], ao.kirillov_matrix(t, x[i]))
+        assert np.array_equal(br[i], ao.bracket(t, x[i], y[i]))
+    with pytest.raises(ao.DimensionMismatchError):
+        ao.kirillov_matrix(t, np.zeros((3, t.dim + 1)))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_stacked_exp_coadjoint_matches_single_series(model):
+    t = ao.structure_tensor(model, PARAMS)
+    rng = np.random.default_rng(23)
+    # rows of very different size stop after different numbers of terms
+    x = rng.uniform(-1, 1, (16, t.dim)) * np.geomspace(1e-3, 2.0, 16)[:, None]
+    xi = rng.uniform(-1, 1, (16, t.dim))
+    out = ao.exp_coadjoint(t, x, xi, tol=1e-14)
+    for i in range(16):
+        assert np.array_equal(out[i], ao.exp_coadjoint(t, x[i], xi[i],
+                                                       tol=1e-14))
+    # one dual point under a stack of algebra elements
+    assert np.array_equal(ao.exp_coadjoint(t, x, xi[0], tol=1e-14)[3],
+                          ao.exp_coadjoint(t, x[3], xi[0], tol=1e-14))

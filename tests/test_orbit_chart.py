@@ -315,8 +315,8 @@ def test_inverts_chart_form_row_fails_on_a_wrong_tensor(monkeypatch):
 
     def scaled(model, z, labels, params=PARAMS):
         pi = real(model, z, labels, params).copy()
-        pi[0, 1] *= 1.001
-        pi[1, 0] *= 1.001
+        pi[..., 0, 1] *= 1.001
+        pi[..., 1, 0] *= 1.001
         return pi
 
     monkeypatch.setattr(orbit_chart, "chart_poisson", scaled)
@@ -461,6 +461,19 @@ def test_canonical_chart_kills_other_brackets():
             assert abs(val) < 1e-9
 
 
+def test_gradients_of_a_stack_equal_row_by_row():
+    params = ModelParams(m=1.7, omega=0.6, r=1.3)
+    zs = np.random.default_rng(45).uniform(-1.0, 1.0, size=(64, 4))
+    grads = (orbit_chart.canonical_energy_gradient(params),
+             ao.gradient_fd(lambda z: z[..., 0] * np.sin(z[..., 1])
+                            + z[..., 2] ** 2 * z[..., 3]))
+    for grad in grads:
+        stacked = grad(zs)
+        assert stacked.shape == (64, 4)
+        for i in range(64):
+            assert np.array_equal(stacked[i], grad(zs[i]))
+
+
 def test_canonicalize_rejects_other_models():
     point = ao.orbit_point(ModelId.CENTRAL1, (0.1, 0.2), PARAMS)
     with pytest.raises(ao.ModelMismatchError):
@@ -468,24 +481,102 @@ def test_canonicalize_rejects_other_models():
 
 
 @pytest.mark.parametrize("model", CHART_MODELS)
-def test_one_point_functions_reject_stacked_points(model):
+def test_stacked_chart_layer_matches_row_by_row(model):
+    params = ModelParams(m=1.7, omega=0.6, r=1.3)
+    rng = np.random.default_rng(41)
+    points = _sample_point(model, rng, params, any_orbit=True, size=64)
+    xis = ao.dual_from_chart(points, params)
+    tensor = ao.structure_tensor(model, params)
+    d = len(ao.CHART_COORDS[model])
+    grad = ao.coordinate_gradient(model, ao.CHART_COORDS[model][-1])
+    stacked = {
+        "kirillov_matrix": ao.kirillov_matrix(tensor, xis),
+        "chart_jacobian": orbit_chart.chart_jacobian(model, xis, params),
+        "chart_poisson": ao.chart_poisson(model, points.coords,
+                                          points.labels, params),
+        "poisson_tensor": ao.poisson_tensor(model, points, params),
+        "omega_matrix": ao.omega_matrix(model, points, params),
+        "omega_chart": ao.omega_chart(model, points, params),
+        "_pushforward_poisson": _pushforward_poisson(model, points, params),
+        "poisson_bracket": ao.poisson_bracket(model, ao.gradient_fd(
+            lambda z: z[..., 0] * z[..., 1]), grad, points, params),
+    }
+    assert stacked["chart_jacobian"].shape == (64, d, tensor.dim)
+    assert stacked["poisson_tensor"].shape == (64, d, d)
+    assert stacked["poisson_bracket"].shape == (64,)
+    for i in range(64):
+        point = ao.OrbitPoint(model, points.coords[i], points.labels[i])
+        xi = ao.dual_from_chart(point, params)
+        rows = {
+            "kirillov_matrix": ao.kirillov_matrix(tensor, xi),
+            "chart_jacobian": orbit_chart.chart_jacobian(model, xi, params),
+            "chart_poisson": ao.chart_poisson(model, point.coords,
+                                              point.labels, params),
+            "poisson_tensor": ao.poisson_tensor(model, point, params),
+            "omega_matrix": ao.omega_matrix(model, point, params),
+            "omega_chart": ao.omega_chart(model, point, params),
+            "_pushforward_poisson": _pushforward_poisson(model, point,
+                                                         params),
+            "poisson_bracket": ao.poisson_bracket(model, ao.gradient_fd(
+                lambda z: z[..., 0] * z[..., 1]), grad, point, params),
+        }
+        for name, row in rows.items():
+            assert np.array_equal(stacked[name][i], row), (name, i)
+    assert isinstance(rows["poisson_bracket"], float)
+
+
+@pytest.mark.parametrize("model", [ModelId.CENTRAL1, ModelId.DOUBLE])
+def test_stacked_phase_space_blocks_match_row_by_row(model):
+    rng = np.random.default_rng(43)
+    points = _sample_point(model, rng, PARAMS, any_orbit=True, size=8)
+    blocks = ao.phase_space_blocks(model, points, PARAMS)
+    for i in range(8):
+        point = ao.OrbitPoint(model, points.coords[i], points.labels[i])
+        for name, block in ao.phase_space_blocks(model, point,
+                                                 PARAMS).items():
+            assert np.array_equal(blocks[name][i], block)
+
+
+@pytest.mark.parametrize("model", CHART_MODELS)
+def test_chart_layer_rejects_foreign_and_mismatched_points(model):
     d = len(ao.CHART_COORDS[model])
     c = len(ao.CASIMIR_NAMES[model])
-    stacked = ao.orbit_point(model, np.zeros((3, d)), PARAMS)
-    mixed = ao.OrbitPoint(model, stacked.coords[0], stacked.labels)
+    coords = 0.4 + 0.1 * np.arange(3 * d).reshape(3, d)
+    stacked = ao.orbit_point(model, coords, PARAMS)
+    other = next(m for m in CHART_MODELS if m is not model)
     grad = ao.coordinate_gradient(model, ao.CHART_COORDS[model][0])
     calls = [
-        lambda p: ao.poisson_tensor(model, p, PARAMS),
-        lambda p: ao.omega_chart(model, p, PARAMS),
-        lambda p: ao.omega_matrix(model, p, PARAMS),
-        lambda p: ao.poisson_bracket(model, grad, grad, p, PARAMS),
+        lambda p, m: ao.poisson_tensor(m, p, PARAMS),
+        lambda p, m: ao.omega_chart(m, p, PARAMS),
+        lambda p, m: ao.omega_matrix(m, p, PARAMS),
+        lambda p, m: ao.poisson_bracket(m, grad, grad, p, PARAMS),
     ]
     if model in (ModelId.CENTRAL1, ModelId.DOUBLE):
-        calls.append(lambda p: ao.phase_space_blocks(model, p, PARAMS))
+        calls.append(lambda p, m: ao.phase_space_blocks(m, p, PARAMS))
+    # batch shapes (3,) and (2,) do not broadcast; d + 1 coordinates
+    unbroadcastable = ao.OrbitPoint(model, stacked.coords,
+                                    stacked.labels[:2])
+    too_long = ao.OrbitPoint(model, np.zeros(d + 1), stacked.labels[0])
     for call in calls:
-        for point in (stacked, mixed):
+        with pytest.raises(ao.ModelMismatchError):
+            call(stacked, other)
+        for point in (unbroadcastable, too_long):
             with pytest.raises(ao.DimensionMismatchError) as info:
-                call(point)
+                call(point, model)
             message = str(info.value)
-            assert f"({d},)" in message and f"({c},)" in message
-            assert "\n" not in message
+            assert model.value in message and "\n" not in message
+        # one orbit's labels meet a stack of coordinates
+        mixed = ao.OrbitPoint(model, stacked.coords, stacked.labels[0])
+        out, whole = call(mixed, model), call(stacked, model)
+        for key in (out if isinstance(out, dict) else [None]):
+            a = out if key is None else out[key]
+            b = whole if key is None else whole[key]
+            assert np.array_equal(a, b)
+    with pytest.raises(ao.DimensionMismatchError, match=f"\\(..., {c}\\)"):
+        ao.chart_poisson(model, np.zeros(d), np.zeros(c + 1), PARAMS)
+    with pytest.raises(ao.DimensionMismatchError, match="broadcast"):
+        ao.dual_from_chart(unbroadcastable, PARAMS)
+    charge = "l" if model is ModelId.CENTRAL1 else "h"
+    with pytest.raises(ao.ChartDegeneracyError, match="broadcast") as info:
+        ao.orbit_point(model, coords, PARAMS, **{charge: np.ones(2)})
+    assert "\n" not in str(info.value)
