@@ -81,6 +81,7 @@ from .orbit_chart import (
 from .dynamics import (
     FlowSingularityError,
     FlowSpec,
+    QuadraticHamiltonian,
     SolverConvergenceError,
     Trajectory,
     energy_hamiltonian,

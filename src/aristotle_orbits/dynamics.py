@@ -30,6 +30,27 @@ the Poisson tensor at the midpoint state, which handles the chart-dependent
 noncentral tensor.  Flows are sequential per trajectory; distinct
 trajectories can be integrated concurrently.
 
+Linear flows take one precomputed increment matrix per step.  A
+QuadraticHamiltonian (H = offset + slope . z + z . hessian z / 2; the
+kinetic Hamiltonian on every chart, and the energy on central1, central2
+and double) on a chart with a constant Poisson tensor has the affine flow
+z' = A z + b, A = Pi^T hessian, b = Pi^T slope.  On the augmented state
+(z, 1) both integrators are then linear maps, built once per flow: RK4 is
+D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and implicit midpoint (the Cayley
+map) the exact solve of (I - hA/2) D = hA, with hA the augmented
+h [[A, b], [0, 0]].  Each step is z <- z + D z: the increment form keeps
+the rounding of the stepped path (the H drift of the README cyclotron stays
+at a few 1e-15), where z <- (I + D) z would lose the small increment in
+the sum every step.  The solver contract is kept: before solving, the
+midpoint fixed-point sweep runs once on the step matrix, and where it does
+not contract within max_iterations the flow raises SolverConvergenceError
+as the stepped path does; a non-finite D or state raises
+FlowSingularityError with the partial trajectory.  If a gradient is given
+it must agree with hessian @ z0 + slope at the initial point (ValueError
+otherwise), so a gradient that is not the declared one cannot be silently
+replaced.  Plain callables, and every Hamiltonian on the noncentral chart,
+take the stepped path.
+
 A Hamiltonian flow stays on its starting orbit by construction, so its
 Casimir columns are the orbit labels, and the chart coordinates are
 recorded as integrated (the noncentral angle phi_f is not wrapped into
@@ -79,6 +100,51 @@ class SolverConvergenceError(ArithmeticError):
     """The implicit midpoint fixed point iteration did not converge."""
 
 
+@dataclass(frozen=True, eq=False)
+class QuadraticHamiltonian:
+    """H(z) = offset + slope . z + z . hessian z / 2 on a chart.
+
+    Called like any Hamiltonian, it maps chart coordinates (..., d) to
+    energies (...): through closed_form where one is given, else through
+    the quadratic itself.  The named Hamiltonians pass their closed forms,
+    which equal the quadratic up to rounding and keep their energies bit
+    for bit.  hessian (d, d) and slope (d,) are stored as read-only float
+    arrays.  On a chart with a constant Poisson tensor, hamiltonian_flow
+    integrates it by one precomputed increment matrix per step.
+    """
+
+    hessian: np.ndarray
+    slope: np.ndarray
+    offset: float = 0.0
+    closed_form: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False)
+
+    def __post_init__(self):
+        hessian = np.array(self.hessian, dtype=float)
+        slope = np.array(self.slope, dtype=float)
+        d = slope.size
+        if slope.shape != (d,) or hessian.shape != (d, d):
+            raise ValueError(f"quadratic hamiltonian needs a hessian (d, d) "
+                             f"and a slope (d,), got {hessian.shape} and "
+                             f"{slope.shape}")
+        offset = float(self.offset)
+        if not (np.isfinite(hessian).all() and np.isfinite(slope).all()
+                and math.isfinite(offset)):
+            raise ValueError("quadratic hamiltonian must have finite "
+                             "coefficients")
+        hessian.flags.writeable = slope.flags.writeable = False
+        object.__setattr__(self, "hessian", hessian)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "offset", offset)
+
+    def __call__(self, z) -> np.ndarray:
+        if self.closed_form is not None:
+            return self.closed_form(z)
+        z = np.asarray(z, dtype=float)
+        return (self.offset + z @ self.slope
+                + 0.5 * np.einsum("...i,ij,...j->...", z, self.hessian, z))
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """What to integrate and how.
@@ -89,7 +155,10 @@ class FlowSpec:
     the (n, d) array of its samples, for the energy series.  A scalar
     result is every sample's energy; any other shape than (n,) raises
     ValueError.  gradient (if given) maps one point (d,) to its gradient
-    (d,); otherwise central finite differences of hamiltonian are used.
+    (d,); otherwise central finite differences of hamiltonian are used.  A
+    QuadraticHamiltonian on a chart with a constant Poisson tensor is
+    integrated from its coefficients instead, after one check of gradient
+    at the initial point (see the module docstring).
     """
 
     kind: str = "group-time-flow"
@@ -257,10 +326,75 @@ def _midpoint_step(rhs, z: np.ndarray, dt: float, tol: float,
         if _amax(abs(z_next - z_new)) < scale:
             return z_next
         z_new = z_next
-    raise SolverConvergenceError(
+    raise _no_convergence(tol, max_iterations)
+
+
+def _no_convergence(tol: float, max_iterations: int) -> SolverConvergenceError:
+    return SolverConvergenceError(
         f"implicit midpoint fixed point did not converge within "
         f"{max_iterations} iterations at tolerance {tol:.0e}"
     )
+
+
+def _affine_increment(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
+                      params: ModelParams) -> np.ndarray | None:
+    """Increment matrix D (d+1, d+1) of z <- z + D z on the state (z, 1).
+
+    None unless the flow is affine: a QuadraticHamiltonian on a chart with
+    a constant Poisson tensor.  D may be non-finite; the caller checks.
+    """
+    ham = spec.hamiltonian
+    if not (isinstance(ham, QuadraticHamiltonian) and model in _CONSTANT_PI):
+        return None
+    z = np.asarray(z0.coords, dtype=float)
+    d = z.size
+    if ham.slope.shape != (d,):
+        raise ValueError(f"quadratic hamiltonian has {ham.slope.size} "
+                         f"coordinates, the {model.value} chart has {d}")
+    if spec.gradient is not None:
+        want = ham.hessian @ z + ham.slope
+        got = np.asarray(spec.gradient(z), dtype=float)
+        # the rounding of hessian @ z + slope, with room for another order
+        bound = 1e-12 * (1.0 + np.abs(ham.hessian) @ np.abs(z)
+                         + np.abs(ham.slope))
+        if got.shape != (d,) or not (np.abs(got - want) <= bound).all():
+            raise ValueError(f"gradient {got} disagrees with the quadratic "
+                             f"hamiltonian's hessian @ z0 + slope = {want} at "
+                             f"the initial point")
+    pi_t = oc.chart_poisson(model, z, z0.labels, params).T
+    ha = np.zeros((d + 1, d + 1))
+    ha[:d, :d] = pi_t @ ham.hessian
+    ha[:d, d] = pi_t @ ham.slope
+    # an overflow shows as a non-finite D or a sweep that does not contract
+    with np.errstate(over="ignore", invalid="ignore"):
+        ha *= spec.dt
+        if spec.integrator == "rk4":
+            ha2 = ha @ ha
+            return ha + ha2 / 2.0 + (ha2 @ ha) / 6.0 + (ha2 @ ha2) / 24.0
+        # the stepped sweep z_new <- z + hA (z + z_new) / 2 from
+        # z_new = z + hA z, run on the increment: X <- hA + hA X / 2 from
+        # X = hA.  A row-sum change below tol bounds every state's sweep
+        # change below tol (1 + max|z|) at the same iteration.
+        half = 0.5 * ha
+        x = ha
+        for _ in range(spec.max_iterations):
+            x_next = ha + half @ x
+            if np.abs(x_next - x).sum(axis=1).max() < spec.solver_tol:
+                break
+            x = x_next
+        else:
+            raise _no_convergence(spec.solver_tol, spec.max_iterations)
+    increment = np.linalg.solve(np.eye(d + 1) - half, ha)
+    increment[d] = 0.0  # the state's constant 1 stays exact
+    return increment
+
+
+def _increment_steps(increment: np.ndarray, states: np.ndarray) -> None:
+    """Fill states[n + 1] = states[n] + increment @ states[n] in place."""
+    step, add = increment.dot, np.add
+    z = states[0]
+    for row in states[1:]:
+        z = add(z, step(z), out=row)
 
 
 def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
@@ -279,15 +413,17 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
     if spec.kind == "group-time-flow":
         return _group_trajectory(model, z0, spec, params)
 
-    rhs = _rhs_factory(model, z0, spec, params)
-    rk4 = spec.integrator == "rk4"
-    step = (_rk4_step if rk4
-            else lambda f, z, dt: _midpoint_step(f, z, dt, spec.solver_tol,
-                                                 spec.max_iterations))
+    increment = _affine_increment(model, z0, spec, params)
     times = spec.dt * np.arange(spec.nsteps + 1)
     z = np.asarray(z0.coords, dtype=float)
-    coords = np.empty((spec.nsteps + 1, z.size))
-    coords[0] = z
+    if increment is None:
+        coords = np.empty((spec.nsteps + 1, z.size))
+        coords[0] = z
+    else:
+        states = np.empty((spec.nsteps + 1, z.size + 1))
+        states[0, :-1] = z
+        states[0, -1] = 1.0
+        coords = states[:, :-1]
 
     def trajectory(n: int) -> Trajectory:
         """The first n samples."""
@@ -304,6 +440,27 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
             casimir_residual=np.abs(rebuilt - labels),
         )
 
+    if increment is not None:
+        if not np.isfinite(increment).all():
+            raise FlowSingularityError(
+                f"step 0: non-finite increment matrix at dt = {spec.dt!r}",
+                step=0, partial=trajectory(1))
+        # a state that overflows is found by the check after the loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            _increment_steps(increment, states)
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            n = int(finite.argmin()) - 1
+            raise FlowSingularityError(
+                f"step {n}: non-finite state {coords[n + 1]}", step=n,
+                partial=trajectory(n + 1))
+        return trajectory(spec.nsteps + 1)
+
+    rhs = _rhs_factory(model, z0, spec, params)
+    rk4 = spec.integrator == "rk4"
+    step = (_rk4_step if rk4
+            else lambda f, z, dt: _midpoint_step(f, z, dt, spec.solver_tol,
+                                                 spec.max_iterations))
     for n in range(spec.nsteps):
         try:
             z = step(rhs, z, spec.dt)
@@ -325,8 +482,9 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
 def kinetic_hamiltonian(model: ModelId, params: ModelParams = DEFAULT_PARAMS):
     """(H, grad H) for H = |p|^2 / (2 m) on the model's chart.
 
-    H maps coordinates (..., d) to (...).  On the double chart this is the
-    magnetic example: p circles at frequency omega with period 2 pi / omega.
+    H is a QuadraticHamiltonian and maps coordinates (..., d) to (...).  On
+    the double chart this is the magnetic example: p circles at frequency
+    omega with period 2 pi / omega.
     """
     names = oc.CHART_COORDS[model]
     idx = [i for i, name in enumerate(names) if name in ("p", "p1", "p2")]
@@ -342,15 +500,17 @@ def kinetic_hamiltonian(model: ModelId, params: ModelParams = DEFAULT_PARAMS):
 
     def grad(z: np.ndarray) -> np.ndarray:
         return z / mass
-    return ham, grad
+    return QuadraticHamiltonian(np.diag(1.0 / mass), np.zeros(len(names)),
+                                closed_form=ham), grad
 
 
 def energy_hamiltonian(model: ModelId, point: OrbitPoint,
                        params: ModelParams = DEFAULT_PARAMS):
     """(H, grad H) for the energy coordinate E pulled back to the chart.
 
-    H maps coordinates (..., d) to (...).  Generates exactly the group
-    time flow, restricted to the chart, so it reproduces dl/dt = h omega
+    H maps coordinates (..., d) to (...); it is a QuadraticHamiltonian on
+    every chart but the noncentral one.  Generates exactly the group time
+    flow, restricted to the chart, so it reproduces dl/dt = h omega
     (central2) and dp/dt = -k q (double).
     """
     names = oc.CASIMIR_NAMES.get(model)
@@ -358,6 +518,7 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
         raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
     lab = dict(zip(names, point.labels.tolist()))
     r2 = params.r**2
+    quadratic = None  # (hessian, slope, offset) where H is quadratic
     if model is ModelId.CENTRAL1:
         E = lab["E"]
 
@@ -366,6 +527,7 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
 
         def grad(z):
             return np.zeros(2)
+        quadratic = np.zeros((2, 2)), np.zeros(2), E
     elif model is ModelId.CENTRAL2:
         hw = lab["h"] * params.omega
 
@@ -374,6 +536,7 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
 
         def grad(z):
             return np.array([0.0, 0.0, 0.0, -hw])
+        quadratic = np.zeros((4, 4)), [0.0, 0.0, 0.0, -hw], 0.0
     elif model is ModelId.NONCENTRAL:
         fmag, U = lab["f"], lab["U"]
         mw_eff = lab["h"] / r2
@@ -400,4 +563,7 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
 
         def grad(z):
             return np.array([0.0, 0.0, k * z[2], k * z[3]])
-    return ham, grad
+        quadratic = np.diag([0.0, 0.0, k, k]), np.zeros(4), U
+    if quadratic is None:
+        return ham, grad
+    return QuadraticHamiltonian(*quadratic, closed_form=ham), grad

@@ -57,6 +57,7 @@ Everything is a pure function; results are new arrays.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -144,9 +145,22 @@ def bracket_table(model: ModelId, params: ModelParams = DEFAULT_PARAMS) -> dict:
 
 def structure_tensor(model: ModelId,
                      params: ModelParams = DEFAULT_PARAMS) -> StructureTensor:
-    """Structure constants of the model in its documented basis order."""
-    return StructureTensor.from_brackets(ALGEBRA_LABELS[model],
-                                         bracket_table(model, params))
+    """Structure constants of the model in its documented basis order.
+
+    Built once per (model, params) and shared: the array is read-only, so
+    a caller that perturbs it works on a copy.
+    """
+    return _structure_tensor(model, params)
+
+
+# a plain function in front of the cache keeps structure_tensor a function,
+# which is what tools that wrap the package's public functions look for
+@functools.lru_cache(maxsize=64)
+def _structure_tensor(model: ModelId, params: ModelParams) -> StructureTensor:
+    tensor = StructureTensor.from_brackets(ALGEBRA_LABELS[model],
+                                           bracket_table(model, params))
+    tensor.c.flags.writeable = False
+    return tensor
 
 
 def defective_central2_tensor(params: ModelParams = DEFAULT_PARAMS) -> StructureTensor:

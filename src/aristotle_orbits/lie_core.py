@@ -194,20 +194,47 @@ def exp_coadjoint(t: StructureTensor, x, xi, tol: float = 1e-12,
     """exp(coad_matrix(t, x)) @ xi by truncated power series.
 
     Reference oracle for the closed-form group coadjoint actions.  x and xi
-    are (..., n) with batch axes that broadcast together.  Each sample
-    accumulates terms until its next term's max-norm drops below
-    tol * (1 + |xi|), so a stacked call equals the single calls; the
-    coadjoint matrices of the built-in models are rotation-plus-nilpotent,
-    so the series terminates quickly.
+    are (..., n) with batch axes that broadcast together.  A sample whose
+    coadjoint matrix M has max row sum |M| <= 1 accumulates the series
+    applied to xi until its next term's max-norm drops below
+    tol * (1 + |xi|).  A larger M would cancel catastrophically (terms of
+    size e^|M| summing to |xi|), so it is scaled and squared instead:
+    exp(M) = exp(M / 2^k)^(2^k) with the smallest k that brings
+    |M / 2^k| to 1, the matrix series stopped at tol / 2^k.  Each sample's
+    arithmetic is its own, so a stacked call equals the single calls.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     x = _check_trailing(t, x, "x")
     xi = _check_trailing(t, xi, "xi")
-    m = coad_matrix(t, x)
-    acc = np.array(np.broadcast_to(xi, np.broadcast_shapes(x.shape,
-                                                           xi.shape)))
-    term = acc
+    shape = np.broadcast_shapes(x.shape, xi.shape)
+    m = np.broadcast_to(coad_matrix(t, x), shape + shape[-1:])
+    acc = np.array(np.broadcast_to(xi, shape))
+    # norm = mant 2^e with mant in [0.5, 1): the k with norm / 2^k <= 1
+    mant, e = np.frexp(np.abs(m).sum(axis=-1).max(axis=-1))
+    squarings = np.maximum(e - (mant == 0.5), 0)
+    big = squarings > 0
+    if not big.any():
+        return _series_applied(m, acc, tol, max_terms)
+    small = ~big
+    acc[small] = _series_applied(m[small], acc[small], tol, max_terms)
+    exp_m = _scaled_exp(m[big], squarings[big], tol, max_terms)
+    acc[big] = (exp_m @ acc[big][..., None])[..., 0]
+    return acc
+
+
+def _no_convergence(max_terms: int,
+                    term: np.ndarray) -> SeriesConvergenceError:
+    return SeriesConvergenceError(
+        f"coadjoint exponential series did not converge within {max_terms} "
+        f"terms (last term norm {np.abs(term).max():.3e})"
+    )
+
+
+def _series_applied(m: np.ndarray, xi: np.ndarray, tol: float,
+                    max_terms: int) -> np.ndarray:
+    """exp(m) @ xi per sample, summing the series m^n xi / n!."""
+    acc = term = xi
     scale = tol * (1.0 + np.abs(acc).max(axis=-1))
     active = np.ones(scale.shape, dtype=bool)
     for n in range(1, max_terms + 1):
@@ -216,7 +243,29 @@ def exp_coadjoint(t: StructureTensor, x, xi, tol: float = 1e-12,
         active &= ~(np.abs(term).max(axis=-1) < scale)
         if not active.any():
             return acc
-    raise SeriesConvergenceError(
-        f"coadjoint exponential series did not converge within {max_terms} "
-        f"terms (last term norm {np.abs(term).max():.3e})"
-    )
+    raise _no_convergence(max_terms, term)
+
+
+def _scaled_exp(m: np.ndarray, squarings: np.ndarray, tol: float,
+                max_terms: int) -> np.ndarray:
+    """exp(m) (k, n, n) as exp(m / 2^s)^(2^s), s = squarings (k,)."""
+    scaled = m / np.exp2(squarings)[:, None, None]
+    acc = term = np.broadcast_to(np.eye(m.shape[-1]), m.shape)
+    scale = tol * np.exp2(-squarings)
+    active = np.ones(scale.shape, dtype=bool)
+    for n in range(1, max_terms + 1):
+        term = term @ scaled / n
+        acc = np.where(active[:, None, None], acc + term, acc)
+        active &= ~(np.abs(term).max(axis=(-2, -1)) <= scale)
+        if not active.any():
+            break
+    else:
+        raise _no_convergence(max_terms, term)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for s in range(int(squarings.max())):
+            acc = np.where((squarings > s)[:, None, None], acc @ acc, acc)
+    if not np.isfinite(acc).all():
+        raise SeriesConvergenceError(
+            f"coadjoint exponential overflowed in {int(squarings.max())} "
+            f"squarings")
+    return acc

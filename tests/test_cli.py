@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import aristotle_orbits as ao
-from aristotle_orbits import ModelId, Trajectory, cli
+from aristotle_orbits import ModelId, ModelParams, Trajectory, cli
+from helpers import cyclotron_exact
 
 
 def run(argv):
@@ -400,6 +401,29 @@ def test_simulate_unknown_config_key_is_usage_error(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "double", "bogus": 1}))
     assert run(["simulate", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("integrator,tolerance", [
+    ("implicit-midpoint", 1e-6), ("rk4", 1e-9)])
+def test_readme_cyclotron_keeps_its_energy_and_orbit(tmp_path, capsys,
+                                                     integrator, tolerance):
+    # one period of the README magnetic example: the energy drift stays at
+    # rounding level, and the final point is on the closed-form circle
+    out = tmp_path / "circle.csv"
+    code = run(["simulate", "--model", "double", "--flow", "hamiltonian",
+                "--hamiltonian", "kinetic", "--integrator", integrator,
+                "--dt", "0.001", "--steps", "6283", "--point", "1,0,0,0",
+                "--out", str(out)])
+    assert code == 0
+    drift = capsys.readouterr().out.split("invariant drift: ")[1]
+    fields = dict(item.split(" = ") for item in drift.strip().split(", "))
+    assert float(fields["H"]) <= 2e-14
+    _, data = cli.read_trajectory_csv(str(out))
+    t, z = data[-1, 0], data[-1, 1:5]
+    p, q = cyclotron_exact(np.array([1.0, 0.0]), np.zeros(2), t,
+                           ModelParams())
+    assert t == pytest.approx(6.283, abs=1e-12)
+    assert np.abs(z - np.concatenate([p, q])).max() < tolerance
 
 
 def test_simulate_divergent_solver_is_numeric_failure(tmp_path, capsys):

@@ -211,6 +211,37 @@ def test_exp_coadjoint_matches_group_action_on_one_param_subgroups():
             assert np.max(np.abs(series - closed)) < 1e-6
 
 
+@pytest.mark.parametrize("s", [10.0, 30.0, 50.0])
+def test_exp_coadjoint_scales_large_arguments(s):
+    # the plain series loses 3e-13 at 10 J and everything at 50 J to
+    # cancellation; scaling and squaring keeps every subgroup at rounding
+    rng = np.random.default_rng(29)
+    for model in ALL_MODELS:
+        t = ao.structure_tensor(model, PARAMS)
+        for label in ao.ALGEBRA_LABELS[model]:
+            xi = rng.uniform(-1, 1, t.dim)
+            y = ao.algebra_vector(model, **{label: s})
+            series = ao.exp_coadjoint(t, y, xi, tol=1e-14)
+            closed = ao.coadjoint(model, ao.one_param_element(model, label, s),
+                                  xi, PARAMS)
+            assert (np.max(np.abs(series - closed))
+                    < 1e-13 * (1.0 + np.max(np.abs(closed))))
+    t = ao.structure_tensor(ModelId.BASE, PARAMS)
+    xi = np.array([0.3, 0.5, -0.2, 0.1])
+    closed = ao.coadjoint(ModelId.BASE,
+                          ao.one_param_element(ModelId.BASE, "J", s), xi,
+                          PARAMS)
+    assert np.max(np.abs(ao.exp_coadjoint(
+        t, ao.algebra_vector(ModelId.BASE, J=s), xi) - closed)) < 1e-13
+
+
+def test_exp_coadjoint_overflow_is_a_series_error():
+    t = ao.structure_tensor(ModelId.DOUBLE, PARAMS)
+    x = ao.algebra_vector(ModelId.DOUBLE, P1=1e300)
+    with pytest.raises(ao.SeriesConvergenceError, match="overflowed"):
+        ao.exp_coadjoint(t, x, np.ones(t.dim))
+
+
 def test_exp_coadjoint_requires_positive_tolerance():
     t = ao.structure_tensor(ModelId.BASE, PARAMS)
     with pytest.raises(ValueError):
@@ -254,8 +285,9 @@ def test_stacked_algebra_matrices_match_row_by_row(model):
 def test_stacked_exp_coadjoint_matches_single_series(model):
     t = ao.structure_tensor(model, PARAMS)
     rng = np.random.default_rng(23)
-    # rows of very different size stop after different numbers of terms
-    x = rng.uniform(-1, 1, (16, t.dim)) * np.geomspace(1e-3, 2.0, 16)[:, None]
+    # rows of very different size stop after different numbers of terms,
+    # and the largest are scaled and squared a different number of times
+    x = rng.uniform(-1, 1, (16, t.dim)) * np.geomspace(1e-3, 40.0, 16)[:, None]
     xi = rng.uniform(-1, 1, (16, t.dim))
     out = ao.exp_coadjoint(t, x, xi, tol=1e-14)
     for i in range(16):

@@ -103,3 +103,27 @@ def test_kernel_rows_fail_on_a_perturbed_casimir(monkeypatch):
                           np.random.default_rng(0))
     rows = _rows(report, "casimir gradients span kirillov kernel")
     assert all(c.status == "fail" and c.measured > 1e-8 for c in rows)
+
+
+def test_structure_tensor_is_cached_and_read_only():
+    params = ModelParams(m=1.7, omega=0.6, r=1.3)
+    tensor = ao.structure_tensor(ModelId.DOUBLE, params)
+    assert ao.structure_tensor(ModelId.DOUBLE, params) is tensor
+    assert ao.structure_tensor(ModelId.DOUBLE, ModelParams(
+        m=1.7, omega=0.6, r=1.3)) is tensor
+    with pytest.raises(ValueError, match="read-only"):
+        tensor.c[1, 2, 3] = 1.0
+
+
+def test_corruption_flips_only_its_rows_and_leaves_the_cache_clean():
+    clean = verify.run_verify(models=[ModelId.DOUBLE], seed=2)
+    corruption = {"model": "double", "a": "P1", "b": "F1", "out": "K",
+                  "delta": 0.5}
+    bad = verify.run_verify(models=[ModelId.DOUBLE], seed=2,
+                            corruption=corruption)
+    flipped = [b.name for c, b in zip(clean.checks, bad.checks) if c != b]
+    assert flipped == ["double: jacobi identity"]
+    assert not bad.all_passed
+    after = verify.run_verify(models=[ModelId.DOUBLE], seed=2)
+    assert [c.measured for c in after.checks] == [
+        c.measured for c in clean.checks]
