@@ -377,6 +377,7 @@ def cmd_simulate(args) -> int:
                   file=sys.stderr)
         print(f"flow singularity: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    drift = dyn.invariant_drift(traj)
     if args.format == "csv":
         write_trajectory_csv(args.out, traj)
     else:
@@ -388,12 +389,11 @@ def cmd_simulate(args) -> int:
             "steps": args.steps,
             "columns": header,
             "rows": rows,
-            "drift": {k: v for k, v in traj.drift().items()},
+            "drift": drift,
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    drift = traj.drift()
     print(f"wrote {args.out} ({args.steps} steps, dt = {_fmt(args.dt)})")
     print("invariant drift: " + ", ".join(
         f"{k} = {_fmt(v)}" for k, v in drift.items()))

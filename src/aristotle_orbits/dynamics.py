@@ -25,10 +25,11 @@ noncentral one, whose {j, p} and {j, q} entries depend on the state (there
 through its one-point literal form, which skips the shape checks).
 
 Integrators: classical RK4, and the implicit midpoint rule solved by fixed
-point iteration (tolerance 1e-12, at most 50 sweeps).  Midpoint re-reads
-the Poisson tensor at the midpoint state, which handles the chart-dependent
-noncentral tensor.  Flows are sequential per trajectory; distinct
-trajectories can be integrated concurrently.
+point iteration (module constants: tolerance SOLVER_TOL = 1e-12, at most
+MAX_ITERATIONS = 50 sweeps).  Midpoint re-reads the Poisson tensor at the
+midpoint state, which handles the chart-dependent noncentral tensor.
+Flows are sequential per trajectory; distinct trajectories can be
+integrated concurrently.
 
 Linear flows take one precomputed increment matrix per step.  A
 QuadraticHamiltonian (H = offset + slope . z + z . hessian z / 2; the
@@ -43,7 +44,7 @@ the rounding of the stepped path (the H drift of the README cyclotron stays
 at a few 1e-15), where z <- (I + D) z would lose the small increment in
 the sum every step.  The solver contract is kept: before solving, the
 midpoint fixed-point sweep runs once on the step matrix, and where it does
-not contract within max_iterations the flow raises SolverConvergenceError
+not contract within MAX_ITERATIONS the flow raises SolverConvergenceError
 as the stepped path does; a non-finite D or state raises
 FlowSingularityError with the partial trajectory.  If a gradient is given
 it must agree with hessian @ z0 + slope at the initial point (ValueError
@@ -80,6 +81,9 @@ from .group_models import ModelId
 from .orbit_chart import OrbitPoint
 
 DEFAULT_PARAMS = ModelParams()
+
+SOLVER_TOL = 1e-12  # the implicit midpoint's fixed-point tolerance
+MAX_ITERATIONS = 50  # and its sweeps per step
 
 
 class FlowSingularityError(ArithmeticError):
@@ -158,7 +162,8 @@ class FlowSpec:
     (d,); otherwise central finite differences of hamiltonian are used.  A
     QuadraticHamiltonian on a chart with a constant Poisson tensor is
     integrated from its coefficients instead, after one check of gradient
-    at the initial point (see the module docstring).
+    at the initial point (see the module docstring).  The midpoint solver
+    runs to the module constants SOLVER_TOL and MAX_ITERATIONS.
     """
 
     kind: str = "group-time-flow"
@@ -167,24 +172,19 @@ class FlowSpec:
     integrator: str = "implicit-midpoint"
     hamiltonian: Callable[[np.ndarray], np.ndarray | float] | None = None
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    solver_tol: float = 1e-12
-    max_iterations: int = 50
 
     def __post_init__(self):
         if self.kind not in ("group-time-flow", "hamiltonian"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        for name in ("dt", "solver_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float, np.floating))
-                    and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite positive number, "
-                                 f"got {value!r}")
-        for name in ("nsteps", "max_iterations"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer))
-                    and not isinstance(value, bool) and value >= 1):
-                raise ValueError(f"{name} must be an integer of at least 1, "
-                                 f"got {value!r}")
+        dt, nsteps = self.dt, self.nsteps
+        if not (isinstance(dt, (int, float, np.floating))
+                and not isinstance(dt, bool) and math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be a finite positive number, got "
+                             f"{dt!r}")
+        if not (isinstance(nsteps, (int, np.integer))
+                and not isinstance(nsteps, bool) and nsteps >= 1):
+            raise ValueError(f"nsteps must be an integer of at least 1, got "
+                             f"{nsteps!r}")
         if self.integrator not in ("rk4", "implicit-midpoint"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.kind == "hamiltonian" and self.hamiltonian is None:
@@ -210,9 +210,6 @@ class Trajectory:
     casimir_series: np.ndarray = field(repr=False)
     hamiltonian_series: np.ndarray | None = field(default=None, repr=False)
     casimir_residual: np.ndarray | None = field(default=None, repr=False)
-
-    def drift(self) -> dict[str, float]:
-        return invariant_drift(self)
 
 
 def invariant_drift(traj: Trajectory) -> dict[str, float]:
@@ -317,8 +314,8 @@ def _energy_series(hamiltonian, coords: np.ndarray) -> np.ndarray:
     return h
 
 
-def _midpoint_step(rhs, z: np.ndarray, dt: float, tol: float,
-                   max_iterations: int) -> np.ndarray:
+def _midpoint_step(rhs, z: np.ndarray, dt: float, tol: float = SOLVER_TOL,
+                   max_iterations: int = MAX_ITERATIONS) -> np.ndarray:
     z_new = z + dt * rhs(z)
     scale = tol * (1.0 + float(_amax(abs(z))))
     for _ in range(max_iterations):
@@ -377,13 +374,13 @@ def _affine_increment(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
         # change below tol (1 + max|z|) at the same iteration.
         half = 0.5 * ha
         x = ha
-        for _ in range(spec.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             x_next = ha + half @ x
-            if np.abs(x_next - x).sum(axis=1).max() < spec.solver_tol:
+            if np.abs(x_next - x).sum(axis=1).max() < SOLVER_TOL:
                 break
             x = x_next
         else:
-            raise _no_convergence(spec.solver_tol, spec.max_iterations)
+            raise _no_convergence(SOLVER_TOL, MAX_ITERATIONS)
     increment = np.linalg.solve(np.eye(d + 1) - half, ha)
     increment[d] = 0.0  # the state's constant 1 stays exact
     return increment
@@ -429,14 +426,18 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
         """The first n samples."""
         labels = z0.labels
         final = OrbitPoint(model, coords[n - 1], labels)
-        rebuilt = oc.casimirs(model, oc.dual_from_chart(final, params), params)
+        # a failed flow's last rows may overflow here, to inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            rebuilt = oc.casimirs(model, oc.dual_from_chart(final, params),
+                                  params)
+            energies = _energy_series(spec.hamiltonian, coords[:n])
         return Trajectory(
             model=model,
             times=times[:n],
             coords=coords[:n],
             casimir_names=oc.CASIMIR_NAMES[model],
             casimir_series=np.broadcast_to(labels, (n, labels.size)),
-            hamiltonian_series=_energy_series(spec.hamiltonian, coords[:n]),
+            hamiltonian_series=energies,
             casimir_residual=np.abs(rebuilt - labels),
         )
 
@@ -458,24 +459,24 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
 
     rhs = _rhs_factory(model, z0, spec, params)
     rk4 = spec.integrator == "rk4"
-    step = (_rk4_step if rk4
-            else lambda f, z, dt: _midpoint_step(f, z, dt, spec.solver_tol,
-                                                 spec.max_iterations))
-    for n in range(spec.nsteps):
-        try:
-            z = step(rhs, z, spec.dt)
-        except (oc.ChartDegeneracyError, oc.SingularityError) as exc:
-            raise FlowSingularityError(f"step {n}: {exc}", step=n,
-                                       partial=trajectory(n + 1)) from exc
-        # _midpoint_step returns an iterate only when its distance to the
-        # previous one is below a scale; a nan or inf component makes that
-        # distance nan or inf, which never compares below it, so only RK4
-        # can step to a non-finite state
-        if rk4 and not np.isfinite(z).all():
-            raise FlowSingularityError(
-                f"step {n}: non-finite state {z}", step=n,
-                partial=trajectory(n + 1))
-        coords[n + 1] = z
+    step = _rk4_step if rk4 else _midpoint_step
+    # RK4 overflows fail the check below; midpoint ones fail to converge
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(spec.nsteps):
+            try:
+                z = step(rhs, z, spec.dt)
+            except (oc.ChartDegeneracyError, oc.SingularityError) as exc:
+                raise FlowSingularityError(f"step {n}: {exc}", step=n,
+                                           partial=trajectory(n + 1)) from exc
+            # _midpoint_step returns an iterate only when its distance to the
+            # previous one is below a scale; a nan or inf component makes
+            # that distance nan or inf, which never compares below it, so
+            # only RK4 can step to a non-finite state
+            if rk4 and not np.isfinite(z).all():
+                raise FlowSingularityError(
+                    f"step {n}: non-finite state {z}", step=n,
+                    partial=trajectory(n + 1))
+            coords[n + 1] = z
     return trajectory(spec.nsteps + 1)
 
 

@@ -61,7 +61,7 @@ import functools
 
 import numpy as np
 
-from .lie_core import ModelParams, StructureTensor
+from .lie_core import ModelParams, StructureTensor, cross2, eps_vec
 
 
 class ModelMismatchError(ValueError):
@@ -204,19 +204,9 @@ def _rotate(theta, v) -> np.ndarray:
     return np.array((c * v[0] - s * v[1], s * v[0] + c * v[1]))
 
 
-def _cross(a, b):
-    """lie_core.cross2 for 2-vectors with components first."""
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def _dot(a, b):
     """Euclidean product of 2-vectors with components first."""
     return a[0] * b[0] + a[1] * b[1]
-
-
-def _eps(u) -> np.ndarray:
-    """lie_core.eps_vec for 2-vectors with components first."""
-    return np.array((u[1], -u[0]))
 
 
 def identity_element(model: ModelId) -> np.ndarray:
@@ -232,7 +222,7 @@ def cocycle(g, g2, params: ModelParams = DEFAULT_PARAMS):
     satisfies c(g, g') + c(g g', g'') = c(g', g'') + c(g, g' g'').
     """
     a, b = _slots(np.asarray(g, dtype=float), np.asarray(g2, dtype=float))
-    return _cross(_rotate(-a[0], a[1:3]), b[1:3]) / (2.0 * params.r**2)
+    return cross2(_rotate(-a[0], a[1:3]), b[1:3]) / (2.0 * params.r**2)
 
 
 def multiply(model: ModelId, g, g2,
@@ -309,10 +299,10 @@ def adjoint(model: ModelId, g, dx,
     r2 = params.r**2
     dth, dtr, dt = d[0], d[1:3], d[3]
     Rdtr = _rotate(theta, dtr)
-    o[1:3] = Rdtr + _eps(x) * dth
+    o[1:3] = Rdtr + eps_vec(x) * dth
     if model is ModelId.BASE:
         return out
-    coc_term = (_cross(_rotate(-theta, x), dtr) / r2
+    coc_term = (cross2(_rotate(-theta, x), dtr) / r2
                 - _dot(x, x) / (2 * r2) * dth)
     if model is ModelId.CENTRAL1:
         o[4] += coc_term
@@ -325,10 +315,10 @@ def adjoint(model: ModelId, g, dx,
     Rdeta = _rotate(theta, d[4:6])
     o[6] += coc_term
     if model is ModelId.NONCENTRAL:
-        o[4:6] = Rdeta - t * Rdtr + _eps(eta) * dth + x * dt
+        o[4:6] = Rdeta - t * Rdtr + eps_vec(eta) * dth + x * dt
         return out
-    o[4:6] = Rdeta - t * Rdtr + _eps(eta - x * t) * dth + x * dt
-    o[7] += (_dot(x, Rdeta) - _dot(eta, Rdtr) + _cross(x, eta) * dth
+    o[4:6] = Rdeta - t * Rdtr + eps_vec(eta - x * t) * dth + x * dt
+    o[7] += (_dot(x, Rdeta) - _dot(eta, Rdtr) + cross2(x, eta) * dth
              + 0.5 * _dot(x, x) * dt)
     return out
 
@@ -351,19 +341,19 @@ def coadjoint(model: ModelId, g, xi,
     j, E = v[0], v[3]
     Rp = _rotate(theta, v[1:3])
     if model is ModelId.BASE:
-        o[0] = j + _cross(x, Rp)
+        o[0] = j + cross2(x, Rp)
         o[1:3] = Rp
         return out
     xx = _dot(x, x)
     if model is ModelId.CENTRAL1:
         l = v[4]
-        o[0] = j + _cross(x, Rp) - l * xx / (2 * r2)
-        o[1:3] = Rp + (l / r2) * _eps(x)
+        o[0] = j + cross2(x, Rp) - l * xx / (2 * r2)
+        o[1:3] = Rp + (l / r2) * eps_vec(x)
         return out
     if model is ModelId.CENTRAL2:
         l, h = v[4], v[5]
-        o[0] = j + _cross(x, Rp) - h * xx / (2 * r2)
-        o[1:3] = Rp + (h / r2) * _eps(x)
+        o[0] = j + cross2(x, Rp) - h * xx / (2 * r2)
+        o[1:3] = Rp + (h / r2) * eps_vec(x)
         o[3] = E - h * params.omega * a[4]
         o[4] = l + h * params.omega * t
         return out
@@ -371,16 +361,16 @@ def coadjoint(model: ModelId, g, xi,
     Rf = _rotate(theta, v[4:6])
     eta = a[4:6]
     if model is ModelId.NONCENTRAL:
-        o[0] = (j + _cross(x, Rp) + _cross(eta + x * t, Rf)
+        o[0] = (j + cross2(x, Rp) + cross2(eta + x * t, Rf)
                 - h * xx / (2 * r2))
-        o[1:3] = Rp + t * Rf + (h / r2) * _eps(x)
+        o[1:3] = Rp + t * Rf + (h / r2) * eps_vec(x)
         o[3] = E - _dot(x, Rf)
         o[4:6] = Rf
         return out
     k = v[7]
-    o[0] = (j + _cross(x, Rp) + _cross(eta, Rf) + k * _cross(x, eta)
+    o[0] = (j + cross2(x, Rp) + cross2(eta, Rf) + k * cross2(x, eta)
             - h * xx / (2 * r2))
-    o[1:3] = Rp + t * Rf + k * (eta - x * t) + (h / r2) * _eps(x)
+    o[1:3] = Rp + t * Rf + k * (eta - x * t) + (h / r2) * eps_vec(x)
     o[3] = E - _dot(x, Rf) + 0.5 * k * xx
     o[4:6] = Rf - k * x
     return out

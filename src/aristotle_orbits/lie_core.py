@@ -16,6 +16,10 @@ conventions used throughout the package are fixed here, once:
 These four statements are one consistent package: changing any of them in
 isolation breaks the cross checks between the group laws, the adjoint and
 coadjoint actions, and the Kirillov matrices that the test suite enforces.
+The group laws and chart maps call cross2 and eps_vec directly; both read
+2-vectors components first, so stacks (2, ...) broadcast.  exp_coadjoint
+has one algorithm at every argument size, scaling and squaring (Moler &
+Van Loan, SIAM Review 45(1), 2003).
 
 All values are double precision.  Types are immutable after construction
 and all operations are pure functions, so everything here is safe to share
@@ -38,6 +42,9 @@ class SeriesConvergenceError(ArithmeticError):
     """A truncated power series failed to converge within its term cap."""
 
 
+#: Term cap of the exp_coadjoint series.
+MAX_TERMS = 200
+
 #: Counterclockwise rotation generator, d/dtheta R(theta) at theta = 0.
 EPS0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -48,17 +55,21 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def cross2(a, b) -> float:
-    """Planar cross product a1*b2 - a2*b1."""
-    return float(a[0] * b[1] - a[1] * b[0])
+def cross2(a, b):
+    """Planar cross product a1*b2 - a2*b1 of 2-vectors, components first.
+
+    a and b may be stacks (2, ...) whose batch axes broadcast together.
+    """
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def eps_vec(u) -> np.ndarray:
     """The vector (u2, -u1) contracted from a rotation parameter.
 
-    Satisfies eps_vec(u) = -EPS0 @ u and cross2(u, eps_vec(u)) = -|u|^2.
+    u may be a stack (2, ...), components first.  Satisfies
+    eps_vec(u) = -EPS0 @ u and cross2(u, eps_vec(u)) = -|u|^2.
     """
-    return np.array([u[1], -u[0]], dtype=float)
+    return np.array((u[1], -u[0]))
 
 
 @dataclass(frozen=True)
@@ -189,18 +200,19 @@ def kirillov_matrix(t: StructureTensor, xi) -> np.ndarray:
     return np.einsum("abc,...c->...ab", t.c, xi)
 
 
-def exp_coadjoint(t: StructureTensor, x, xi, tol: float = 1e-12,
-                  max_terms: int = 200) -> np.ndarray:
-    """exp(coad_matrix(t, x)) @ xi by truncated power series.
+def exp_coadjoint(t: StructureTensor, x, xi,
+                  tol: float = 1e-12) -> np.ndarray:
+    """exp(coad_matrix(t, x)) @ xi by scaling and squaring.
 
     Reference oracle for the closed-form group coadjoint actions.  x and xi
-    are (..., n) with batch axes that broadcast together.  A sample whose
-    coadjoint matrix M has max row sum |M| <= 1 accumulates the series
-    applied to xi until its next term's max-norm drops below
-    tol * (1 + |xi|).  A larger M would cancel catastrophically (terms of
-    size e^|M| summing to |xi|), so it is scaled and squared instead:
-    exp(M) = exp(M / 2^k)^(2^k) with the smallest k that brings
-    |M / 2^k| to 1, the matrix series stopped at tol / 2^k.  Each sample's
+    are (..., n) with batch axes that broadcast together.  Each sample's
+    coadjoint matrix M is scaled by the smallest 2^k that brings its max
+    row sum nu = |M / 2^k| to at most 1 (k = 0 where |M| <= 1 already),
+    the series of exp(M / 2^k) is summed up to the first term n whose
+    bound nu^n / n! on its max-norm is at most tol / 2^k, and the sum is
+    squared k times and applied to xi.  The scaling keeps the terms at
+    most 1: summing the series of a large M directly would cancel
+    catastrophically (terms of size e^|M| summing to |xi|).  Each sample's
     arithmetic is its own, so a stacked call equals the single calls.
     """
     if not tol > 0:
@@ -209,63 +221,33 @@ def exp_coadjoint(t: StructureTensor, x, xi, tol: float = 1e-12,
     xi = _check_trailing(t, xi, "xi")
     shape = np.broadcast_shapes(x.shape, xi.shape)
     m = np.broadcast_to(coad_matrix(t, x), shape + shape[-1:])
-    acc = np.array(np.broadcast_to(xi, shape))
     # norm = mant 2^e with mant in [0.5, 1): the k with norm / 2^k <= 1
-    mant, e = np.frexp(np.abs(m).sum(axis=-1).max(axis=-1))
+    norm = np.abs(m).sum(axis=-1).max(axis=-1)
+    mant, e = np.frexp(norm)
     squarings = np.maximum(e - (mant == 0.5), 0)
-    big = squarings > 0
-    if not big.any():
-        return _series_applied(m, acc, tol, max_terms)
-    small = ~big
-    acc[small] = _series_applied(m[small], acc[small], tol, max_terms)
-    exp_m = _scaled_exp(m[big], squarings[big], tol, max_terms)
-    acc[big] = (exp_m @ acc[big][..., None])[..., 0]
-    return acc
-
-
-def _no_convergence(max_terms: int,
-                    term: np.ndarray) -> SeriesConvergenceError:
-    return SeriesConvergenceError(
-        f"coadjoint exponential series did not converge within {max_terms} "
-        f"terms (last term norm {np.abs(term).max():.3e})"
-    )
-
-
-def _series_applied(m: np.ndarray, xi: np.ndarray, tol: float,
-                    max_terms: int) -> np.ndarray:
-    """exp(m) @ xi per sample, summing the series m^n xi / n!."""
-    acc = term = xi
-    scale = tol * (1.0 + np.abs(acc).max(axis=-1))
-    active = np.ones(scale.shape, dtype=bool)
-    for n in range(1, max_terms + 1):
-        term = (m @ term[..., None])[..., 0] / n
-        acc = np.where(active[..., None], acc + term, acc)
-        active &= ~(np.abs(term).max(axis=-1) < scale)
-        if not active.any():
-            return acc
-    raise _no_convergence(max_terms, term)
-
-
-def _scaled_exp(m: np.ndarray, squarings: np.ndarray, tol: float,
-                max_terms: int) -> np.ndarray:
-    """exp(m) (k, n, n) as exp(m / 2^s)^(2^s), s = squarings (k,)."""
-    scaled = m / np.exp2(squarings)[:, None, None]
-    acc = term = np.broadcast_to(np.eye(m.shape[-1]), m.shape)
-    scale = tol * np.exp2(-squarings)
-    active = np.ones(scale.shape, dtype=bool)
-    for n in range(1, max_terms + 1):
-        term = term @ scaled / n
-        acc = np.where(active[:, None, None], acc + term, acc)
-        active &= ~(np.abs(term).max(axis=(-2, -1)) <= scale)
-        if not active.any():
-            break
-    else:
-        raise _no_convergence(max_terms, term)
+    scaled = term = np.ldexp(m, -squarings[..., None, None])
+    acc = np.eye(shape[-1]) + scaled
+    # term n of the scaled series has max-norm at most nu^n / n!
+    nu = np.ldexp(norm, -squarings)
+    bound, scale = nu.copy(), np.ldexp(tol, -squarings)
+    active = ~(bound <= scale)
+    n = 1
+    while active.any():
+        n += 1
+        if n > MAX_TERMS:
+            raise SeriesConvergenceError(
+                f"coadjoint exponential series did not converge within "
+                f"{MAX_TERMS} terms (last term norm {np.abs(term).max():.3e})")
+        term = term @ scaled
+        term /= n
+        np.add(acc, term, out=acc, where=active[..., None, None])
+        bound *= nu / n
+        active &= ~(bound <= scale)
+    rounds = int(squarings.max(initial=0))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for s in range(int(squarings.max())):
-            acc = np.where((squarings > s)[:, None, None], acc @ acc, acc)
+        for s in range(rounds):
+            acc = np.where((squarings > s)[..., None, None], acc @ acc, acc)
     if not np.isfinite(acc).all():
         raise SeriesConvergenceError(
-            f"coadjoint exponential overflowed in {int(squarings.max())} "
-            f"squarings")
-    return acc
+            f"coadjoint exponential overflowed in {rounds} squarings")
+    return (acc @ xi[..., None])[..., 0]

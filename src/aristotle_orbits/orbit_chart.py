@@ -63,9 +63,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import DimensionMismatchError, ModelParams, kirillov_matrix
+from .lie_core import (DimensionMismatchError, ModelParams, cross2,
+                       kirillov_matrix)
 from . import group_models as gm
-from .group_models import ModelId, _cross, _dot, _slot_first, _trailing
+from .group_models import ModelId, _dot, _slot_first, _trailing
 
 DEG_TOL = 1e-12
 
@@ -182,13 +183,13 @@ def casimirs(model: ModelId, xi, params: ModelParams = DEFAULT_PARAMS
         _require_nonzero(h, "h", model)
         fmag = np.hypot(f[0], f[1])
         _require_nonzero(fmag, "f", model)
-        return _stack((h, fmag, E + (r2 / h) * _cross(p, f)))
+        return _stack((h, fmag, E + (r2 / h) * cross2(p, f)))
     if model is ModelId.DOUBLE:
         f, h, k = v[4:6], v[6], v[7]
         _require_nonzero(k, "k", model)
         q = -f / k
         qq = _dot(q, q)
-        return _stack((h, k, j + _cross(p, q) - h * qq / (2.0 * r2),
+        return _stack((h, k, j + cross2(p, q) - h * qq / (2.0 * r2),
                        E - 0.5 * k * qq))
     raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
 

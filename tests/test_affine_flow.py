@@ -65,7 +65,7 @@ def test_increment_flow_matches_the_stepped_flow(model, name, integrator,
                     integrator, dt, nsteps)
     size = 1.0 + np.abs(stepped.coords).max()
     bound = (1e-12 if integrator == "rk4"
-             else nsteps * FlowSpec().solver_tol) * size
+             else nsteps * dynamics.SOLVER_TOL) * size
     assert np.abs(fast.coords - stepped.coords).max() <= bound
     assert np.array_equal(fast.times, stepped.times)
 

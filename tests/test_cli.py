@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +438,29 @@ def test_simulate_divergent_solver_is_numeric_failure(tmp_path, capsys):
                 "--out", str(out), "--point", "1,0,0,0"])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,lines,partial", [
+    (["--model", "double", "--hamiltonian", "kinetic", "--integrator", "rk4",
+      "--dt", "10", "--steps", "1000", "--point", "1,0,0,0"], 2, True),
+    (["--model", "noncentral", "--hamiltonian", "energy",
+      "--point=0.1,0.5,0.2,0.3", "--label", "f=1e300", "--steps", "10"],
+     1, False),
+], ids=["double-rk4-overflow", "noncentral-midpoint-overflow"])
+def test_overflowing_flow_fails_without_numpy_warnings(tmp_path, flags, lines,
+                                                        partial):
+    # a fresh interpreter shows stderr as a user sees it, warnings included
+    out = tmp_path / "traj.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aristotle_orbits.cli", "simulate", "--flow",
+         "hamiltonian", *flags, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == lines, proc.stderr
+    assert out.exists() == partial
 
 
 def test_bracket_unknown_coordinate_is_usage_error():

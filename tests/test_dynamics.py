@@ -335,12 +335,9 @@ def test_flow_spec_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("dt", float("inf")),
-    ("solver_tol", float("nan")),
-    ("solver_tol", -1.0),
-    ("max_iterations", 0),
+    ("dt", True),
     ("nsteps", 2.5),
-], ids=["dt-inf", "solver_tol-nan", "solver_tol-negative",
-        "max_iterations-zero", "nsteps-float"])
+], ids=["dt-inf", "dt-bool", "nsteps-float"])
 def test_flow_spec_rejects_bad_numbers_in_one_line(field, value):
     with pytest.raises(ValueError, match=field) as info:
         FlowSpec(**{field: value})

@@ -20,6 +20,16 @@ def test_eps_vec_and_cross_conventions():
     assert np.allclose(ao.eps_vec(u), -(ao.EPS0 @ u))
     assert ao.cross2([1, 0], [0, 1]) == 1.0
     assert ao.cross2(u, ao.eps_vec(u)) == pytest.approx(-(u @ u), abs=1e-15)
+    # a components-first stack gives the per-vector values bit for bit
+    a, b = np.random.default_rng(31).uniform(-2, 2, (2, 2, 64))
+    cross, eps = ao.cross2(a, b), ao.eps_vec(a)
+    assert cross.shape == (64,) and eps.shape == (2, 64)
+    for i in range(64):
+        assert cross[i] == ao.cross2(a[:, i], b[:, i])
+        assert np.array_equal(eps[:, i], ao.eps_vec(a[:, i]))
+    assert np.allclose(eps, -(ao.EPS0 @ a))
+    assert np.allclose(ao.cross2(a, eps), -(a * a).sum(axis=0),
+                       rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
