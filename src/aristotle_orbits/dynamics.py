@@ -31,26 +31,38 @@ midpoint state, which handles the chart-dependent noncentral tensor.
 Flows are sequential per trajectory; distinct trajectories can be
 integrated concurrently.
 
-Linear flows take one precomputed increment matrix per step.  A
-QuadraticHamiltonian (H = offset + slope . z + z . hessian z / 2; the
-kinetic Hamiltonian on every chart, and the energy on central1, central2
-and double) on a chart with a constant Poisson tensor has the affine flow
-z' = A z + b, A = Pi^T hessian, b = Pi^T slope.  On the augmented state
-(z, 1) both integrators are then linear maps, built once per flow: RK4 is
-D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and implicit midpoint (the Cayley
-map) the exact solve of (I - hA/2) D = hA, with hA the augmented
-h [[A, b], [0, 0]].  Each step is z <- z + D z: the increment form keeps
-the rounding of the stepped path (the H drift of the README cyclotron stays
-at a few 1e-15), where z <- (I + D) z would lose the small increment in
-the sum every step.  The solver contract is kept: before solving, the
-midpoint fixed-point sweep runs once on the step matrix, and where it does
-not contract within MAX_ITERATIONS the flow raises SolverConvergenceError
-as the stepped path does; a non-finite D or state raises
-FlowSingularityError with the partial trajectory.  If a gradient is given
-it must agree with hessian @ z0 + slope at the initial point (ValueError
-otherwise), so a gradient that is not the declared one cannot be silently
-replaced.  Plain callables, and every Hamiltonian on the noncentral chart,
-take the stepped path.
+Affine flows take one precomputed increment matrix per flow.  Two
+Hamiltonians have an affine field z' = A z + b on their flow:
+
+* a QuadraticHamiltonian (H = offset + slope . z + z . hessian z / 2; the
+  kinetic Hamiltonian on every chart, and the energy on central1, central2
+  and double) on a chart with a constant Poisson tensor, with
+  A = Pi^T hessian and b = Pi^T slope;
+* the noncentral energy (a NoncentralEnergy), which generates dp/dt = f:
+  dH/dj = 0 keeps phi_f fixed, and on that slice the state-dependent
+  {j, p} and {j, q} entries meet gradients in p and q that are constant,
+  so A and b follow in closed form from the force, m omega and z0's
+  labels.
+
+On the augmented state (z, 1) both integrators are then linear maps, built
+once per flow: RK4 is D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and implicit
+midpoint (the Cayley map) the exact solve of (I - hA/2) D = hA, with hA the
+augmented h [[A, b], [0, 0]].  A step is z <- z + D z, and the steps are
+taken a block of _BLOCK at a time: with M_j = (I + D)^j - I, built once in
+the same increment form (M_{i+j} = M_i + M_j + M_i M_j), one array call
+fills z_{n+j} = z_n + M_j z_n for j = 1.._BLOCK.  The increment form keeps
+the small increments that z <- (I + D) z would lose in the sum.  The
+solver contract is kept: before solving, the midpoint fixed-point sweep
+runs once on the step matrix, and where it does not contract within
+MAX_ITERATIONS the flow raises SolverConvergenceError as the stepped path
+does; a non-finite D or state raises FlowSingularityError with the partial
+trajectory, at the step the one-step loop would reach it (the block stack
+stops before its first non-finite M_j).  If a gradient is given, the
+declared field A z0 + b must equal the stepped right-hand side
+Pi(z0)^T grad(z0) (ValueError otherwise), so a gradient that is not the
+declared one cannot be silently replaced.  Plain callables, and the
+kinetic and canonical Hamiltonians on the noncentral chart, take the
+stepped path.
 
 A Hamiltonian flow stays on its starting orbit by construction, so its
 Casimir columns are the orbit labels, and the chart coordinates are
@@ -114,7 +126,7 @@ class QuadraticHamiltonian:
     which equal the quadratic up to rounding and keep their energies bit
     for bit.  hessian (d, d) and slope (d,) are stored as read-only float
     arrays.  On a chart with a constant Poisson tensor, hamiltonian_flow
-    integrates it by one precomputed increment matrix per step.
+    integrates it by one precomputed increment matrix.
     """
 
     hessian: np.ndarray
@@ -150,6 +162,39 @@ class QuadraticHamiltonian:
 
 
 @dataclass(frozen=True)
+class NoncentralEnergy:
+    """The energy coordinate on the noncentral chart (j, phi_f, p, q).
+
+    H(z) = U - (f / mw_eff) (p sin phi_f + mw_eff q cos phi_f), with f the
+    force magnitude, mw_eff = h / r**2, and U an orbit label.  Called
+    like any Hamiltonian, it maps chart coordinates (..., 4) to energies
+    (...); gradient maps one point (4,) to its gradient.  H does not depend
+    on j, so its flow keeps phi_f fixed and is affine on that slice:
+    hamiltonian_flow integrates it by one precomputed increment matrix.
+    """
+
+    f: float
+    mw_eff: float
+    U: float
+
+    def __call__(self, z) -> np.ndarray:
+        phi_f, p, q = z[..., 1], z[..., 2], z[..., 3]
+        return self.U - (self.f / self.mw_eff) * (
+            p * np.sin(phi_f) + self.mw_eff * q * np.cos(phi_f))
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        _, phi_f, p, q = z
+        fmag, mw_eff = self.f, self.mw_eff
+        v = fmag / mw_eff
+        return np.array([
+            0.0,
+            -v * (p * np.cos(phi_f) - mw_eff * q * np.sin(phi_f)),
+            -v * np.sin(phi_f),
+            -fmag * np.cos(phi_f),
+        ])
+
+
+@dataclass(frozen=True)
 class FlowSpec:
     """What to integrate and how.
 
@@ -160,10 +205,11 @@ class FlowSpec:
     result is every sample's energy; any other shape than (n,) raises
     ValueError.  gradient (if given) maps one point (d,) to its gradient
     (d,); otherwise central finite differences of hamiltonian are used.  A
-    QuadraticHamiltonian on a chart with a constant Poisson tensor is
-    integrated from its coefficients instead, after one check of gradient
-    at the initial point (see the module docstring).  The midpoint solver
-    runs to the module constants SOLVER_TOL and MAX_ITERATIONS.
+    QuadraticHamiltonian on a chart with a constant Poisson tensor, and a
+    NoncentralEnergy, are integrated from their affine field instead, after
+    one check of gradient at the initial point (see the module docstring).
+    The midpoint solver runs to the module constants SOLVER_TOL and
+    MAX_ITERATIONS.
     """
 
     kind: str = "group-time-flow"
@@ -333,39 +379,71 @@ def _no_convergence(tol: float, max_iterations: int) -> SolverConvergenceError:
     )
 
 
-def _affine_increment(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
-                      params: ModelParams) -> np.ndarray | None:
-    """Increment matrix D (d+1, d+1) of z <- z + D z on the state (z, 1).
+def _affine_field(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
+                  params: ModelParams) -> tuple[np.ndarray, np.ndarray] | None:
+    """The field z' = A z + b (A (d, d), b (d,)) of an affine flow from z0.
 
     None unless the flow is affine: a QuadraticHamiltonian on a chart with
-    a constant Poisson tensor.  D may be non-finite; the caller checks.
+    a constant Poisson tensor, or a NoncentralEnergy on the noncentral
+    chart, whose field is affine on z0's phi_f slice.  A given gradient is
+    checked once, at z0, against the stepped right-hand side.
     """
     ham = spec.hamiltonian
-    if not (isinstance(ham, QuadraticHamiltonian) and model in _CONSTANT_PI):
-        return None
     z = np.asarray(z0.coords, dtype=float)
     d = z.size
-    if ham.slope.shape != (d,):
-        raise ValueError(f"quadratic hamiltonian has {ham.slope.size} "
-                         f"coordinates, the {model.value} chart has {d}")
+    if isinstance(ham, QuadraticHamiltonian) and model in _CONSTANT_PI:
+        if ham.slope.shape != (d,):
+            raise ValueError(f"quadratic hamiltonian has {ham.slope.size} "
+                             f"coordinates, the {model.value} chart has {d}")
+        pi_t = oc.chart_poisson(model, z, z0.labels, params).T
+        a, b = pi_t @ ham.hessian, pi_t @ ham.slope
+    elif isinstance(ham, NoncentralEnergy) and model is ModelId.NONCENTRAL:
+        mw = params.m_omega
+        kappa = float(z0.labels[0]) / (mw * params.r**2)  # as chart_poisson
+        pi_t = oc._noncentral_poisson(z, kappa, mw).T
+        # Pi^T grad H with phi_f' = dH/dj = 0.  On the slice,
+        # j' = f (1 / mw_eff - 1 / mw) (p cos phi_f + mw q sin phi_f),
+        # p' = kappa f cos phi_f and q' = -kappa (f / mw_eff) sin phi_f
+        fmag, mw_eff = ham.f, ham.mw_eff
+        c, s = math.cos(z[1]), math.sin(z[1])
+        g = fmag * (1.0 / mw_eff - 1.0 / mw)
+        a = np.zeros((4, 4))
+        a[0, 2], a[0, 3] = g * c, g * mw * s
+        b = np.array([0.0, 0.0, kappa * fmag * c,
+                      -kappa * (fmag / mw_eff) * s])
+    else:
+        return None
     if spec.gradient is not None:
-        want = ham.hessian @ z + ham.slope
-        got = np.asarray(spec.gradient(z), dtype=float)
-        # the rounding of hessian @ z + slope, with room for another order
-        bound = 1e-12 * (1.0 + np.abs(ham.hessian) @ np.abs(z)
-                         + np.abs(ham.slope))
-        if got.shape != (d,) or not (np.abs(got - want) <= bound).all():
-            raise ValueError(f"gradient {got} disagrees with the quadratic "
-                             f"hamiltonian's hessian @ z0 + slope = {want} at "
-                             f"the initial point")
-    pi_t = oc.chart_poisson(model, z, z0.labels, params).T
+        grad = np.asarray(spec.gradient(z), dtype=float)
+        if grad.shape != (d,):
+            raise ValueError(f"gradient has shape {grad.shape} at the initial "
+                             f"point, the {model.value} chart has {d} "
+                             f"coordinates")
+        want, got = a @ z + b, pi_t @ grad
+        # the rounding of both sides, with room for another order
+        bound = 1e-12 * (1.0 + np.abs(a) @ np.abs(z) + np.abs(b)
+                         + np.abs(pi_t) @ np.abs(grad))
+        if not (np.abs(got - want) <= bound).all():
+            raise ValueError(f"gradient gives the field {got} at the initial "
+                             f"point, which disagrees with the hamiltonian's "
+                             f"declared field {want}")
+    return a, b
+
+
+def _increment_matrix(a: np.ndarray, b: np.ndarray, dt: float,
+                      integrator: str) -> np.ndarray:
+    """Increment matrix D (d+1, d+1) of z <- z + D z on the state (z, 1).
+
+    D may be non-finite; the caller checks.
+    """
+    d = b.size
     ha = np.zeros((d + 1, d + 1))
-    ha[:d, :d] = pi_t @ ham.hessian
-    ha[:d, d] = pi_t @ ham.slope
+    ha[:d, :d] = a
+    ha[:d, d] = b
     # an overflow shows as a non-finite D or a sweep that does not contract
     with np.errstate(over="ignore", invalid="ignore"):
-        ha *= spec.dt
-        if spec.integrator == "rk4":
+        ha *= dt
+        if integrator == "rk4":
             ha2 = ha @ ha
             return ha + ha2 / 2.0 + (ha2 @ ha) / 6.0 + (ha2 @ ha2) / 24.0
         # the stepped sweep z_new <- z + hA (z + z_new) / 2 from
@@ -386,12 +464,35 @@ def _affine_increment(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
     return increment
 
 
+_BLOCK = 64  # steps per array call of the increment-matrix path
+
+
 def _increment_steps(increment: np.ndarray, states: np.ndarray) -> None:
-    """Fill states[n + 1] = states[n] + increment @ states[n] in place."""
-    step, add = increment.dot, np.add
-    z = states[0]
-    for row in states[1:]:
-        z = add(z, step(z), out=row)
+    """Fill states[n + 1] = states[n] + increment @ states[n] in place.
+
+    A block of up to _BLOCK steps per array call: states[n + j] =
+    states[n] + M_j @ states[n] with M_j = (I + D)^j - I, built by
+    doubling from M_1 = D as M_{i+j} = M_i + M_j + M_i M_j.  The stack is
+    cut before its first non-finite M_j, so a state that overflows does so
+    at the step the one-step loop would reach it.
+    """
+    nsteps, width = len(states) - 1, states.shape[1]
+    stack = np.empty((min(_BLOCK, nsteps), width, width))
+    stack[0] = increment
+    j = 1
+    while j < len(stack):
+        k = min(j, len(stack) - j)
+        last = stack[j - 1]
+        stack[j:j + k] = stack[:k] + last + stack[:k] @ last
+        j += k
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    block = int(finite.argmin()) if not finite.all() else len(stack)
+    flat = stack[:block].reshape(-1, width)  # one matrix-vector product
+    for n in range(0, nsteps, block):
+        k = min(block, nsteps - n)
+        z = states[n]
+        np.add(z, (flat[:k * width] @ z).reshape(k, width),
+               out=states[n + 1:n + 1 + k])
 
 
 def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
@@ -410,7 +511,9 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
     if spec.kind == "group-time-flow":
         return _group_trajectory(model, z0, spec, params)
 
-    increment = _affine_increment(model, z0, spec, params)
+    affine = _affine_field(model, z0, spec, params)
+    increment = (None if affine is None
+                 else _increment_matrix(*affine, spec.dt, spec.integrator))
     times = spec.dt * np.arange(spec.nsteps + 1)
     z = np.asarray(z0.coords, dtype=float)
     if increment is None:
@@ -455,7 +558,7 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
             raise FlowSingularityError(
                 f"step {n}: non-finite state {coords[n + 1]}", step=n,
                 partial=trajectory(n + 1))
-        return trajectory(spec.nsteps + 1)
+        return _finite_diagnostics(trajectory(spec.nsteps + 1))
 
     rhs = _rhs_factory(model, z0, spec, params)
     rk4 = spec.integrator == "rk4"
@@ -477,7 +580,27 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
                     f"step {n}: non-finite state {z}", step=n,
                     partial=trajectory(n + 1))
             coords[n + 1] = z
-    return trajectory(spec.nsteps + 1)
+    return _finite_diagnostics(trajectory(spec.nsteps + 1))
+
+
+def _finite_diagnostics(traj: Trajectory) -> Trajectory:
+    """traj, unless its energies or Casimir residual overflow.
+
+    The states are finite, but a point far out on the chart can have an
+    energy or a reconstructed dual point beyond the float range; that
+    raises FlowSingularityError (with no partial trajectory), naming the
+    step that reached the first non-finite energy.
+    """
+    energies, residual = traj.hamiltonian_series, traj.casimir_residual
+    finite = np.isfinite(energies)
+    if finite.all() and np.isfinite(residual).all():
+        return traj
+    n = len(energies) - 1 if finite.all() else int(finite.argmin())
+    step = max(n - 1, 0)
+    raise FlowSingularityError(
+        f"step {step}: the energy {float(energies[n])} or the Casimir "
+        f"residual {residual.tolist()} overflows at a finite state",
+        step=step)
 
 
 def kinetic_hamiltonian(model: ModelId, params: ModelParams = DEFAULT_PARAMS):
@@ -510,16 +633,16 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
     """(H, grad H) for the energy coordinate E pulled back to the chart.
 
     H maps coordinates (..., d) to (...); it is a QuadraticHamiltonian on
-    every chart but the noncentral one.  Generates exactly the group time
-    flow, restricted to the chart, so it reproduces dl/dt = h omega
-    (central2) and dp/dt = -k q (double).
+    every chart but the noncentral one, where it is a NoncentralEnergy.
+    Generates exactly the group time flow, restricted to the chart, so it
+    reproduces dl/dt = h omega (central2), dp/dt = f (noncentral) and
+    dp/dt = -k q (double).
     """
     names = oc.CASIMIR_NAMES.get(model)
     if names is None:
         raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
     lab = dict(zip(names, point.labels.tolist()))
     r2 = params.r**2
-    quadratic = None  # (hessian, slope, offset) where H is quadratic
     if model is ModelId.CENTRAL1:
         E = lab["E"]
 
@@ -539,23 +662,8 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
             return np.array([0.0, 0.0, 0.0, -hw])
         quadratic = np.zeros((4, 4)), [0.0, 0.0, 0.0, -hw], 0.0
     elif model is ModelId.NONCENTRAL:
-        fmag, U = lab["f"], lab["U"]
-        mw_eff = lab["h"] / r2
-
-        def ham(z):
-            phi_f, p, q = z[..., 1], z[..., 2], z[..., 3]
-            return U - (fmag / mw_eff) * (
-                p * np.sin(phi_f) + mw_eff * q * np.cos(phi_f))
-
-        def grad(z):
-            _, phi_f, p, q = z
-            v = fmag / mw_eff
-            return np.array([
-                0.0,
-                -v * (p * np.cos(phi_f) - mw_eff * q * np.sin(phi_f)),
-                -v * np.sin(phi_f),
-                -fmag * np.cos(phi_f),
-            ])
+        energy = NoncentralEnergy(lab["f"], lab["h"] / r2, lab["U"])
+        return energy, energy.gradient
     else:  # double; the lookup above rejected the models without a chart
         k, U = lab["k"], lab["U"]
 
@@ -565,6 +673,4 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
         def grad(z):
             return np.array([0.0, 0.0, k * z[2], k * z[3]])
         quadratic = np.diag([0.0, 0.0, k, k]), np.zeros(4), U
-    if quadratic is None:
-        return ham, grad
     return QuadraticHamiltonian(*quadratic, closed_form=ham), grad

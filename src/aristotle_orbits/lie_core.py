@@ -214,11 +214,15 @@ def exp_coadjoint(t: StructureTensor, x, xi,
     most 1: summing the series of a large M directly would cancel
     catastrophically (terms of size e^|M| summing to |xi|).  Each sample's
     arithmetic is its own, so a stacked call equals the single calls.
+    A non-finite x or xi raises ValueError before any term is summed.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     x = _check_trailing(t, x, "x")
     xi = _check_trailing(t, xi, "xi")
+    for name, v in (("x", x), ("xi", xi)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"exp_coadjoint: {name} must be finite")
     shape = np.broadcast_shapes(x.shape, xi.shape)
     m = np.broadcast_to(coad_matrix(t, x), shape + shape[-1:])
     # norm = mant 2^e with mant in [0.5, 1): the k with norm / 2^k <= 1

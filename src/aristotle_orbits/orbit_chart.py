@@ -78,7 +78,7 @@ class ChartDegeneracyError(ValueError):
 
 
 class SingularityError(ArithmeticError):
-    """A restricted form is singular at the requested configuration."""
+    """A restricted form is singular, or Casimir labels overflow."""
 
 
 CHART_COORDS: dict[ModelId, tuple[str, ...]] = {
@@ -279,7 +279,8 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
     central2 h, j; noncentral h, f, E; double h, k, j, E.  The charges
     are stored as given; s and U are the casimirs of the dual point.
     Other keywords, non-finite input and a noncentral force magnitude
-    f <= 0 raise ChartDegeneracyError.
+    f <= 0 raise ChartDegeneracyError; Casimirs that overflow raise
+    SingularityError.
     """
     keys = _LABEL_KEYS.get(model)
     if keys is None:
@@ -311,7 +312,13 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
                                    f"positive, got {float(np.min(f))!r}")
     lab = {"l": params.l_sub, "h": params.l_sub, "f": 1.0, "k": 1.0,
            "j": 0.0, "E": 0.0, **labels}
-    values = casimirs(model, _dual_point(model, z, lab, params), params)
+    # finite coordinates and labels can still have Casimirs beyond the
+    # float range (coordinates scaled by a huge m omega, squared)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = casimirs(model, _dual_point(model, z, lab, params), params)
+    if not np.isfinite(values).all():
+        raise SingularityError(f"{model.value}: the Casimir labels of these "
+                               f"chart points overflow")
     for i, name in enumerate(CASIMIR_NAMES[model]):
         if name in keys:
             values[..., i] = lab[name]
@@ -515,7 +522,9 @@ def omega_chart(model: ModelId, point: OrbitPoint,
                 params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
     """Symplectic matrices of the chart, the inverses of poisson_tensor."""
     pi = poisson_tensor(model, point, params)
-    det = np.abs(np.linalg.det(pi)).min()
+    # a determinant beyond the float range is inf, which is not singular
+    with np.errstate(over="ignore"):
+        det = np.abs(np.linalg.det(pi)).min()
     if det < DEG_TOL:
         raise SingularityError(
             f"chart Poisson tensor is singular (|det| = {det:.3e})"

@@ -430,6 +430,29 @@ def test_readme_cyclotron_keeps_its_energy_and_orbit(tmp_path, capsys,
     assert np.abs(z - np.concatenate([p, q])).max() < tolerance
 
 
+@pytest.mark.parametrize("integrator", ["implicit-midpoint", "rk4"])
+def test_noncentral_energy_flow_keeps_its_energy_and_orbit(tmp_path, capsys,
+                                                           integrator):
+    # the benchmark's noncentral command: dp/dt = f at f = 1, so p moves by
+    # t (cos phi_f, sin phi_f) and q = -p2 / (m omega) by -t sin phi_f, while
+    # j and phi_f stay put
+    j, phi, p, q = 0.3, -2.1, 0.4, -0.7
+    out = tmp_path / "noncentral.csv"
+    code = run(["simulate", "--model", "noncentral", "--flow", "hamiltonian",
+                "--hamiltonian", "energy", "--integrator", integrator,
+                "--dt", "0.001", "--steps", "2000",
+                f"--point={j},{phi},{p},{q}", "--out", str(out)])
+    assert code == 0
+    drift = capsys.readouterr().out.split("invariant drift: ")[1]
+    fields = dict(item.split(" = ") for item in drift.strip().split(", "))
+    assert float(fields["H"]) <= 2e-14
+    _, data = cli.read_trajectory_csv(str(out))
+    t, z = data[-1, 0], data[-1, 1:5]
+    assert t == pytest.approx(2.0, abs=1e-12)
+    want = (j, phi, p + np.cos(phi) * t, q - np.sin(phi) * t)
+    assert np.abs(z - want).max() < 1e-12
+
+
 def test_simulate_divergent_solver_is_numeric_failure(tmp_path, capsys):
     # dt far above the fixed-point contraction bound: exit code 3
     out = tmp_path / "traj.csv"
@@ -446,7 +469,11 @@ def test_simulate_divergent_solver_is_numeric_failure(tmp_path, capsys):
     (["--model", "noncentral", "--hamiltonian", "energy",
       "--point=0.1,0.5,0.2,0.3", "--label", "f=1e300", "--steps", "10"],
      1, False),
-], ids=["double-rk4-overflow", "noncentral-midpoint-overflow"])
+    # finite states whose energy overflows: no trajectory, not a nan drift
+    (["--model", "double", "--hamiltonian", "kinetic",
+      "--point", "1e200,0,0,0", "--steps", "10"], 1, False),
+], ids=["double-rk4-overflow", "noncentral-midpoint-overflow",
+        "double-energy-overflow"])
 def test_overflowing_flow_fails_without_numpy_warnings(tmp_path, flags, lines,
                                                         partial):
     # a fresh interpreter shows stderr as a user sees it, warnings included
@@ -461,6 +488,23 @@ def test_overflowing_flow_fails_without_numpy_warnings(tmp_path, flags, lines,
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == lines, proc.stderr
     assert out.exists() == partial
+
+
+@pytest.mark.parametrize("mass,code", [("1e300", 3), ("1e-300", 2)])
+def test_verify_at_extreme_mass_fails_without_numpy_warnings(tmp_path, mass,
+                                                            code):
+    # a fresh interpreter shows stderr as a user sees it, warnings included
+    out = tmp_path / "report.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aristotle_orbits.cli", "verify", "--m", mass,
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not out.exists()
 
 
 def test_bracket_unknown_coordinate_is_usage_error():

@@ -291,9 +291,14 @@ def test_hamiltonian_flow_does_no_per_step_rebuilds(monkeypatch, case):
         model = ModelId.DOUBLE
         z0 = ao.orbit_point(model, (0.8, -0.4, 0.2, 0.6), PARAMS)
         ham, grad = ao.kinetic_hamiltonian(model, PARAMS)
+    grad_calls = []
+
+    def counted_grad(z):
+        grad_calls.append(1)
+        return grad(z)
     spec = FlowSpec(kind="hamiltonian", dt=1e-3, nsteps=200,
                     integrator="implicit-midpoint", hamiltonian=ham,
-                    gradient=grad)
+                    gradient=counted_grad)
     counts = _count_calls(monkeypatch, ("structure_tensor", "chart_from_dual",
                                         "dual_from_chart"))
     traj = ao.hamiltonian_flow(model, spec, z0, PARAMS)
@@ -301,6 +306,9 @@ def test_hamiltonian_flow_does_no_per_step_rebuilds(monkeypatch, case):
     assert counts["structure_tensor"] == 0
     assert counts["chart_from_dual"] == 0
     assert counts["dual_from_chart"] <= 1
+    # both flows are affine: the gradient is only checked at z0, so a
+    # fallback to the stepped loop (hundreds of calls) fails here
+    assert len(grad_calls) <= 1
 
 
 def test_group_flow_chart_calls_do_not_grow_with_nsteps(monkeypatch):

@@ -252,6 +252,19 @@ def test_exp_coadjoint_overflow_is_a_series_error():
         ao.exp_coadjoint(t, x, np.ones(t.dim))
 
 
+@pytest.mark.parametrize("which", ["x", "xi"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_exp_coadjoint_rejects_non_finite_input(which, bad):
+    # up front: a nan xi would come back nan, an inf x would sum every term
+    t = ao.structure_tensor(ModelId.DOUBLE, PARAMS)
+    args = {"x": ao.algebra_vector(ModelId.DOUBLE, J=0.3),
+            "xi": np.ones(t.dim)}
+    args[which][1] = bad
+    with pytest.raises(ValueError, match=f"{which} must be finite") as info:
+        ao.exp_coadjoint(t, args["x"], args["xi"])
+    assert "\n" not in str(info.value)
+
+
 def test_exp_coadjoint_requires_positive_tolerance():
     t = ao.structure_tensor(ModelId.BASE, PARAMS)
     with pytest.raises(ValueError):
