@@ -91,6 +91,14 @@ from .dynamics import (
     magnetic_strength,
     time_flow_exact,
 )
-from .verify import Report, run_verify
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the property suites load on first use, so the CLI's other commands
+    # and library callers that never verify do not import them
+    if name in ("Report", "run_verify"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,7 +32,6 @@ from .lie_core import (
 from . import group_models as gm
 from . import orbit_chart as oc
 from . import dynamics as dyn
-from . import verify as verify_mod
 from .group_models import ModelId
 
 EXIT_OK = 0
@@ -175,6 +174,8 @@ def _config_corruption(cfg: dict) -> dict | None:
 
 
 def cmd_verify(args) -> int:
+    # imported here, so that the other commands do not load the suites
+    from . import verify as verify_mod
     cfg = _load_config(args.config)
     params = _params_from_args(args)
     seed = _config_seed(cfg, args.seed)

@@ -2,10 +2,14 @@
 
 Two kinds of flow:
 
-* group time flow, the exact coadjoint action of the time-translation
-  subgroup.  central1 fixes everything; central2 advances the action as
+* group time flow, the exact line xi0 + t ad*_H xi0 traced by the
+  coadjoint action of the time-translation subgroup, exact because ad*_H
+  squares to zero (verify's time flow group property row fails
+  otherwise).  central1 fixes everything; central2 advances the action as
   dl/dt = h omega; noncentral pushes momentum with the constant force,
-  dp/dt = f; double obeys dp/dt = -k q with q frozen.
+  dp/dt = f; double obeys dp/dt = -k q with q frozen.  A time or dual
+  point beyond the float range raises FlowSingularityError naming the
+  step of the first such sample, with no partial trajectory.
 * Hamiltonian flow of a user-supplied function on a chart,
   dz_a/dt = {H, z_a} = (Pi^T grad H)_a, with Pi the chart Poisson tensor.
   The orientation matches the bracket convention df/dt = {H, f}, which is
@@ -291,18 +295,44 @@ def time_flow_exact(model: ModelId, xi0, t,
                     params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
     """Coadjoint action of the time-translation subgroup on the dual point.
 
-    t may be an array of times; their axes lead the result's.
+    Ad*_{exp(tH)} xi0 is the exact line xi0 + t ad*_H xi0, exact because
+    ad*_H squares to zero on every model (verify's time flow group
+    property row fails otherwise); the velocity ad*_H xi0 is the structure
+    tensor contracted with xi0 along H.  t may be an array of times; their
+    axes lead the result's, and a stack of dual points (..., n) broadcasts
+    against them.  The contraction multiplies every slot of xi0, so one
+    non-finite slot makes the whole result nan.
     """
-    elements = np.multiply.outer(t, gm.algebra_vector(model, H=1.0))
-    return gm.coadjoint(model, elements, xi0, params)
+    tensor = gm.structure_tensor(model, params)
+    xi0 = gm._trailing(model, xi0)
+    t = np.asarray(t, dtype=float)[..., None]
+    velocity = xi0 @ tensor.c[:, tensor.index("H")].T
+    shape = np.broadcast_shapes(t.shape, xi0.shape)
+    # one result, filled in place and laid out slot first like the chart
+    # maps' results: the array loops then run along the time axes, not n
+    # values at a time, and chart_from_dual reads each slot contiguously
+    flow = np.empty(shape[-1:] + shape[:-1]).transpose(
+        *range(1, len(shape)), 0)
+    np.multiply(t, velocity, out=flow)
+    flow += xi0
+    return flow
 
 
 def _group_trajectory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
                       params: ModelParams) -> Trajectory:
     xi0 = oc.dual_from_chart(z0, params)
-    times = spec.dt * np.arange(spec.nsteps + 1)
-    points = oc.chart_from_dual(model, time_flow_exact(model, xi0, times,
-                                                       params), params)
+    # a time or dual point beyond the float range is found by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = spec.dt * np.arange(spec.nsteps + 1)
+        duals = time_flow_exact(model, xi0, times, params)
+    finite = np.isfinite(duals)
+    if not finite.all():  # a whole-array reduction; per row only on failure
+        n = int(finite.all(axis=1).argmin())
+        step = max(n - 1, 0)
+        raise FlowSingularityError(
+            f"step {step}: the dual point at t = {float(times[n])!r} is not "
+            f"finite", step=step)
+    points = oc.chart_from_dual(model, duals, params)
     return Trajectory(
         model=model,
         times=times,
@@ -499,11 +529,13 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
                      params: ModelParams = DEFAULT_PARAMS) -> Trajectory:
     """Integrate the flow described by spec starting at the chart point z0.
 
-    Group time flows are sampled from the exact coadjoint action, so their
-    Casimir series exercises the full dual-space motion.  Hamiltonian flows
-    advance the chart coordinates on z0's orbit: their Casimir series is
-    z0's labels, and the drift they report is the energy series and the
-    final point's reconstruction residual (see Trajectory).
+    Group time flows are sampled from the exact line xi0 + t ad*_H xi0,
+    exact because ad*_H squares to zero (verify's group property row fails
+    otherwise), and their Casimir series is computed from every sample's
+    dual point.  Hamiltonian flows advance the chart coordinates on z0's
+    orbit: their Casimir series is z0's labels, and the drift they report
+    is the energy series and the final point's reconstruction residual
+    (see Trajectory).
     """
     if z0.model is not model:
         raise gm.ModelMismatchError("initial point belongs to "

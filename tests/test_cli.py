@@ -464,16 +464,24 @@ def test_simulate_divergent_solver_is_numeric_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags,lines,partial", [
-    (["--model", "double", "--hamiltonian", "kinetic", "--integrator", "rk4",
-      "--dt", "10", "--steps", "1000", "--point", "1,0,0,0"], 2, True),
-    (["--model", "noncentral", "--hamiltonian", "energy",
-      "--point=0.1,0.5,0.2,0.3", "--label", "f=1e300", "--steps", "10"],
-     1, False),
+    (["--flow", "hamiltonian", "--model", "double", "--hamiltonian",
+      "kinetic", "--integrator", "rk4", "--dt", "10", "--steps", "1000",
+      "--point", "1,0,0,0"], 2, True),
+    (["--flow", "hamiltonian", "--model", "noncentral", "--hamiltonian",
+      "energy", "--point=0.1,0.5,0.2,0.3", "--label", "f=1e300", "--steps",
+      "10"], 1, False),
     # finite states whose energy overflows: no trajectory, not a nan drift
-    (["--model", "double", "--hamiltonian", "kinetic",
-      "--point", "1e200,0,0,0", "--steps", "10"], 1, False),
+    (["--flow", "hamiltonian", "--model", "double", "--hamiltonian",
+      "kinetic", "--point", "1e200,0,0,0", "--steps", "10"], 1, False),
+    # group time flows: the times overflow, or the action l + h omega t does
+    (["--flow", "group", "--model", "double", "--xi",
+      "0.3,0.5,-0.2,0.1,0.6,-0.4,1.0,0.7", "--dt", "1e305", "--steps",
+      "10000"], 1, False),
+    (["--flow", "group", "--model", "central2", "--omega", "1e300", "--xi",
+      "0.3,0.5,-0.2,0.1,0.6,0.7", "--dt", "1e10", "--steps", "3"], 1, False),
 ], ids=["double-rk4-overflow", "noncentral-midpoint-overflow",
-        "double-energy-overflow"])
+        "double-energy-overflow", "double-group-time-overflow",
+        "central2-group-action-overflow"])
 def test_overflowing_flow_fails_without_numpy_warnings(tmp_path, flags, lines,
                                                         partial):
     # a fresh interpreter shows stderr as a user sees it, warnings included
@@ -482,8 +490,8 @@ def test_overflowing_flow_fails_without_numpy_warnings(tmp_path, flags, lines,
     env = dict(os.environ, PYTHONPATH=src + os.pathsep
                + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, "-m", "aristotle_orbits.cli", "simulate", "--flow",
-         "hamiltonian", *flags, "--out", str(out)],
+        [sys.executable, "-m", "aristotle_orbits.cli", "simulate", *flags,
+         "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == lines, proc.stderr

@@ -59,6 +59,57 @@ def test_group_flow_trajectory_conserves_casimirs_exactly():
         assert drift[name] < 1e-12
 
 
+def _bits(a):
+    """The bytes of a with signed zeros made positive."""
+    return (np.asarray(a) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_time_flow_exact_equals_the_coadjoint_group_law(model):
+    # the line xi0 + t ad*_H xi0 against Ad*_{exp(tH)} by the closed-form
+    # group law, on a single time, on time stacks whose axes lead, and on
+    # dual stacks that match them or broadcast against them
+    rng = np.random.default_rng(17)
+    e_h = ao.algebra_vector(model, H=1.0)
+    for _ in range(20):
+        params = ModelParams(*rng.uniform(0.5, 2.0, 3))
+        t = rng.uniform(-3.0, 3.0, (5, 7))
+        cases = [(float(t[0, 0]), ao.sample_dual(model, rng)),
+                 (t, ao.sample_dual(model, rng)),
+                 (t, ao.sample_dual(model, rng, size=(5, 7))),
+                 (t, ao.sample_dual(model, rng, size=7))]
+        for times, xi in cases:
+            got = ao.time_flow_exact(model, xi, times, params)
+            want = ao.coadjoint(model, np.multiply.outer(times, e_h), xi,
+                                params)
+            assert got.shape == want.shape == np.shape(times) + xi.shape[-1:]
+            assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_time_translation_coadjoint_matrix_squares_to_zero(model):
+    # the premise that makes the group time flow a straight line
+    rng = np.random.default_rng(18)
+    e_h = ao.algebra_vector(model, H=1.0)
+    for _ in range(20):
+        params = ModelParams(*rng.uniform(0.1, 10.0, 3))
+        coad = ao.coad_matrix(ao.structure_tensor(model, params), e_h)
+        assert not (coad @ coad).any()
+
+
+def test_group_flow_beyond_the_float_range_names_its_step():
+    xi = ao.dual_vector(ModelId.DOUBLE, j=0.3, p1=0.5, p2=-0.2, E=0.1,
+                        f1=0.6, f2=-0.4, h=1.0, k=0.7)
+    z0 = ao.chart_from_dual(ModelId.DOUBLE, xi, PARAMS)
+    spec = FlowSpec(kind="group-time-flow", dt=1e305, nsteps=10_000)
+    with pytest.raises(dynamics.FlowSingularityError) as exc:
+        ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, PARAMS)
+    # 1797e305 is finite and 1798e305 is not: sample 1798, reached by step 1797
+    assert exc.value.step == 1797
+    assert exc.value.partial is None
+    assert len(str(exc.value).splitlines()) == 1
+
+
 def test_invariant_drift_single_step_is_zero():
     z0 = ao.orbit_point(ModelId.CENTRAL1, (0.5, -0.3), PARAMS)
     spec = FlowSpec(kind="group-time-flow", dt=0.1, nsteps=1)
@@ -269,7 +320,7 @@ def _count_calls(monkeypatch, names):
     counts = dict.fromkeys(names, 0)
     modules = (ao, dynamics, group_models, orbit_chart)
     for name in names:
-        home = group_models if name == "structure_tensor" else orbit_chart
+        home = group_models if hasattr(group_models, name) else orbit_chart
         real = getattr(home, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -309,6 +360,19 @@ def test_hamiltonian_flow_does_no_per_step_rebuilds(monkeypatch, case):
     # both flows are affine: the gradient is only checked at z0, so a
     # fallback to the stepped loop (hundreds of calls) fails here
     assert len(grad_calls) <= 1
+
+
+@pytest.mark.parametrize("model", CHART_MODELS, ids=lambda m: m.value)
+def test_group_time_flow_makes_no_group_law_calls(monkeypatch, model):
+    # the flow is the line xi0 + t ad*_H xi0; a return to the closed-form
+    # coadjoint action on every sample shows up as a call here
+    xi = ao.sample_dual(model, np.random.default_rng(19), nondegenerate=True)
+    z0 = ao.chart_from_dual(model, xi, PARAMS)
+    counts = _count_calls(monkeypatch, ("coadjoint",))
+    spec = FlowSpec(kind="group-time-flow", dt=1e-3, nsteps=200)
+    traj = ao.hamiltonian_flow(model, spec, z0, PARAMS)
+    assert len(traj.times) == 201
+    assert counts["coadjoint"] == 0
 
 
 def test_group_flow_chart_calls_do_not_grow_with_nsteps(monkeypatch):
