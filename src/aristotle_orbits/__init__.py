@@ -84,6 +84,7 @@ from .dynamics import (
     QuadraticHamiltonian,
     SolverConvergenceError,
     Trajectory,
+    canonical_hamiltonian,
     energy_hamiltonian,
     hamiltonian_flow,
     invariant_drift,

@@ -258,12 +258,7 @@ def _named_hamiltonian(name: str, model: ModelId, point: oc.OrbitPoint,
         if model is not ModelId.NONCENTRAL:
             raise UsageError("the canonical hamiltonian applies to the "
                              "noncentral model")
-        grad = oc.canonical_energy_gradient(params)
-
-        def ham(z):
-            return oc.canonicalize_noncentral(
-                oc.OrbitPoint(model, z, point.labels), params)[..., 0]
-        return ham, grad
+        return dyn.canonical_hamiltonian(params)
     raise UsageError(f"unknown hamiltonian {name!r}; choose kinetic, "
                      "energy or canonical")
 

@@ -9,7 +9,9 @@ Two kinds of flow:
   dl/dt = h omega; noncentral pushes momentum with the constant force,
   dp/dt = f; double obeys dp/dt = -k q with q frozen.  A time or dual
   point beyond the float range raises FlowSingularityError naming the
-  step of the first such sample, with no partial trajectory.
+  step of the first such sample, with no partial trajectory; a finite
+  dual point whose chart point is beyond it raises
+  orbit_chart.SingularityError.
 * Hamiltonian flow of a user-supplied function on a chart,
   dz_a/dt = {H, z_a} = (Pi^T grad H)_a, with Pi the chart Poisson tensor.
   The orientation matches the bracket convention df/dt = {H, f}, which is
@@ -38,10 +40,10 @@ integrated concurrently.
 Affine flows take one precomputed increment matrix per flow.  Two
 Hamiltonians have an affine field z' = A z + b on their flow:
 
-* a QuadraticHamiltonian (H = offset + slope . z + z . hessian z / 2; the
-  kinetic Hamiltonian on every chart, and the energy on central1, central2
-  and double) on a chart with a constant Poisson tensor, with
-  A = Pi^T hessian and b = Pi^T slope;
+* a QuadraticHamiltonian (H = offset + slope . z + z . hessian z / 2 with
+  a symmetric hessian; the kinetic Hamiltonian on every chart, and the
+  energy on central1, central2 and double) on a chart with a constant
+  Poisson tensor, with A = Pi^T hessian and b = Pi^T slope;
 * the noncentral energy (a NoncentralEnergy), which generates dp/dt = f:
   dH/dj = 0 keeps phi_f fixed, and on that slice the state-dependent
   {j, p} and {j, q} entries meet gradients in p and q that are constant,
@@ -74,6 +76,11 @@ recorded as integrated (the noncentral angle phi_f is not wrapped into
 (-pi, pi]).  What can drift is the energy, recorded per sample, and the
 consistency of the final chart point with its labels, measured once by
 reconstructing its dual point.
+
+The named Hamiltonians are stored once, as coefficients:
+kinetic_hamiltonian, energy_hamiltonian and canonical_hamiltonian return
+(H, H.gradient), where H is a QuadraticHamiltonian, or for the noncentral
+energy, which is not quadratic, a NoncentralEnergy.
 
 Hamiltonians broadcast like the group laws and chart maps: a Hamiltonian
 maps chart coordinates (..., d) to energies (...).  The step loop only
@@ -125,10 +132,9 @@ class QuadraticHamiltonian:
     """H(z) = offset + slope . z + z . hessian z / 2 on a chart.
 
     Called like any Hamiltonian, it maps chart coordinates (..., d) to
-    energies (...): through closed_form where one is given, else through
-    the quadratic itself.  The named Hamiltonians pass their closed forms,
-    which equal the quadratic up to rounding and keep their energies bit
-    for bit.  hessian (d, d) and slope (d,) are stored as read-only float
+    energies (...); gradient maps them to gradients hessian z + slope
+    (..., d), a stack bit for bit like the row-by-row calls.  hessian
+    (d, d), exactly symmetric, and slope (d,) are stored as read-only float
     arrays.  On a chart with a constant Poisson tensor, hamiltonian_flow
     integrates it by one precomputed increment matrix.
     """
@@ -136,8 +142,6 @@ class QuadraticHamiltonian:
     hessian: np.ndarray
     slope: np.ndarray
     offset: float = 0.0
-    closed_form: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False)
 
     def __post_init__(self):
         hessian = np.array(self.hessian, dtype=float)
@@ -152,17 +156,23 @@ class QuadraticHamiltonian:
                 and math.isfinite(offset)):
             raise ValueError("quadratic hamiltonian must have finite "
                              "coefficients")
+        # the energy sees only the symmetric part, the flow the whole matrix
+        if not np.array_equal(hessian, hessian.T):
+            raise ValueError("quadratic hamiltonian needs a symmetric hessian")
         hessian.flags.writeable = slope.flags.writeable = False
         object.__setattr__(self, "hessian", hessian)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "offset", offset)
 
     def __call__(self, z) -> np.ndarray:
-        if self.closed_form is not None:
-            return self.closed_form(z)
         z = np.asarray(z, dtype=float)
         return (self.offset + z @ self.slope
                 + 0.5 * np.einsum("...i,ij,...j->...", z, self.hessian, z))
+
+    def gradient(self, z) -> np.ndarray:
+        # vecmat takes one row at a time, where z @ hessian would hand a
+        # stack to a matrix product with its own rounding
+        return np.vecmat(np.asarray(z, dtype=float), self.hessian) + self.slope
 
 
 @dataclass(frozen=True)
@@ -584,9 +594,8 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
         # a state that overflows is found by the check after the loop
         with np.errstate(over="ignore", invalid="ignore"):
             _increment_steps(increment, states)
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():
-            n = int(finite.argmin()) - 1
+        if not np.isfinite(states).all():  # per row only on failure
+            n = int(np.isfinite(states).all(axis=1).argmin()) - 1
             raise FlowSingularityError(
                 f"step {n}: non-finite state {coords[n + 1]}", step=n,
                 partial=trajectory(n + 1))
@@ -636,73 +645,57 @@ def _finite_diagnostics(traj: Trajectory) -> Trajectory:
 
 
 def kinetic_hamiltonian(model: ModelId, params: ModelParams = DEFAULT_PARAMS):
-    """(H, grad H) for H = |p|^2 / (2 m) on the model's chart.
+    """(H, H.gradient) for H = |p|^2 / (2 m) on the model's chart.
 
-    H is a QuadraticHamiltonian and maps coordinates (..., d) to (...).  On
-    the double chart this is the magnetic example: p circles at frequency
-    omega with period 2 pi / omega.
+    H is a QuadraticHamiltonian whose hessian is 1 / m on the momentum
+    slots.  On the double chart this is the magnetic example: p circles at
+    frequency omega with period 2 pi / omega.
     """
     names = oc.CHART_COORDS[model]
-    idx = [i for i, name in enumerate(names) if name in ("p", "p1", "p2")]
-    # the momentum coordinates are adjacent in every chart
-    mom = slice(idx[0], idx[-1] + 1)
-    m = params.m
-    # grad H = z / mass: m on the momentum slots, inf (giving zeros) elsewhere
-    mass = np.full(len(names), np.inf)
-    mass[mom] = m
-
-    def ham(z: np.ndarray) -> np.ndarray:
-        return (z[..., mom] ** 2).sum(axis=-1) / (2.0 * m)
-
-    def grad(z: np.ndarray) -> np.ndarray:
-        return z / mass
-    return QuadraticHamiltonian(np.diag(1.0 / mass), np.zeros(len(names)),
-                                closed_form=ham), grad
+    inv_mass = [1.0 / params.m if name in ("p", "p1", "p2") else 0.0
+                for name in names]
+    ham = QuadraticHamiltonian(np.diag(inv_mass), np.zeros(len(names)))
+    return ham, ham.gradient
 
 
 def energy_hamiltonian(model: ModelId, point: OrbitPoint,
                        params: ModelParams = DEFAULT_PARAMS):
-    """(H, grad H) for the energy coordinate E pulled back to the chart.
+    """(H, H.gradient) for the energy coordinate E pulled back to the chart.
 
-    H maps coordinates (..., d) to (...); it is a QuadraticHamiltonian on
-    every chart but the noncentral one, where it is a NoncentralEnergy.
-    Generates exactly the group time flow, restricted to the chart, so it
-    reproduces dl/dt = h omega (central2), dp/dt = f (noncentral) and
-    dp/dt = -k q (double).
+    H is a QuadraticHamiltonian on every chart but the noncentral one:
+    the constant E on central1, -h omega alpha on central2 and
+    U + k |q|^2 / 2 on double.  On the noncentral chart it is a
+    NoncentralEnergy.  Generates exactly the group time flow, restricted
+    to the chart, so it reproduces dl/dt = h omega (central2), dp/dt = f
+    (noncentral) and dp/dt = -k q (double).
     """
     names = oc.CASIMIR_NAMES.get(model)
     if names is None:
         raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
     lab = dict(zip(names, point.labels.tolist()))
-    r2 = params.r**2
     if model is ModelId.CENTRAL1:
-        E = lab["E"]
-
-        def ham(z):
-            return np.full(np.shape(z)[:-1], E)
-
-        def grad(z):
-            return np.zeros(2)
-        quadratic = np.zeros((2, 2)), np.zeros(2), E
+        ham = QuadraticHamiltonian(np.zeros((2, 2)), np.zeros(2), lab["E"])
     elif model is ModelId.CENTRAL2:
-        hw = lab["h"] * params.omega
-
-        def ham(z):
-            return -hw * z[..., 3]
-
-        def grad(z):
-            return np.array([0.0, 0.0, 0.0, -hw])
-        quadratic = np.zeros((4, 4)), [0.0, 0.0, 0.0, -hw], 0.0
+        ham = QuadraticHamiltonian(np.zeros((4, 4)),
+                                   [0.0, 0.0, 0.0, -lab["h"] * params.omega])
     elif model is ModelId.NONCENTRAL:
-        energy = NoncentralEnergy(lab["f"], lab["h"] / r2, lab["U"])
-        return energy, energy.gradient
+        ham = NoncentralEnergy(lab["f"], lab["h"] / params.r**2, lab["U"])
     else:  # double; the lookup above rejected the models without a chart
-        k, U = lab["k"], lab["U"]
+        k = lab["k"]
+        ham = QuadraticHamiltonian(np.diag([0.0, 0.0, k, k]), np.zeros(4),
+                                   lab["U"])
+    return ham, ham.gradient
 
-        def ham(z):
-            return U + 0.5 * k * (z[..., 2] ** 2 + z[..., 3] ** 2)
 
-        def grad(z):
-            return np.array([0.0, 0.0, k * z[2], k * z[3]])
-        quadratic = np.diag([0.0, 0.0, k, k]), np.zeros(4), U
-    return QuadraticHamiltonian(*quadratic, closed_form=ham), grad
+def canonical_hamiltonian(params: ModelParams = DEFAULT_PARAMS):
+    """(H, H.gradient) for the canonical energy on the noncentral chart.
+
+    H = j omega + p**2 / (2 m) + m omega**2 q**2 / 2, the energy coordinate
+    of orbit_chart.canonicalize_noncentral: a QuadraticHamiltonian with
+    hessian diag(0, 0, 1 / m, m omega**2) and slope (omega, 0, 0, 0).  Its
+    flow moves only phi_f, at the rate omega.
+    """
+    m, w = params.m, params.omega
+    ham = QuadraticHamiltonian(np.diag([0.0, 0.0, 1.0 / m, m * w**2]),
+                               [w, 0.0, 0.0, 0.0])
+    return ham, ham.gradient

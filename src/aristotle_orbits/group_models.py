@@ -198,9 +198,14 @@ def _slots(*arrays: np.ndarray) -> list[np.ndarray]:
     return [_slot_first(a) for a in np.broadcast_arrays(*arrays)]
 
 
-def _rotate(theta, v) -> np.ndarray:
-    """R(theta) v, counterclockwise, for 2-vectors v with components first."""
-    c, s = np.cos(theta), np.sin(theta)
+def _rotate(c, s, v) -> np.ndarray:
+    """R(theta) v for c = cos(theta), s = sin(theta), counterclockwise.
+
+    v is a stack of 2-vectors with components first.  The group laws
+    evaluate cos and sin once per call and pass (c, -s) for R(-theta):
+    numpy's cos is even and its sin odd, bit for bit, so that equals the
+    rotation by -theta.
+    """
     return np.array((c * v[0] - s * v[1], s * v[0] + c * v[1]))
 
 
@@ -222,7 +227,12 @@ def cocycle(g, g2, params: ModelParams = DEFAULT_PARAMS):
     satisfies c(g, g') + c(g g', g'') = c(g', g'') + c(g, g' g'').
     """
     a, b = _slots(np.asarray(g, dtype=float), np.asarray(g2, dtype=float))
-    return cross2(_rotate(-a[0], a[1:3]), b[1:3]) / (2.0 * params.r**2)
+    return _cocycle(np.cos(a[0]), np.sin(a[0]), a[1:3], b[1:3], params)
+
+
+def _cocycle(c, s, x, x2, params: ModelParams) -> np.ndarray:
+    """cocycle from cos and sin of the first element's theta."""
+    return cross2(_rotate(c, -s, x), x2) / (2.0 * params.r**2)
 
 
 def multiply(model: ModelId, g, g2,
@@ -237,11 +247,12 @@ def multiply(model: ModelId, g, g2,
     out = g + g2
     o = _slot_first(out)
     theta, x, t = a[0], a[1:3], a[3]
-    Rx2 = _rotate(theta, b[1:3])
+    c, s = np.cos(theta), np.sin(theta)
+    Rx2 = _rotate(c, s, b[1:3])
     o[1:3] = Rx2 + x
     if model is ModelId.BASE:
         return out
-    coc = cocycle(g, g2, params)
+    coc = _cocycle(c, s, x, b[1:3], params)
     if model is ModelId.CENTRAL1:
         o[4] += coc
         return out
@@ -251,7 +262,7 @@ def multiply(model: ModelId, g, g2,
         o[5] += coc - params.omega * t * b[4]
         return out
     eta, t2 = a[4:6], b[3]
-    Reta2 = _rotate(theta, b[4:6])
+    Reta2 = _rotate(c, s, b[4:6])
     o[6] += coc
     if model is ModelId.NONCENTRAL:
         o[4:6] = Reta2 - Rx2 * t + eta
@@ -271,13 +282,14 @@ def inverse(model: ModelId, g,
     out = -g
     a, o = _slot_first(g), _slot_first(out)
     theta, x, t = a[0], a[1:3], a[3]
-    o[1:3] = -_rotate(-theta, x)
+    c, s = np.cos(theta), -np.sin(theta)  # R(-theta)
+    o[1:3] = -_rotate(c, s, x)
     if model is ModelId.CENTRAL2:
         o[5] -= params.omega * t * a[4]
     elif model is ModelId.NONCENTRAL:
-        o[4:6] = -_rotate(-theta, a[4:6] + x * t)
+        o[4:6] = -_rotate(c, s, a[4:6] + x * t)
     elif model is ModelId.DOUBLE:
-        o[4:6] = -_rotate(-theta, a[4:6] - x * t)
+        o[4:6] = -_rotate(c, s, a[4:6] - x * t)
     return out
 
 
@@ -298,11 +310,12 @@ def adjoint(model: ModelId, g, dx,
     theta, x, t = a[0], a[1:3], a[3]
     r2 = params.r**2
     dth, dtr, dt = d[0], d[1:3], d[3]
-    Rdtr = _rotate(theta, dtr)
+    c, s = np.cos(theta), np.sin(theta)
+    Rdtr = _rotate(c, s, dtr)
     o[1:3] = Rdtr + eps_vec(x) * dth
     if model is ModelId.BASE:
         return out
-    coc_term = (cross2(_rotate(-theta, x), dtr) / r2
+    coc_term = (cross2(_rotate(c, -s, x), dtr) / r2
                 - _dot(x, x) / (2 * r2) * dth)
     if model is ModelId.CENTRAL1:
         o[4] += coc_term
@@ -312,7 +325,7 @@ def adjoint(model: ModelId, g, dx,
                  + params.omega * a[4] * dt)
         return out
     eta = a[4:6]
-    Rdeta = _rotate(theta, d[4:6])
+    Rdeta = _rotate(c, s, d[4:6])
     o[6] += coc_term
     if model is ModelId.NONCENTRAL:
         o[4:6] = Rdeta - t * Rdtr + eps_vec(eta) * dth + x * dt
@@ -339,7 +352,8 @@ def coadjoint(model: ModelId, g, xi,
     theta, x, t = a[0], a[1:3], a[3]
     r2 = params.r**2
     j, E = v[0], v[3]
-    Rp = _rotate(theta, v[1:3])
+    c, s = np.cos(theta), np.sin(theta)
+    Rp = _rotate(c, s, v[1:3])
     if model is ModelId.BASE:
         o[0] = j + cross2(x, Rp)
         o[1:3] = Rp
@@ -358,7 +372,7 @@ def coadjoint(model: ModelId, g, xi,
         o[4] = l + h * params.omega * t
         return out
     h = v[6]
-    Rf = _rotate(theta, v[4:6])
+    Rf = _rotate(c, s, v[4:6])
     eta = a[4:6]
     if model is ModelId.NONCENTRAL:
         o[0] = (j + cross2(x, Rp) + cross2(eta + x * t, Rf)
@@ -393,9 +407,12 @@ def sample_element(model: ModelId, rng: np.random.Generator,
     """
     bound = np.ones(dim(model))
     bound[0] = np.pi
+    shape = (dim(model),)
     if size is not None:
-        size = (*np.atleast_1d(size), dim(model))
-    return rng.uniform(-bound, bound, size)
+        shape = (*np.atleast_1d(size), dim(model))
+    # the bits and generator state of rng.uniform(-bound, bound, size), at
+    # less overhead per call
+    return -bound + (2.0 * bound) * rng.random(shape)
 
 
 def sample_dual(model: ModelId, rng: np.random.Generator,

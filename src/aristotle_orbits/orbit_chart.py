@@ -198,23 +198,32 @@ def chart_from_dual(model: ModelId, xi,
                     params: ModelParams = DEFAULT_PARAMS) -> OrbitPoint:
     """Chart points of the dual points xi (..., n), labelled by casimirs.
 
-    Raises ChartDegeneracyError if any slot of xi is not finite.
+    Raises ChartDegeneracyError if any slot of xi is not finite, and
+    SingularityError where a finite xi has chart coordinates or Casimirs
+    beyond the float range (a momentum divided by a tiny m omega, say).
     """
     xi = _trailing(model, xi)
     if not np.isfinite(xi).all():
         raise ChartDegeneracyError(f"{model.value}: dual point must be finite")
-    labels = casimirs(model, xi, params)
-    v = _slot_first(xi)
-    q = -v[2] / params.m_omega
-    if model is ModelId.CENTRAL1:
-        coords = (v[1], q)
-    elif model is ModelId.CENTRAL2:
-        coords = (v[1], q, v[4], -v[3] / (v[5] * params.omega))
-    elif model is ModelId.NONCENTRAL:
-        coords = (v[0], np.arctan2(v[5], v[4]), v[1], q)
-    else:  # double; casimirs rejected the models without a chart
-        coords = (v[1], v[2], -v[4] / v[7], -v[5] / v[7])
-    return OrbitPoint(model, _stack(coords), labels)
+    # an overflow is found by the check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        labels = casimirs(model, xi, params)
+        v = _slot_first(xi)
+        q = -v[2] / params.m_omega
+        if model is ModelId.CENTRAL1:
+            coords = (v[1], q)
+        elif model is ModelId.CENTRAL2:
+            coords = (v[1], q, v[4], -v[3] / (v[5] * params.omega))
+        elif model is ModelId.NONCENTRAL:
+            coords = (v[0], np.arctan2(v[5], v[4]), v[1], q)
+        else:  # double; casimirs rejected the models without a chart
+            coords = (v[1], v[2], -v[4] / v[7], -v[5] / v[7])
+        coords = _stack(coords)
+    if not (np.isfinite(coords).all() and np.isfinite(labels).all()):
+        raise SingularityError(f"{model.value}: the chart coordinates or "
+                               f"Casimir labels of a finite dual point "
+                               f"overflow")
+    return OrbitPoint(model, coords, labels)
 
 
 def _dual_point(model: ModelId, coords, lab: dict,
@@ -586,7 +595,9 @@ def canonicalize_noncentral(point: OrbitPoint,
 
     energy = j omega + p**2 / (2 m) + m omega**2 q**2 / 2 and
     time = phi_f / omega; in this chart {energy, time} = {p, q} = 1 and
-    every other coordinate bracket vanishes.
+    every other coordinate bracket vanishes.  The energy as a Hamiltonian
+    on the noncentral chart, with its gradient, is
+    dynamics.canonical_hamiltonian.
     """
     if point.model is not ModelId.NONCENTRAL:
         raise gm.ModelMismatchError("canonical chart applies to the "
@@ -595,20 +606,3 @@ def canonicalize_noncentral(point: OrbitPoint,
     w = params.omega
     energy = j * w + p**2 / (2.0 * params.m) + 0.5 * params.m * w**2 * q**2
     return _stack((energy, phi_f / w, p, q))
-
-
-def canonical_energy_gradient(params: ModelParams = DEFAULT_PARAMS):
-    """Gradient (in the noncentral chart) of the canonical energy function.
-
-    The gradient (omega, 0, p / m, m omega**2 q) maps chart points (..., 4)
-    to gradients (..., 4).
-    """
-    w, m = params.omega, params.m
-    # z / scale * factor + offset: inf zeroes the j and phi_f slots
-    scale = np.array([np.inf, np.inf, m, 1.0])
-    factor = np.array([1.0, 1.0, 1.0, m * w**2])
-    offset = np.array([w, 0.0, 0.0, 0.0])
-
-    def grad(z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float) / scale * factor + offset
-    return grad

@@ -376,7 +376,7 @@ def check_canonical_chart(report: Report, params: ModelParams, models,
                           rng: np.random.Generator, n: int = 100) -> None:
     if ModelId.NONCENTRAL not in models:
         return
-    grad_h = oc.canonical_energy_gradient(params)
+    _, grad_h = dyn.canonical_hamiltonian(params)
     grad_tau = oc.gradient_fd(lambda z: z[..., 1] / params.omega)
     points = _sample_point(ModelId.NONCENTRAL, rng, params, size=n)
     vals = oc.poisson_bracket(ModelId.NONCENTRAL, grad_h, grad_tau, points,

@@ -150,6 +150,37 @@ def test_quadratic_hamiltonian_evaluates_its_coefficients():
         QuadraticHamiltonian(np.eye(2), [np.nan, 0.0])
 
 
+def test_quadratic_gradient_of_a_stack_is_its_rows():
+    # a full 4 x 4 hessian, where a matrix product over the whole stack
+    # rounds differently from the one-row products
+    rng = np.random.default_rng(7)
+    s = rng.uniform(-1, 1, (4, 4))
+    ham = QuadraticHamiltonian(s + s.T, rng.uniform(-1, 1, 4))
+    zs = rng.uniform(-1, 1, (200, 4))
+    for v, g in zip(zs, ham.gradient(zs)):
+        assert np.array_equal(g, ham.gradient(v))
+        assert np.allclose(g, ham.hessian @ v + ham.slope, rtol=0,
+                           atol=1e-14)
+
+
+def test_a_hessian_that_is_not_symmetric_is_rejected():
+    # its energy sees only the symmetric part, but its field Pi^T hessian z
+    # would use the whole matrix; every named Hamiltonian is symmetric
+    # (tests/test_hamiltonians.py)
+    with pytest.raises(ValueError, match="symmetric") as info:
+        QuadraticHamiltonian([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0])
+    assert "\n" not in str(info.value)
+    ham = QuadraticHamiltonian([[0.0, 0.5], [0.5, 0.0]], [0.0, 0.0])
+    point = ao.orbit_point(ModelId.CENTRAL1, [0.3, 0.7], PARAMS)
+    for integrator in ("rk4", "implicit-midpoint"):
+        fast = _flow(ModelId.CENTRAL1, point, PARAMS, ham, ham.gradient,
+                     integrator, 1e-3, 2000)
+        stepped = _flow(ModelId.CENTRAL1, point, PARAMS, lambda z: ham(z),
+                        ham.gradient, integrator, 1e-3, 2000)
+        assert np.abs(fast.coords - stepped.coords).max() < 1e-9
+        assert ao.invariant_drift(fast)["H"] < 1e-14
+
+
 def test_quadratic_hamiltonian_without_a_gradient_takes_the_matrix_path():
     kin, grad = ao.kinetic_hamiltonian(ModelId.DOUBLE, PARAMS)
     plain = QuadraticHamiltonian(kin.hessian, kin.slope)

@@ -51,3 +51,25 @@ def test_one_checked_op(bench, tmp_path, workload):
     ok, items, ref_err, message = wl.check(inp, wl.run(inp))
     assert ok, message
     assert items > 0
+
+
+def test_a_traced_hamiltonian_op_counts_its_steps_and_gradients(bench,
+                                                                tmp_path):
+    # the tracer unpacks the (H, gradient) pair of the named factories and
+    # counts gradient calls: one check at z0 per flow on the matrix path
+    _, tracer_mod, workloads = bench
+    wl = workloads.Hamiltonian(1, str(tmp_path))
+    inp = wl.inputs(1)
+    tracer = tracer_mod.Tracer(aristotle_orbits)
+    tracer.begin_op(1)
+    tracer.install()
+    try:
+        codes = wl.run(inp)
+    finally:
+        tracer.uninstall()
+        tracer.end_op()
+    ok, _, _, message = wl.check(inp, codes)
+    assert ok, message
+    assert tracer.counters["rhs_evals"] == 3
+    assert tracer.counters["steps"] == 14566  # 2 * 6283 + 2000
+    assert tracer.counters["solver_failures"] == 0

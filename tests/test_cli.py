@@ -16,6 +16,19 @@ def run(argv):
     return cli.main(argv)
 
 
+def fresh_cli(*argv):
+    """The command line in a fresh interpreter.
+
+    Its stderr is what a user sees, numpy warnings included.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "aristotle_orbits.cli",
+                           *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_single_model_passes(tmp_path, capsys):
@@ -484,15 +497,8 @@ def test_simulate_divergent_solver_is_numeric_failure(tmp_path, capsys):
         "central2-group-action-overflow"])
 def test_overflowing_flow_fails_without_numpy_warnings(tmp_path, flags, lines,
                                                         partial):
-    # a fresh interpreter shows stderr as a user sees it, warnings included
     out = tmp_path / "traj.csv"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep
-               + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "aristotle_orbits.cli", "simulate", *flags,
-         "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_cli("simulate", *flags, "--out", str(out))
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == lines, proc.stderr
     assert out.exists() == partial
@@ -501,17 +507,34 @@ def test_overflowing_flow_fails_without_numpy_warnings(tmp_path, flags, lines,
 @pytest.mark.parametrize("mass,code", [("1e300", 3), ("1e-300", 2)])
 def test_verify_at_extreme_mass_fails_without_numpy_warnings(tmp_path, mass,
                                                             code):
-    # a fresh interpreter shows stderr as a user sees it, warnings included
     out = tmp_path / "report.json"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep
-               + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "aristotle_orbits.cli", "verify", "--m", mass,
-         "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_cli("verify", "--m", mass, "--out", str(out))
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # q = -p2 / (m omega) overflows
+    ["orbit", "--model", "central1", "--m", "1e-300", "--omega", "1e-10",
+     "--xi", "0.3,0.5,-0.2,0.1,0.6"],
+    # s = j + |p|^2 r^2 / (2 l) overflows
+    ["orbit", "--model", "central1", "--xi", "0,1e200,0,0,1"],
+    ["simulate", "--model", "central1", "--flow", "group", "--m", "1e-300",
+     "--omega", "1e-10", "--xi", "0.3,0.5,-0.2,0.1,0.6", "--dt", "0.1",
+     "--steps", "3"],
+], ids=["orbit-chart-overflow", "orbit-casimir-overflow",
+        "simulate-chart-overflow"])
+def test_finite_dual_point_off_the_chart_is_a_numeric_failure(tmp_path,
+                                                               argv):
+    out = tmp_path / "traj.csv"
+    extra = ["--out", str(out)] if argv[0] == "simulate" else []
+    proc = fresh_cli(*argv, *extra)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "numeric failure" in proc.stderr
+    assert proc.stdout == ""
     assert not out.exists()
 
 

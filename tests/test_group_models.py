@@ -269,3 +269,24 @@ def test_stacked_dual_vector_broadcasts_its_components():
     for i in range(3):
         assert np.array_equal(xi[i], ao.dual_vector(ModelId.DOUBLE,
                                                     p1=float(i), k=2.0))
+
+
+@pytest.mark.parametrize("size", [None, 3, (3, 1000), (2, 5)])
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_sample_element_keeps_the_uniform_draws(model, size):
+    # the same bits, and the same generator state after, as Generator.uniform
+    bound = np.ones(ao.group_models.dim(model))
+    bound[0] = np.pi
+    shape = None if size is None else (*np.atleast_1d(size), bound.size)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    assert np.array_equal(ao.sample_element(model, rng, size),
+                          ref.uniform(-bound, bound, shape))
+    assert rng.random() == ref.random()
+
+
+def test_rotation_by_minus_theta_shares_the_trig_of_theta():
+    # the group laws build R(-theta) from cos(theta) and -sin(theta)
+    theta = np.random.default_rng(13).uniform(-50.0, 50.0, 200_000)
+    theta = np.concatenate((theta, [0.0, np.pi, -np.pi, 1e-300, 1e10]))
+    assert np.array_equal(np.cos(-theta), np.cos(theta))
+    assert np.array_equal(np.sin(-theta), -np.sin(theta))
