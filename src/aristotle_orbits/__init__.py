@@ -34,6 +34,7 @@ from .lie_core import (
     cross2,
     eps_vec,
     exp_coadjoint,
+    expm,
     jacobi_defect,
     kirillov_matrix,
     rotation,

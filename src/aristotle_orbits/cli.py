@@ -187,8 +187,14 @@ def cmd_verify(args) -> int:
                                    corruption=corruption)
     print(report.table())
     print()
-    print(f"convention notes: {len(report.convention_notes)} "
-          f"(see JSON report for the measured differences)")
+    notes = report.convention_notes
+    missed = [f"{n['model']}: {n['term']}" for n in notes
+              if not (n["oracle_agrees_with_implementation"]
+                      and n["oracle_rejects_alternate"])]
+    print(f"convention notes: {len(notes)}, {len(notes) - len(missed)} "
+          f"confirmed by the exponential oracle"
+          + "".join(f"; not confirmed: {m}" for m in missed)
+          + " (see JSON report for the measured differences)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.as_dict(), fh, indent=2)

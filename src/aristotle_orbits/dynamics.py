@@ -358,18 +358,18 @@ _CONSTANT_PI = (ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.DOUBLE)
 def _rhs_factory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
                  params: ModelParams):
     grad = spec.gradient or oc.gradient_fd(spec.hamiltonian)
-    labels = z0.labels.tolist()  # Python floats for the per-step arithmetic
+    pi = oc.chart_poisson(model, z0.coords, z0.labels, params)
     if model in _CONSTANT_PI:
         # chart-constant Poisson tensor; only the noncentral chart carries
         # state-dependent entries
-        pi_t = oc.chart_poisson(model, z0.coords, labels, params).T
+        pi_t = pi.T
 
         def rhs(z: np.ndarray) -> np.ndarray:
             return pi_t.dot(grad(z))
         return rhs
 
     mw = params.m_omega
-    kappa = labels[0] / (mw * params.r**2)  # as in chart_poisson
+    kappa = float(pi[2, 3])  # {p, q}
 
     def rhs(z: np.ndarray) -> np.ndarray:
         return oc._noncentral_poisson(z, kappa, mw).T.dot(grad(z))
@@ -439,8 +439,8 @@ def _affine_field(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
         a, b = pi_t @ ham.hessian, pi_t @ ham.slope
     elif isinstance(ham, NoncentralEnergy) and model is ModelId.NONCENTRAL:
         mw = params.m_omega
-        kappa = float(z0.labels[0]) / (mw * params.r**2)  # as chart_poisson
-        pi_t = oc._noncentral_poisson(z, kappa, mw).T
+        pi_t = oc.chart_poisson(model, z, z0.labels, params).T
+        kappa = pi_t[3, 2]  # {p, q}
         # Pi^T grad H with phi_f' = dH/dj = 0.  On the slice,
         # j' = f (1 / mw_eff - 1 / mw) (p cos phi_f + mw q sin phi_f),
         # p' = kappa f cos phi_f and q' = -kappa (f / mw_eff) sin phi_f

@@ -17,9 +17,11 @@ These four statements are one consistent package: changing any of them in
 isolation breaks the cross checks between the group laws, the adjoint and
 coadjoint actions, and the Kirillov matrices that the test suite enforces.
 The group laws and chart maps call cross2 and eps_vec directly; both read
-2-vectors components first, so stacks (2, ...) broadcast.  exp_coadjoint
-has one algorithm at every argument size, scaling and squaring (Moler &
-Van Loan, SIAM Review 45(1), 2003).
+2-vectors components first, so stacks (2, ...) broadcast.  expm is the
+one matrix exponential, over stacks (..., n, n), with one algorithm at
+every argument size: scaling and squaring (Moler & Van Loan, SIAM Review
+45(1), 2003).  exp_coadjoint applies it to coadjoint matrices, and the
+verify command uses both as the oracle of the closed-form actions.
 
 All values are double precision.  Types are immutable after construction
 and all operations are pure functions, so everything here is safe to share
@@ -42,7 +44,7 @@ class SeriesConvergenceError(ArithmeticError):
     """A truncated power series failed to converge within its term cap."""
 
 
-#: Term cap of the exp_coadjoint series.
+#: Term cap of the expm series.
 MAX_TERMS = 200
 
 #: Counterclockwise rotation generator, d/dtheta R(theta) at theta = 0.
@@ -200,37 +202,30 @@ def kirillov_matrix(t: StructureTensor, xi) -> np.ndarray:
     return np.einsum("abc,...c->...ab", t.c, xi)
 
 
-def exp_coadjoint(t: StructureTensor, x, xi,
-                  tol: float = 1e-12) -> np.ndarray:
-    """exp(coad_matrix(t, x)) @ xi by scaling and squaring.
+def expm(m, tol: float = 1e-12) -> np.ndarray:
+    """Matrix exponentials exp(m) of square matrices (..., n, n).
 
-    Reference oracle for the closed-form group coadjoint actions.  x and xi
-    are (..., n) with batch axes that broadcast together.  Each sample's
-    coadjoint matrix M is scaled by the smallest 2^k that brings its max
-    row sum nu = |M / 2^k| to at most 1 (k = 0 where |M| <= 1 already),
-    the series of exp(M / 2^k) is summed up to the first term n whose
-    bound nu^n / n! on its max-norm is at most tol / 2^k, and the sum is
-    squared k times and applied to xi.  The scaling keeps the terms at
-    most 1: summing the series of a large M directly would cancel
-    catastrophically (terms of size e^|M| summing to |xi|).  Each sample's
-    arithmetic is its own, so a stacked call equals the single calls.
-    A non-finite x or xi raises ValueError before any term is summed.
+    Scaling and squaring: each matrix M is scaled by the smallest 2^k that
+    brings its max row sum nu = |M / 2^k| to at most 1 (k = 0 where
+    |M| <= 1 already), the series of exp(M / 2^k) is summed up to the
+    first term n whose bound nu^n / n! on its max-norm is at most
+    tol / 2^k, and the sum is squared k times.  The scaling keeps the
+    terms at most 1: summing the series of a large M directly would cancel
+    catastrophically (terms of size e^|M|).  Each matrix's arithmetic is
+    its own, so a stacked call equals the single calls.  A non-finite m
+    raises ValueError before any term is summed.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    x = _check_trailing(t, x, "x")
-    xi = _check_trailing(t, xi, "xi")
-    for name, v in (("x", x), ("xi", xi)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"exp_coadjoint: {name} must be finite")
-    shape = np.broadcast_shapes(x.shape, xi.shape)
-    m = np.broadcast_to(coad_matrix(t, x), shape + shape[-1:])
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("expm: m must be finite")
     # norm = mant 2^e with mant in [0.5, 1): the k with norm / 2^k <= 1
     norm = np.abs(m).sum(axis=-1).max(axis=-1)
     mant, e = np.frexp(norm)
     squarings = np.maximum(e - (mant == 0.5), 0)
     scaled = term = np.ldexp(m, -squarings[..., None, None])
-    acc = np.eye(shape[-1]) + scaled
+    acc = np.eye(m.shape[-1]) + scaled
     # term n of the scaled series has max-norm at most nu^n / n!
     nu = np.ldexp(norm, -squarings)
     bound, scale = nu.copy(), np.ldexp(tol, -squarings)
@@ -240,7 +235,7 @@ def exp_coadjoint(t: StructureTensor, x, xi,
         n += 1
         if n > MAX_TERMS:
             raise SeriesConvergenceError(
-                f"coadjoint exponential series did not converge within "
+                f"matrix exponential series did not converge within "
                 f"{MAX_TERMS} terms (last term norm {np.abs(term).max():.3e})")
         term = term @ scaled
         term /= n
@@ -253,5 +248,22 @@ def exp_coadjoint(t: StructureTensor, x, xi,
             acc = np.where((squarings > s)[..., None, None], acc @ acc, acc)
     if not np.isfinite(acc).all():
         raise SeriesConvergenceError(
-            f"coadjoint exponential overflowed in {rounds} squarings")
-    return (acc @ xi[..., None])[..., 0]
+            f"matrix exponential overflowed in {rounds} squarings")
+    return acc
+
+
+def exp_coadjoint(t: StructureTensor, x, xi,
+                  tol: float = 1e-12) -> np.ndarray:
+    """exp(coad_matrix(t, x)) @ xi, with the exponential from expm.
+
+    Reference oracle for the closed-form group coadjoint actions.  x and xi
+    are (..., n) with batch axes that broadcast together; each sample's
+    arithmetic is its own, so a stacked call equals the single calls.  A
+    non-finite x or xi raises ValueError before any term is summed.
+    """
+    x = _check_trailing(t, x, "x")
+    xi = _check_trailing(t, xi, "xi")
+    for name, v in (("x", x), ("xi", xi)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"exp_coadjoint: {name} must be finite")
+    return (expm(coad_matrix(t, x), tol) @ xi[..., None])[..., 0]

@@ -460,6 +460,8 @@ def chart_poisson(model: ModelId, z, labels,
 
     The Hooke constant k cancels from the double chart: q = -f / k meets
     [P_i, F_j] = K delta_ij.  Only the noncentral matrix depends on z.
+    An entry beyond the float range (kappa at a tiny m omega, say) raises
+    SingularityError.
     """
     if model not in CHART_COORDS:
         raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
@@ -469,22 +471,26 @@ def chart_poisson(model: ModelId, z, labels,
     mw = params.m_omega
     r2 = params.r**2
     charge = labels[..., 0]
-    kappa = charge / (mw * r2)
-    # entries above the diagonal {(a, b): {z_a, z_b}}
-    if model is ModelId.CENTRAL1:
-        upper = {(0, 1): kappa}
-    elif model is ModelId.CENTRAL2:
-        upper = {(0, 1): kappa, (2, 3): 1.0}
-    elif model is ModelId.NONCENTRAL:
-        upper = {(0, 1): 1.0, (0, 2): mw * z[..., 3], (0, 3): -z[..., 2] / mw,
-                 (2, 3): kappa}
-    else:
-        upper = {(0, 1): -(charge / r2), (0, 2): 1.0, (1, 3): 1.0}
+    # entries above the diagonal {(a, b): {z_a, z_b}}, with kappa formed
+    # only by the charts that have it; an overflow is found below
+    with np.errstate(over="ignore", divide="ignore"):
+        if model is ModelId.CENTRAL1:
+            upper = {(0, 1): charge / (mw * r2)}
+        elif model is ModelId.CENTRAL2:
+            upper = {(0, 1): charge / (mw * r2), (2, 3): 1.0}
+        elif model is ModelId.NONCENTRAL:
+            upper = {(0, 1): 1.0, (0, 2): mw * z[..., 3],
+                     (0, 3): -z[..., 2] / mw, (2, 3): charge / (mw * r2)}
+        else:
+            upper = {(0, 1): -(charge / r2), (0, 2): 1.0, (1, 3): 1.0}
     d = z.shape[-1]
     pi = np.zeros(batch + (d, d))
     for (a, b), value in upper.items():
         pi[..., a, b] = value
         pi[..., b, a] = -value
+    if not np.isfinite(pi).all():
+        raise SingularityError(f"{model.value}: a chart Poisson bracket "
+                               f"overflows")
     return pi
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import aristotle_orbits as ao
-from aristotle_orbits import ModelId, ModelParams, Trajectory, cli
+from aristotle_orbits import ModelId, ModelParams, Trajectory, cli, verify
 from helpers import cyclotron_exact
 
 
@@ -46,7 +46,7 @@ def test_verify_single_model_passes(tmp_path, capsys):
     assert "central1: casimir invariance" in names
 
 
-def test_verify_all_models_report_has_convention_notes(tmp_path):
+def test_verify_all_models_report_has_convention_notes(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["verify", "--seed", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -54,8 +54,23 @@ def test_verify_all_models_report_has_convention_notes(tmp_path):
     assert len(notes) >= 8
     models_noted = {n["model"] for n in notes}
     assert {"central1", "central2", "noncentral", "double"} <= models_noted
-    assert all(n["oracle_agrees_with_implementation"] for n in notes)
-    assert all(np.isfinite(n["difference_at_probe"]) for n in notes)
+    for n in notes:
+        assert n["oracle_agrees_with_implementation"] is True, n
+        assert n["oracle_rejects_alternate"] is True, n
+        assert np.isfinite(n["difference_at_probe"])
+    assert (f"convention notes: {len(notes)}, {len(notes)} confirmed by the "
+            f"exponential oracle (see JSON") in capsys.readouterr().out
+
+
+def test_verify_names_an_unconfirmed_note_and_still_passes(monkeypatch,
+                                                          capsys):
+    note = verify.Note(ModelId.CENTRAL1, "angular momentum", "ours", "ours",
+                       verify._coadjoint_term(0, lambda x, g, xi, p: 0.0))
+    monkeypatch.setattr(verify, "CONVENTION_NOTES", (note,))
+    assert run(["verify", "--model", "central1"]) == 0
+    assert ("convention notes: 1, 0 confirmed by the exponential oracle; "
+            "not confirmed: central1: angular momentum (see JSON"
+            ) in capsys.readouterr().out
 
 
 def test_verify_corrupted_structure_fails_with_exit_one(tmp_path, capsys):
@@ -523,8 +538,17 @@ def test_verify_at_extreme_mass_fails_without_numpy_warnings(tmp_path, mass,
     ["simulate", "--model", "central1", "--flow", "group", "--m", "1e-300",
      "--omega", "1e-10", "--xi", "0.3,0.5,-0.2,0.1,0.6", "--dt", "0.1",
      "--steps", "3"],
+    # kappa = l / (m omega r^2) of the chart Poisson tensor overflows
+    ["simulate", "--model", "central1", "--flow", "hamiltonian",
+     "--hamiltonian", "kinetic", "--m", "1e-300", "--omega", "1e-10",
+     "--point", "0.1,0.2", "--label", "l=1", "--steps", "3"],
+    ["simulate", "--model", "noncentral", "--flow", "hamiltonian",
+     "--hamiltonian", "energy", "--m", "1e-300", "--omega", "1e-10",
+     "--point", "0.1,0.2,0.3,0.4", "--label", "h=1", "--label", "f=1",
+     "--steps", "3"],
 ], ids=["orbit-chart-overflow", "orbit-casimir-overflow",
-        "simulate-chart-overflow"])
+        "simulate-chart-overflow", "simulate-kappa-overflow",
+        "simulate-noncentral-kappa-overflow"])
 def test_finite_dual_point_off_the_chart_is_a_numeric_failure(tmp_path,
                                                                argv):
     out = tmp_path / "traj.csv"
@@ -536,6 +560,16 @@ def test_finite_dual_point_off_the_chart_is_a_numeric_failure(tmp_path,
     assert "numeric failure" in proc.stderr
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def test_double_bracket_does_not_evaluate_the_unused_kappa():
+    # kappa = h / (m omega r^2) overflows, but the double chart has no kappa
+    proc = fresh_cli("bracket", "--model", "double", "--m", "1e-300",
+                     "--omega", "1e-10", "--at", "0.1,0.2,0.3,0.4", "--f",
+                     "p1", "--g", "p2", "--label", "h=1e300")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == "{p1, p2} = -1e+300\n"
 
 
 def test_bracket_unknown_coordinate_is_usage_error():

@@ -319,3 +319,39 @@ def test_stacked_exp_coadjoint_matches_single_series(model):
     # one dual point under a stack of algebra elements
     assert np.array_equal(ao.exp_coadjoint(t, x, xi[0], tol=1e-14)[3],
                           ao.exp_coadjoint(t, x[3], xi[0], tol=1e-14))
+
+
+def test_stacked_expm_equals_single_calls():
+    rng = np.random.default_rng(29)
+    # matrices of very different norm: different term counts and squarings
+    m = rng.uniform(-1, 1, (12, 6, 6)) * np.geomspace(1e-4, 60.0, 12)[:, None,
+                                                                      None]
+    out = ao.expm(m.reshape(3, 4, 6, 6), tol=1e-14).reshape(12, 6, 6)
+    for i in range(12):
+        assert np.array_equal(out[i], ao.expm(m[i], tol=1e-14))
+
+
+def test_expm_of_a_nilpotent_matrix_is_its_finite_series():
+    # dyadic entries and row sums below 1: no squaring, and every term of
+    # the series is exact, so the sum stops at I + N + N^2 / 2 + N^3 / 6
+    n = np.triu(np.array([[0.0, 0.5, 0.25, 0.125], [0.0, 0.0, 0.5, 0.25],
+                          [0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0]]))
+    n2 = n @ n
+    assert np.array_equal(ao.expm(n), np.eye(4) + n + n2 / 2 + n2 @ n / 6)
+    # ad*_H squares to zero: exp(t coad(H)) = I + t coad(H), also after
+    # scaling and squaring a large t
+    t = ao.structure_tensor(ModelId.DOUBLE, PARAMS)
+    coad_h = ao.coad_matrix(t, ao.algebra_vector(ModelId.DOUBLE, H=1.0))
+    assert np.array_equal(coad_h @ coad_h, np.zeros((8, 8)))
+    for s in (0.3, 50.0):
+        assert np.allclose(ao.expm(s * coad_h), np.eye(8) + s * coad_h,
+                           rtol=0, atol=1e-12 * s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_rejects_non_finite_input(bad):
+    m = np.zeros((3, 4, 4))
+    m[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="must be finite") as info:
+        ao.expm(m)
+    assert "\n" not in str(info.value)

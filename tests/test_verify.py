@@ -127,3 +127,88 @@ def test_corruption_flips_only_its_rows_and_leaves_the_cache_clean():
     after = verify.run_verify(models=[ModelId.DOUBLE], seed=2)
     assert [c.measured for c in after.checks] == [
         c.measured for c in clean.checks]
+
+
+def _flags(notes):
+    return [(n["oracle_agrees_with_implementation"],
+             n["oracle_rejects_alternate"]) for n in notes]
+
+
+@pytest.mark.parametrize("params", [PARAMS, ModelParams(m=1.7, omega=0.6,
+                                                        r=1.3)])
+def test_every_convention_note_is_confirmed_by_the_oracle(params):
+    notes = verify.collect_convention_notes(params)
+    assert len(notes) >= 8
+    assert {n["model"] for n in notes} == {m.value for m in CHART_MODELS}
+    assert _flags(notes) == [(True, True)] * len(notes)
+    assert all(type(flag) is bool for pair in _flags(notes) for flag in pair)
+    assert all(n["difference_at_probe"] > verify.NOTE_TOL for n in notes)
+
+
+def _slot_shifted(real, model, slot, shift=1e-6):
+    """real with shift added to one output slot, on one model only."""
+    def shifted(m, *args, **kwargs):
+        out = real(m, *args, **kwargs)
+        if m is model:
+            out = out.copy()
+            out[..., slot] += shift
+        return out
+    return shifted
+
+
+@pytest.mark.parametrize("model,slot,term", [
+    (ModelId.CENTRAL1, 0,
+     "coadjoint angular momentum, quadratic translation term"),
+    (ModelId.CENTRAL2, 2, "coadjoint momentum, translation charge"),
+    (ModelId.NONCENTRAL, 0,
+     "coadjoint angular momentum, factor and force coupling"),
+    (ModelId.DOUBLE, 0, "coadjoint angular momentum, mixed translation term"),
+])
+def test_a_shifted_coadjoint_slot_fails_only_its_note(monkeypatch, model,
+                                                      slot, term):
+    monkeypatch.setattr(group_models, "coadjoint", _slot_shifted(
+        group_models.coadjoint, model, slot))
+    notes = verify.collect_convention_notes(PARAMS)
+    assert [n["term"] for n in notes
+            if not n["oracle_agrees_with_implementation"]] == [term]
+    assert all(n["oracle_rejects_alternate"] for n in notes)
+
+
+def test_a_frozen_time_flow_fails_its_note(monkeypatch):
+    monkeypatch.setattr(dynamics, "time_flow_exact",
+                        lambda model, xi, t, params: np.array(xi))
+    notes = verify.collect_convention_notes(PARAMS)
+    assert [n["term"] for n in notes
+            if not n["oracle_agrees_with_implementation"]] == [
+        "time flow on the orbit chart"]
+
+
+def test_the_other_orientation_of_s_fails_its_note(monkeypatch):
+    real = orbit_chart.casimirs
+
+    def flipped(model, xi, params=PARAMS):
+        values = real(model, xi, params).copy()
+        if model is ModelId.DOUBLE:  # s -> 2 j - s
+            values[..., 2] = 2.0 * np.asarray(xi)[..., 0] - values[..., 2]
+        return values
+
+    monkeypatch.setattr(orbit_chart, "casimirs", flipped)
+    notes = verify.collect_convention_notes(PARAMS)
+    [s_note] = [n for n in notes if n["term"].startswith("invariant s")]
+    assert not s_note["oracle_agrees_with_implementation"]
+    # the alternate is now the conserved orientation
+    assert not s_note["oracle_rejects_alternate"]
+    assert all(n["oracle_agrees_with_implementation"] for n in notes
+               if n is not s_note)
+
+
+def test_a_note_whose_alternate_is_the_implementation_is_not_rejected(
+        monkeypatch):
+    note = verify.Note(ModelId.CENTRAL1, "angular momentum", "ours", "ours",
+                       verify._coadjoint_term(0, lambda x, g, xi, p: 0.0))
+    monkeypatch.setattr(verify, "CONVENTION_NOTES", (note,))
+    [entry] = verify.collect_convention_notes(PARAMS)
+    assert entry["difference_at_probe"] == 0.0
+    assert entry["oracle_agrees_with_implementation"] is True
+    assert entry["oracle_rejects_alternate"] is False
+    assert "remark" not in entry
