@@ -188,13 +188,12 @@ def cmd_verify(args) -> int:
     print(report.table())
     print()
     notes = report.convention_notes
-    missed = [f"{n['model']}: {n['term']}" for n in notes
+    missed = [f"; not confirmed: {n['model']}: {n['term']}" for n in notes
               if not (n["oracle_agrees_with_implementation"]
                       and n["oracle_rejects_alternate"])]
     print(f"convention notes: {len(notes)}, {len(notes) - len(missed)} "
-          f"confirmed by the exponential oracle"
-          + "".join(f"; not confirmed: {m}" for m in missed)
-          + " (see JSON report for the measured differences)")
+          f"confirmed by the exponential oracle{''.join(missed)} (see JSON "
+          f"report for the measured differences)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.as_dict(), fh, indent=2)

@@ -194,14 +194,8 @@ def _slot_first(a: np.ndarray) -> np.ndarray:
 
 
 def _slots(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Broadcast the arrays together and return slot-first views to read.
-
-    Arrays of one shape are used as they are: most calls pass such, and
-    broadcast_arrays would only return views of them at a cost per call.
-    """
-    if len({a.shape for a in arrays}) > 1:
-        arrays = np.broadcast_arrays(*arrays)
-    return [_slot_first(a) for a in arrays]
+    """Broadcast the arrays together and return slot-first views to read."""
+    return [_slot_first(a) for a in np.broadcast_arrays(*arrays)]
 
 
 def _rotate(c, s, v) -> np.ndarray:

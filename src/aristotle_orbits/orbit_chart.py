@@ -460,8 +460,8 @@ def chart_poisson(model: ModelId, z, labels,
 
     The Hooke constant k cancels from the double chart: q = -f / k meets
     [P_i, F_j] = K delta_ij.  Only the noncentral matrix depends on z.
-    An entry beyond the float range (kappa at a tiny m omega, say) raises
-    SingularityError.
+    An entry that is not finite (kappa at a tiny m omega, say, or p / 0
+    where m omega underflows to 0) raises SingularityError.
     """
     if model not in CHART_COORDS:
         raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
@@ -472,8 +472,8 @@ def chart_poisson(model: ModelId, z, labels,
     r2 = params.r**2
     charge = labels[..., 0]
     # entries above the diagonal {(a, b): {z_a, z_b}}, with kappa formed
-    # only by the charts that have it; an overflow is found below
-    with np.errstate(over="ignore", divide="ignore"):
+    # only by the charts that have it; a non-finite entry is found below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if model is ModelId.CENTRAL1:
             upper = {(0, 1): charge / (mw * r2)}
         elif model is ModelId.CENTRAL2:
@@ -490,7 +490,7 @@ def chart_poisson(model: ModelId, z, labels,
         pi[..., b, a] = -value
     if not np.isfinite(pi).all():
         raise SingularityError(f"{model.value}: a chart Poisson bracket "
-                               f"overflows")
+                               f"is not finite")
     return pi
 
 

@@ -53,13 +53,8 @@ class CheckResult:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "note": self.note,
-        }
+        """The fields by name, in declaration order."""
+        return dict(vars(self))
 
 
 @dataclass
@@ -446,7 +441,7 @@ NOTE_TOL = 1e-10
 #: ALGEBRA_LABELS order; a model with n generators takes the first n.
 PROBE_S = (0.3, 0.7, -0.4, 0.5, 0.2, -0.6, 0.45, 0.15)
 
-#: The dual point of each chart model's probe.  _probe adds the charge (l
+#: The dual point of each chart model's probe.  _probes adds the charge (l
 #: on central1, h elsewhere) m omega r^2: the points lie on default orbits.
 PROBE_DUALS = {
     ModelId.CENTRAL1: dict(j=0.3, p1=0.8, p2=-0.5, E=0.1),
@@ -456,8 +451,8 @@ PROBE_DUALS = {
 }
 
 #: A model's probe: g = prod_a exp(s_a e_a) composed by gm.multiply, the
-#: dual point xi, the factors exp(s_a coad(e_a)) (n, n, n) from one expm
-#: call, and the series' Ad*_g xi, their product applied to xi.
+#: dual point xi, the factors exp(s_a coad(e_a)) (n, n, n), and the
+#: series' Ad*_g xi, their product applied to xi.
 Probe = namedtuple("Probe", "model g xi factors reference")
 
 #: A term printed in more than one form.  values(probe, params) gives the
@@ -466,16 +461,31 @@ Note = namedtuple("Note", "model term implemented alternate_form values "
                   "remark", defaults=("",))
 
 
-def _probe(model: ModelId, params: ModelParams) -> Probe:
-    charge = oc.CASIMIR_NAMES[model][0]  # l on central1, h elsewhere
-    xi = gm.dual_vector(model, **PROBE_DUALS[model], **{charge: params.l_sub})
-    # row a holds the parameters of exp(s_a e_a)
-    steps = np.diag(PROBE_S[:gm.dim(model)])
-    g = functools.reduce(lambda a, b: gm.multiply(model, a, b, params), steps)
-    factors = expm(coad_matrix(gm.structure_tensor(model, params), steps),
-                   tol=1e-14)
-    return Probe(model, g, xi, factors,
-                 functools.reduce(np.matmul, factors) @ xi)
+def _probes(params: ModelParams) -> dict[ModelId, Probe]:
+    """Every chart model's probe, with one expm call on all the factors.
+
+    Row a of diag(s) holds the coordinates of exp(s_a e_a).  A model with
+    n generators fills the top left n x n x n block of an 8 x 8 x 8 zero
+    stack with its coadjoint matrices coad(s_a e_a).  The padding
+    exponentiates to identity blocks, so the same block of the result
+    holds the factors exp(s_a coad(e_a)).
+    """
+    coad = np.zeros((len(PROBE_DUALS),) + 3 * (len(PROBE_S),))
+    for i, model in enumerate(PROBE_DUALS):
+        n = gm.dim(model)
+        coad[i, :n, :n, :n] = coad_matrix(gm.structure_tensor(model, params),
+                                          np.diag(PROBE_S[:n]))
+    probes = {}
+    for model, exps in zip(PROBE_DUALS, expm(coad, tol=1e-14)):
+        n = gm.dim(model)
+        xi = gm.dual_vector(model, **PROBE_DUALS[model],  # the charge l or h
+                            **{oc.CASIMIR_NAMES[model][0]: params.l_sub})
+        g = functools.reduce(lambda u, v: gm.multiply(model, u, v, params),
+                             np.diag(PROBE_S[:n]))
+        factors = exps[:n, :n, :n]
+        probes[model] = Probe(model, g, xi, factors,
+                              functools.reduce(np.matmul, factors) @ xi)
+    return probes
 
 
 def _coadjoint_term(slot, delta):
@@ -555,7 +565,7 @@ def collect_convention_notes(params: ModelParams) -> list[dict]:
     the implemented value agrees within NOTE_TOL, and the alternate value
     is farther than NOTE_TOL from it.  An empty remark is left out.
     """
-    probes = {m: _probe(m, params) for m in PROBE_DUALS}
+    probes = _probes(params)
     out = []
     for note in CONVENTION_NOTES:
         impl, alt, ref = note.values(probes[note.model], params)

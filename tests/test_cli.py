@@ -62,15 +62,24 @@ def test_verify_all_models_report_has_convention_notes(tmp_path, capsys):
             f"exponential oracle (see JSON") in capsys.readouterr().out
 
 
-def test_verify_names_an_unconfirmed_note_and_still_passes(monkeypatch,
+def test_verify_names_an_unconfirmed_note_and_still_passes(tmp_path,
+                                                          monkeypatch,
                                                           capsys):
+    # the alternate is the implementation: the oracle agrees with it but
+    # cannot reject the alternate, so the note is not confirmed
     note = verify.Note(ModelId.CENTRAL1, "angular momentum", "ours", "ours",
                        verify._coadjoint_term(0, lambda x, g, xi, p: 0.0))
     monkeypatch.setattr(verify, "CONVENTION_NOTES", (note,))
-    assert run(["verify", "--model", "central1"]) == 0
+    out = tmp_path / "report.json"
+    assert run(["verify", "--model", "central1", "--out", str(out)]) == 0
     assert ("convention notes: 1, 0 confirmed by the exponential oracle; "
             "not confirmed: central1: angular momentum (see JSON"
             ) in capsys.readouterr().out
+    [entry] = json.loads(out.read_text())["convention_notes"]
+    assert entry["difference_at_probe"] == 0.0
+    assert entry["oracle_agrees_with_implementation"] is True
+    assert entry["oracle_rejects_alternate"] is False
+    assert "remark" not in entry
 
 
 def test_verify_corrupted_structure_fails_with_exit_one(tmp_path, capsys):
@@ -546,9 +555,13 @@ def test_verify_at_extreme_mass_fails_without_numpy_warnings(tmp_path, mass,
      "--hamiltonian", "energy", "--m", "1e-300", "--omega", "1e-10",
      "--point", "0.1,0.2,0.3,0.4", "--label", "h=1", "--label", "f=1",
      "--steps", "3"],
+    # m omega underflows to 0, so {j, q} = -p / (m omega) is 0 / 0 at p = 0
+    ["bracket", "--model", "noncentral", "--m", "1e-300", "--omega", "1e-30",
+     "--at", "0.1,0.2,0,0.4", "--f", "p", "--g", "j", "--label", "h=1",
+     "--label", "f=1"],
 ], ids=["orbit-chart-overflow", "orbit-casimir-overflow",
         "simulate-chart-overflow", "simulate-kappa-overflow",
-        "simulate-noncentral-kappa-overflow"])
+        "simulate-noncentral-kappa-overflow", "bracket-m-omega-underflow"])
 def test_finite_dual_point_off_the_chart_is_a_numeric_failure(tmp_path,
                                                                argv):
     out = tmp_path / "traj.csv"

@@ -200,15 +200,3 @@ def test_the_other_orientation_of_s_fails_its_note(monkeypatch):
     assert not s_note["oracle_rejects_alternate"]
     assert all(n["oracle_agrees_with_implementation"] for n in notes
                if n is not s_note)
-
-
-def test_a_note_whose_alternate_is_the_implementation_is_not_rejected(
-        monkeypatch):
-    note = verify.Note(ModelId.CENTRAL1, "angular momentum", "ours", "ours",
-                       verify._coadjoint_term(0, lambda x, g, xi, p: 0.0))
-    monkeypatch.setattr(verify, "CONVENTION_NOTES", (note,))
-    [entry] = verify.collect_convention_notes(PARAMS)
-    assert entry["difference_at_probe"] == 0.0
-    assert entry["oracle_agrees_with_implementation"] is True
-    assert entry["oracle_rejects_alternate"] is False
-    assert "remark" not in entry
