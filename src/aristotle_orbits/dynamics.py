@@ -73,9 +73,10 @@ stepped path.
 A Hamiltonian flow stays on its starting orbit by construction, so its
 Casimir columns are the orbit labels, and the chart coordinates are
 recorded as integrated (the noncentral angle phi_f is not wrapped into
-(-pi, pi]).  What can drift is the energy, recorded per sample, and the
-consistency of the final chart point with its labels, measured once by
-reconstructing its dual point.
+(-pi, pi]).  What can drift is the energy, recorded per sample: the only
+drift such a flow reports.  (The implicit midpoint rule conserves
+quadratic invariants exactly, so on the quadratic Hamiltonians its energy
+drift is a rounding-level cross-check.)
 
 The named Hamiltonians are stored once, as coefficients:
 kinetic_hamiltonian, energy_hamiltonian and canonical_hamiltonian return
@@ -258,9 +259,7 @@ class Trajectory:
     coords is the (n, d) array of chart coordinates and casimir_series the
     (n, len(casimir_names)) array of Casimir values: computed per sample
     from the dual point on group time flows, the orbit labels broadcast on
-    Hamiltonian flows.  Hamiltonian flows also carry the energy per sample
-    and casimir_residual, |Casimirs of the final point's dual
-    reconstruction - labels| per Casimir name.
+    Hamiltonian flows, which also carry the energy per sample.
     """
 
     model: ModelId
@@ -269,31 +268,22 @@ class Trajectory:
     casimir_names: tuple[str, ...]
     casimir_series: np.ndarray = field(repr=False)
     hamiltonian_series: np.ndarray | None = field(default=None, repr=False)
-    casimir_residual: np.ndarray | None = field(default=None, repr=False)
 
 
 def invariant_drift(traj: Trajectory) -> dict[str, float]:
-    """Drift per named invariant, plus "H" for Hamiltonian flows.
+    """Largest absolute deviation of each invariant from its initial value.
 
-    A Casimir's drift is its casimir_residual where the trajectory has one,
-    else the max absolute deviation of its series from the initial value;
-    H's is the max absolute deviation of the energy from its initial value.
+    A Hamiltonian flow reports its energy alone, as "H": its Casimir series
+    is its orbit's labels by construction.  A group time flow reports each
+    Casimir by name, from the series computed at every sample.
     """
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
-    if traj.casimir_residual is not None:
-        out = {name: float(v) for name, v in
-               zip(traj.casimir_names, traj.casimir_residual)}
+    if traj.hamiltonian_series is None:
+        names, series = traj.casimir_names, traj.casimir_series
     else:
-        series = traj.casimir_series
-        out = {
-            name: float(np.max(np.abs(series[:, i] - series[0, i])))
-            for i, name in enumerate(traj.casimir_names)
-        }
-    if traj.hamiltonian_series is not None:
-        h = traj.hamiltonian_series
-        out["H"] = float(np.max(np.abs(h - h[0])))
-    return out
+        names, series = ("H",), traj.hamiltonian_series[:, None]
+    return dict(zip(names, np.abs(series - series[0]).max(axis=0).tolist()))
 
 
 def magnetic_strength(params: ModelParams = DEFAULT_PARAMS) -> float:
@@ -343,13 +333,8 @@ def _group_trajectory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
             f"step {step}: the dual point at t = {float(times[n])!r} is not "
             f"finite", step=step)
     points = oc.chart_from_dual(model, duals, params)
-    return Trajectory(
-        model=model,
-        times=times,
-        coords=points.coords,
-        casimir_names=oc.CASIMIR_NAMES[model],
-        casimir_series=points.labels,
-    )
+    return Trajectory(model, times, points.coords, oc.CASIMIR_NAMES[model],
+                      points.labels)
 
 
 _CONSTANT_PI = (ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.DOUBLE)
@@ -543,9 +528,12 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
     exact because ad*_H squares to zero (verify's group property row fails
     otherwise), and their Casimir series is computed from every sample's
     dual point.  Hamiltonian flows advance the chart coordinates on z0's
-    orbit: their Casimir series is z0's labels, and the drift they report
-    is the energy series and the final point's reconstruction residual
-    (see Trajectory).
+    orbit, so their Casimir series is z0's labels; what can drift is the
+    energy series.  Either integrator path fills one array of augmented
+    states (z, 1), which is scanned once for its first non-finite row; a
+    chart error, a non-finite increment matrix or state, or an energy
+    beyond the float range at a finite state raises FlowSingularityError
+    (see the module docstring).
     """
     if z0.model is not model:
         raise gm.ModelMismatchError("initial point belongs to "
@@ -556,92 +544,66 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
     affine = _affine_field(model, z0, spec, params)
     increment = (None if affine is None
                  else _increment_matrix(*affine, spec.dt, spec.integrator))
-    times = spec.dt * np.arange(spec.nsteps + 1)
-    z = np.asarray(z0.coords, dtype=float)
+    # rows (z, 1); the stepped path writes only z
+    states = np.ones((spec.nsteps + 1, np.size(z0.coords) + 1))
+    coords = states[:, :-1]
+    coords[0] = z0.coords
+    end, message, cause = len(states), None, None
     if increment is None:
-        coords = np.empty((spec.nsteps + 1, z.size))
-        coords[0] = z
+        end, cause = _step_loop(_rhs_factory(model, z0, spec, params), spec,
+                                coords)
+        message = None if cause is None else str(cause)
+    elif not np.isfinite(increment).all():
+        end, message = 1, f"non-finite increment matrix at dt = {spec.dt!r}"
     else:
-        states = np.empty((spec.nsteps + 1, z.size + 1))
-        states[0, :-1] = z
-        states[0, -1] = 1.0
-        coords = states[:, :-1]
-
-    def trajectory(n: int) -> Trajectory:
-        """The first n samples."""
-        labels = z0.labels
-        final = OrbitPoint(model, coords[n - 1], labels)
-        # a failed flow's last rows may overflow here, to inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            rebuilt = oc.casimirs(model, oc.dual_from_chart(final, params),
-                                  params)
-            energies = _energy_series(spec.hamiltonian, coords[:n])
-        return Trajectory(
-            model=model,
-            times=times[:n],
-            coords=coords[:n],
-            casimir_names=oc.CASIMIR_NAMES[model],
-            casimir_series=np.broadcast_to(labels, (n, labels.size)),
-            hamiltonian_series=energies,
-            casimir_residual=np.abs(rebuilt - labels),
-        )
-
-    if increment is not None:
-        if not np.isfinite(increment).all():
-            raise FlowSingularityError(
-                f"step 0: non-finite increment matrix at dt = {spec.dt!r}",
-                step=0, partial=trajectory(1))
-        # a state that overflows is found by the check after the loop
+        # a state that overflows is found by the scan below
         with np.errstate(over="ignore", invalid="ignore"):
             _increment_steps(increment, states)
-        if not np.isfinite(states).all():  # per row only on failure
-            n = int(np.isfinite(states).all(axis=1).argmin()) - 1
-            raise FlowSingularityError(
-                f"step {n}: non-finite state {coords[n + 1]}", step=n,
-                partial=trajectory(n + 1))
-        return _finite_diagnostics(trajectory(spec.nsteps + 1))
+    if not np.isfinite(coords[:end]).all():  # per row only on failure
+        end = int(np.isfinite(coords[:end]).all(axis=1).argmin())
+        message = f"non-finite state {coords[end]}"
+    # a failed flow's last rows may overflow here, to inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = _energy_series(spec.hamiltonian, coords[:end])
+    traj = Trajectory(model, spec.dt * np.arange(end), coords[:end],
+                      oc.CASIMIR_NAMES[model],
+                      np.broadcast_to(z0.labels, (end, z0.labels.size)),
+                      energies)
+    if message is None and not np.isfinite(energies).all():
+        # finite states whose energy overflows: no partial trajectory
+        n = int(np.isfinite(energies).argmin())
+        end, traj = max(n, 1), None
+        message = f"the energy {float(energies[n])} overflows at a finite state"
+    if message is not None:
+        raise FlowSingularityError(f"step {end - 1}: {message}", step=end - 1,
+                                   partial=traj) from cause
+    return traj
 
-    rhs = _rhs_factory(model, z0, spec, params)
-    rk4 = spec.integrator == "rk4"
-    step = _rk4_step if rk4 else _midpoint_step
-    # RK4 overflows fail the check below; midpoint ones fail to converge
+
+def _step_loop(rhs, spec: FlowSpec, coords: np.ndarray):
+    """Fill coords[n + 1] from coords[n] by the stepped integrator.
+
+    Returns the number of rows filled and the chart error that stopped the
+    loop, if one did.  The loop also stops after the first non-finite RK4
+    state.  _midpoint_step returns an iterate only when its distance to the
+    previous one is below a scale; a nan or inf component makes that
+    distance nan or inf, which never compares below it, so only RK4 can
+    step to a non-finite state.
+    """
+    step = _rk4_step if spec.integrator == "rk4" else _midpoint_step
+    z = coords[0]
+    # RK4 overflows are found by the caller's scan; midpoint ones fail to
+    # converge
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(spec.nsteps):
             try:
                 z = step(rhs, z, spec.dt)
             except (oc.ChartDegeneracyError, oc.SingularityError) as exc:
-                raise FlowSingularityError(f"step {n}: {exc}", step=n,
-                                           partial=trajectory(n + 1)) from exc
-            # _midpoint_step returns an iterate only when its distance to the
-            # previous one is below a scale; a nan or inf component makes
-            # that distance nan or inf, which never compares below it, so
-            # only RK4 can step to a non-finite state
-            if rk4 and not np.isfinite(z).all():
-                raise FlowSingularityError(
-                    f"step {n}: non-finite state {z}", step=n,
-                    partial=trajectory(n + 1))
+                return n + 1, exc
             coords[n + 1] = z
-    return _finite_diagnostics(trajectory(spec.nsteps + 1))
-
-
-def _finite_diagnostics(traj: Trajectory) -> Trajectory:
-    """traj, unless its energies or Casimir residual overflow.
-
-    The states are finite, but a point far out on the chart can have an
-    energy or a reconstructed dual point beyond the float range; that
-    raises FlowSingularityError (with no partial trajectory), naming the
-    step that reached the first non-finite energy.
-    """
-    energies, residual = traj.hamiltonian_series, traj.casimir_residual
-    finite = np.isfinite(energies)
-    if finite.all() and np.isfinite(residual).all():
-        return traj
-    n = len(energies) - 1 if finite.all() else int(finite.argmin())
-    step = max(n - 1, 0)
-    raise FlowSingularityError(
-        f"step {step}: the energy {float(energies[n])} or the Casimir "
-        f"residual {residual.tolist()} overflows at a finite state",
-        step=step)
+            if step is _rk4_step and not np.isfinite(z).all():
+                return n + 2, None
+    return len(coords), None
 
 
 def kinetic_hamiltonian(model: ModelId, params: ModelParams = DEFAULT_PARAMS):

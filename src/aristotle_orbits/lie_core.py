@@ -81,7 +81,8 @@ class ModelParams:
     m is a mass, omega a frequency and r a length.  The derived velocity is
     c = omega * r and the derived reference action is l_sub = m * omega * r**2,
     so with the default m = omega = r = 1 all structure constants and matrix
-    entries reduce to small integers.
+    entries reduce to small integers.  All three must be finite and
+    positive, and r**2 must be too (about 1.6e-162 < r < 1.34e154).
     """
 
     m: float = 1.0
@@ -90,9 +91,12 @@ class ModelParams:
 
     def __post_init__(self):
         values = (self.m, self.omega, self.r)
-        if not all(v > 0 and math.isfinite(v) for v in values):
+        # the structure constants hold 1 / r**2, and float ** raises where
+        # the square overflows
+        if not (all(v > 0 and math.isfinite(v) for v in values)
+                and 0.0 < self.r * self.r < math.inf):
             raise ValueError("ModelParams requires finite m > 0, omega > 0, "
-                             "r > 0")
+                             "r > 0, and r**2 > 0 finite as a float")
 
     @property
     def c(self) -> float:

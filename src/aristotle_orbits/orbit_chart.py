@@ -78,7 +78,11 @@ class ChartDegeneracyError(ValueError):
 
 
 class SingularityError(ArithmeticError):
-    """A restricted form is singular, or Casimir labels overflow."""
+    """A restricted form is singular, or a needed value overflows.
+
+    The values are Casimir labels, chart coordinates, brackets, or the
+    1 / r**2 of the structure constants that verify checks.
+    """
 
 
 CHART_COORDS: dict[ModelId, tuple[str, ...]] = {
@@ -165,33 +169,42 @@ def casimirs(model: ModelId, xi, params: ModelParams = DEFAULT_PARAMS
 
     Written with the orbit's own charge these are exactly conserved by the
     coadjoint action for every dual point; at charge = m omega r**2 they
-    reduce to the m omega forms of the chart documentation.
+    reduce to the m omega forms of the chart documentation.  A value beyond
+    the float range (the squares of a large momentum, say) raises
+    SingularityError.
     """
+    if model not in CASIMIR_NAMES:
+        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
     v = _slot_first(_trailing(model, xi))
     r2 = params.r**2
     j, p, E = v[0], v[1:3], v[3]
-    if model is ModelId.CENTRAL1:
-        l = v[4]
-        _require_nonzero(l, "l", model)
-        return _stack((l, E, j + _dot(p, p) * r2 / (2.0 * l)))
-    if model is ModelId.CENTRAL2:
-        h = v[5]
-        _require_nonzero(h, "h", model)
-        return _stack((h, j + _dot(p, p) * r2 / (2.0 * h)))
-    if model is ModelId.NONCENTRAL:
-        f, h = v[4:6], v[6]
-        _require_nonzero(h, "h", model)
-        fmag = np.hypot(f[0], f[1])
-        _require_nonzero(fmag, "f", model)
-        return _stack((h, fmag, E + (r2 / h) * cross2(p, f)))
-    if model is ModelId.DOUBLE:
-        f, h, k = v[4:6], v[6], v[7]
-        _require_nonzero(k, "k", model)
-        q = -f / k
-        qq = _dot(q, q)
-        return _stack((h, k, j + cross2(p, q) - h * qq / (2.0 * r2),
-                       E - 0.5 * k * qq))
-    raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    # an overflow is found by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model is ModelId.CENTRAL1:
+            l = v[4]
+            _require_nonzero(l, "l", model)
+            parts = (l, E, j + _dot(p, p) * r2 / (2.0 * l))
+        elif model is ModelId.CENTRAL2:
+            h = v[5]
+            _require_nonzero(h, "h", model)
+            parts = (h, j + _dot(p, p) * r2 / (2.0 * h))
+        elif model is ModelId.NONCENTRAL:
+            f, h = v[4:6], v[6]
+            _require_nonzero(h, "h", model)
+            fmag = np.hypot(f[0], f[1])
+            _require_nonzero(fmag, "f", model)
+            parts = (h, fmag, E + (r2 / h) * cross2(p, f))
+        else:  # double
+            f, h, k = v[4:6], v[6], v[7]
+            _require_nonzero(k, "k", model)
+            q = -f / k
+            qq = _dot(q, q)
+            parts = (h, k, j + cross2(p, q) - h * qq / (2.0 * r2),
+                     E - 0.5 * k * qq)
+    values = _stack(parts)
+    if not np.isfinite(values).all():
+        raise SingularityError(f"{model.value}: Casimir labels are not finite")
+    return values
 
 
 def chart_from_dual(model: ModelId, xi,
@@ -205,9 +218,9 @@ def chart_from_dual(model: ModelId, xi,
     xi = _trailing(model, xi)
     if not np.isfinite(xi).all():
         raise ChartDegeneracyError(f"{model.value}: dual point must be finite")
+    labels = casimirs(model, xi, params)
     # an overflow is found by the check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        labels = casimirs(model, xi, params)
         v = _slot_first(xi)
         q = -v[2] / params.m_omega
         if model is ModelId.CENTRAL1:
@@ -219,10 +232,8 @@ def chart_from_dual(model: ModelId, xi,
         else:  # double; casimirs rejected the models without a chart
             coords = (v[1], v[2], -v[4] / v[7], -v[5] / v[7])
         coords = _stack(coords)
-    if not (np.isfinite(coords).all() and np.isfinite(labels).all()):
-        raise SingularityError(f"{model.value}: the chart coordinates or "
-                               f"Casimir labels of a finite dual point "
-                               f"overflow")
+    if not np.isfinite(coords).all():
+        raise SingularityError(f"{model.value}: chart coordinates overflow")
     return OrbitPoint(model, coords, labels)
 
 
@@ -262,7 +273,8 @@ def dual_from_chart(point: OrbitPoint,
     and E.  Each Casimir that carries one of them does so with unit
     weight (s = j + ..., U = E + ..., and E on central1), so the slot is
     the label minus that Casimir evaluated with j = E = 0.  Batch shapes
-    of coords and labels that do not broadcast raise DimensionMismatchError.
+    of coords and labels that do not broadcast raise DimensionMismatchError,
+    and Casimirs beyond the float range raise SingularityError.
     """
     model = point.model
     names = CASIMIR_NAMES[model]
@@ -322,12 +334,11 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
     lab = {"l": params.l_sub, "h": params.l_sub, "f": 1.0, "k": 1.0,
            "j": 0.0, "E": 0.0, **labels}
     # finite coordinates and labels can still have Casimirs beyond the
-    # float range (coordinates scaled by a huge m omega, squared)
+    # float range (coordinates scaled by a huge m omega, squared), which
+    # casimirs raises as SingularityError
     with np.errstate(over="ignore", invalid="ignore"):
-        values = casimirs(model, _dual_point(model, z, lab, params), params)
-    if not np.isfinite(values).all():
-        raise SingularityError(f"{model.value}: the Casimir labels of these "
-                               f"chart points overflow")
+        xi = _dual_point(model, z, lab, params)
+    values = casimirs(model, xi, params)
     for i, name in enumerate(CASIMIR_NAMES[model]):
         if name in keys:
             values[..., i] = lab[name]

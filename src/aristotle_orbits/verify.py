@@ -588,6 +588,10 @@ def run_verify(models: list[ModelId] | None = None, seed: int = 0,
     selected = tuple(models) if models is not None else ALL_MODELS
     if not selected:
         raise ValueError("no models selected")
+    # the extension charges of the structure constants, and the central1
+    # cocycle that check_cocycle runs for base, carry 1 / r**2
+    if np.isinf(1.0 / params.r**2):
+        raise oc.SingularityError(f"1 / r**2 overflows at r = {params.r!r}")
 
     check_structure(report, params, selected, corruption)
     check_group_axioms(report, params, selected, rng)

@@ -16,3 +16,15 @@ def cyclotron_exact(p0, q0, t, params):
     p = rot @ p0
     q = q0 + (1.0 / (params.m * w)) * (EPS0 @ ((rot - np.eye(2)) @ p0))
     return p, q
+
+
+def label_defect(traj, labels, params):
+    """Per Casimir, max |Casimirs(dual_from_chart(sample)) - labels|.
+
+    Taken over every sample of a Hamiltonian flow's trajectory: a chart
+    point that does not reconstruct a dual point on its orbit shows here.
+    """
+    points = ao.OrbitPoint(traj.model, traj.coords, labels)
+    rebuilt = ao.casimirs(traj.model, ao.dual_from_chart(points, params),
+                          params)
+    return np.abs(rebuilt - labels).max(axis=0)

@@ -120,9 +120,6 @@ def test_non_finite_increment_carries_a_partial_trajectory():
     assert np.array_equal(partial.coords[0], (0.8, -0.4, 0.2, 0.6))
 
 
-# the partial trajectory's last rows are near overflow, so its energies
-# and Casimir residual overflow as on the stepped path
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_state_stops_at_its_step():
     # hA is finite but |1 + D| is about 1e4 per step: the state overflows
     # after about 80 steps, and the partial trajectory ends before it
@@ -275,8 +272,6 @@ def test_block_steps_match_the_one_step_loop(case, nsteps):
     assert (states[:, -1] == 1.0).all()
 
 
-# the partial trajectories' last rows are near overflow (see above)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("dt,point", [
     (10.0, (0.8, -0.4, 0.2, 0.6)),
     # M_j overflows from j = 56, long before the tiny state does

@@ -3,7 +3,9 @@
 A code line holds at least one token that is not a comment, and is not
 part of a docstring (the leading string of a module, class or function).
 Blank lines, comment-only lines and docstring lines are not counted.
-Standard library only:
+After the per-module counts and the total, it lists the five largest
+top-level functions and classes by the same rule (decorators not
+included).  Standard library only:
 
     python tools/code_lines.py [ROOT]
 
@@ -34,8 +36,8 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(path: Path) -> int:
-    """Number of code lines in one Python source file."""
+def _code_line_set(path: Path) -> tuple[set[int], ast.Module]:
+    """Numbers of the code lines of one source file, and its syntax tree."""
     source = path.read_text(encoding="utf-8")
     with path.open("rb") as fh:
         tokens = list(tokenize.tokenize(fh.readline))
@@ -43,17 +45,33 @@ def code_lines(path: Path) -> int:
     for tok in tokens:
         if tok.type not in _SKIP:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - _docstring_lines(ast.parse(source)))
+    tree = ast.parse(source)
+    return lines - _docstring_lines(tree), tree
+
+
+def code_lines(path: Path) -> int:
+    """Number of code lines in one Python source file."""
+    return len(_code_line_set(path)[0])
 
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
     total = 0
+    definitions = []  # (code lines, name) of each top-level def and class
     for path in sorted(root.rglob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path.relative_to(root)}")
+        lines, tree = _code_line_set(path)
+        total += len(lines)
+        definitions += [
+            (len(lines.intersection(range(node.lineno, node.end_lineno + 1))),
+             node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))]
+        print(f"{len(lines):6d}  {path.relative_to(root)}")
     print(f"{total:6d}  total")
+    print("largest top-level functions and classes:")
+    for n, name in sorted(definitions, key=lambda d: -d[0])[:5]:
+        print(f"{n:6d}  {name}")
     return 0
 
 
