@@ -203,12 +203,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
 
 
+def _chart_model(name: str) -> ModelId:
+    """The model of that name, which must have an orbit chart."""
+    model = ModelId.from_name(name)
+    if model not in oc.CHARTS:
+        raise UsageError(f"the {model.value} model has no orbit chart; choose "
+                         f"one of {', '.join(m.value for m in oc.CHARTS)}")
+    return model
+
+
 def cmd_orbit(args) -> int:
     params = _params_from_args(args)
-    model = ModelId.from_name(args.model)
-    if model is ModelId.BASE:
-        raise UsageError("the base model has no orbit chart; choose one of "
-                         "central1, central2, noncentral, double")
+    model = _chart_model(args.model)
     xi = _parse_floats(args.xi, "--xi")
     if xi.size != gm.dim(model):
         raise UsageError(f"{model.value} expects {gm.dim(model)} dual "
@@ -346,9 +352,7 @@ def cmd_simulate(args) -> int:
     if args.out is None:
         raise UsageError("no output path (flag --out or config key)")
     params = _params_from_args(args)
-    model = ModelId.from_name(args.model)
-    if model is ModelId.BASE:
-        raise UsageError("the base model has no orbit chart to simulate on")
+    model = _chart_model(args.model)
     if isinstance(args.steps, bool) or not isinstance(args.steps, int):
         raise UsageError(f"steps must be an integer, got {args.steps!r}")
     if args.steps < 1:
@@ -403,9 +407,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bracket(args) -> int:
     params = _params_from_args(args)
-    model = ModelId.from_name(args.model)
-    if model is ModelId.BASE:
-        raise UsageError("the base model has no orbit chart")
+    model = _chart_model(args.model)
     z = _parse_floats(args.at, "--at")
     names = oc.CHART_COORDS[model]
     if z.size != len(names):

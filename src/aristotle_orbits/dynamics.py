@@ -78,10 +78,11 @@ drift such a flow reports.  (The implicit midpoint rule conserves
 quadratic invariants exactly, so on the quadratic Hamiltonians its energy
 drift is a rounding-level cross-check.)
 
-The named Hamiltonians are stored once, as coefficients:
-kinetic_hamiltonian, energy_hamiltonian and canonical_hamiltonian return
-(H, H.gradient), where H is a QuadraticHamiltonian, or for the noncentral
-energy, which is not quadratic, a NoncentralEnergy.
+The named Hamiltonians are stored once, as coefficients (the energy's in
+each chart's record, orbit_chart.CHARTS): kinetic_hamiltonian,
+energy_hamiltonian and canonical_hamiltonian return (H, H.gradient),
+where H is a QuadraticHamiltonian, or for the noncentral energy, which is
+not quadratic, a NoncentralEnergy.
 
 Hamiltonians broadcast like the group laws and chart maps: a Hamiltonian
 maps chart coordinates (..., d) to energies (...).  The step loop only
@@ -337,16 +338,12 @@ def _group_trajectory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
                       points.labels)
 
 
-_CONSTANT_PI = (ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.DOUBLE)
-
-
 def _rhs_factory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
                  params: ModelParams):
     grad = spec.gradient or oc.gradient_fd(spec.hamiltonian)
     pi = oc.chart_poisson(model, z0.coords, z0.labels, params)
-    if model in _CONSTANT_PI:
-        # chart-constant Poisson tensor; only the noncentral chart carries
-        # state-dependent entries
+    if oc.CHARTS[model].constant_poisson:
+        # only the noncentral chart carries state-dependent entries
         pi_t = pi.T
 
         def rhs(z: np.ndarray) -> np.ndarray:
@@ -416,7 +413,8 @@ def _affine_field(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
     ham = spec.hamiltonian
     z = np.asarray(z0.coords, dtype=float)
     d = z.size
-    if isinstance(ham, QuadraticHamiltonian) and model in _CONSTANT_PI:
+    if (isinstance(ham, QuadraticHamiltonian)
+            and oc._chart(model).constant_poisson):
         if ham.slope.shape != (d,):
             raise ValueError(f"quadratic hamiltonian has {ham.slope.size} "
                              f"coordinates, the {model.value} chart has {d}")
@@ -613,7 +611,7 @@ def kinetic_hamiltonian(model: ModelId, params: ModelParams = DEFAULT_PARAMS):
     slots.  On the double chart this is the magnetic example: p circles at
     frequency omega with period 2 pi / omega.
     """
-    names = oc.CHART_COORDS[model]
+    names = oc._chart(model).coords
     inv_mass = [1.0 / params.m if name in ("p", "p1", "p2") else 0.0
                 for name in names]
     ham = QuadraticHamiltonian(np.diag(inv_mass), np.zeros(len(names)))
@@ -627,25 +625,15 @@ def energy_hamiltonian(model: ModelId, point: OrbitPoint,
     H is a QuadraticHamiltonian on every chart but the noncentral one:
     the constant E on central1, -h omega alpha on central2 and
     U + k |q|^2 / 2 on double.  On the noncentral chart it is a
-    NoncentralEnergy.  Generates exactly the group time flow, restricted
-    to the chart, so it reproduces dl/dt = h omega (central2), dp/dt = f
-    (noncentral) and dp/dt = -k q (double).
+    NoncentralEnergy.  Its coefficients are the chart record's energy
+    (orbit_chart.CHARTS).  Generates exactly the group time flow,
+    restricted to the chart, so it reproduces dl/dt = h omega (central2),
+    dp/dt = f (noncentral) and dp/dt = -k q (double).
     """
-    names = oc.CASIMIR_NAMES.get(model)
-    if names is None:
-        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
-    lab = dict(zip(names, point.labels.tolist()))
-    if model is ModelId.CENTRAL1:
-        ham = QuadraticHamiltonian(np.zeros((2, 2)), np.zeros(2), lab["E"])
-    elif model is ModelId.CENTRAL2:
-        ham = QuadraticHamiltonian(np.zeros((4, 4)),
-                                   [0.0, 0.0, 0.0, -lab["h"] * params.omega])
-    elif model is ModelId.NONCENTRAL:
-        ham = NoncentralEnergy(lab["f"], lab["h"] / params.r**2, lab["U"])
-    else:  # double; the lookup above rejected the models without a chart
-        k = lab["k"]
-        ham = QuadraticHamiltonian(np.diag([0.0, 0.0, k, k]), np.zeros(4),
-                                   lab["U"])
+    chart = oc._chart(model)
+    lab = dict(zip(chart.casimir_names, point.labels.tolist()))
+    kind = QuadraticHamiltonian if chart.constant_poisson else NoncentralEnergy
+    ham = kind(*chart.energy(lab, params))
     return ham, ham.gradient
 
 

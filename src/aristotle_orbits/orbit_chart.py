@@ -8,6 +8,15 @@ noncentral  (j, phi_f, p, q) with f1 = f cos(phi_f), f2 = f sin(phi_f);
             labels (h, f, U).
 double      (p1, p2, q1, q2) with q = -f / k; labels (h, k, s, U).
 
+Each chart model is defined in one place, its Chart record in CHARTS: its
+names (coordinates, Casimirs, the omega_matrix basis, the orbit_point
+keywords, whether its Poisson tensor is constant) and its closed forms
+(Casimirs, chart map, dual map, Jacobian, Poisson entries, energy
+coefficients).  The public functions below validate their input, look
+up the record once, call its closed form and stack the result; the
+public tables CHART_COORDS, CASIMIR_NAMES and OMEGA_BASIS are views of
+the records.  A model without a record (base) raises ModelMismatchError.
+
 An OrbitPoint holds arrays: coords (..., d) in CHART_COORDS order and
 labels (..., c), the orbit's Casimir values in CASIMIR_NAMES order.
 Leading axes are batch axes, as for the group elements of group_models:
@@ -60,6 +69,7 @@ parameters directly, matching the defaults where charge = m omega r**2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -85,37 +95,196 @@ class SingularityError(ArithmeticError):
     """
 
 
-CHART_COORDS: dict[ModelId, tuple[str, ...]] = {
-    ModelId.CENTRAL1: ("p", "q"),
-    ModelId.CENTRAL2: ("p", "q", "l", "alpha"),
-    ModelId.NONCENTRAL: ("j", "phi_f", "p", "q"),
-    ModelId.DOUBLE: ("p1", "p2", "q1", "q2"),
+@dataclass(frozen=True, eq=False)
+class Chart:
+    """One chart model: its names and its closed forms.
+
+    Names: coords (CHART_COORDS), casimir_names (CASIMIR_NAMES),
+    omega_basis (OMEGA_BASIS), label_keys, the keywords orbit_point takes
+    (the orbit's charges, and the dual coordinates j and E where the chart
+    leaves them hidden: j is a noncentral chart coordinate, and central2's
+    alpha fixes E), and constant_poisson, whether chart_poisson is the same
+    at every point of an orbit.
+
+    Closed forms read slot-first arrays (group_models._slot_first): dual
+    points v, chart points z, and labels lab by name.  Each returns slot
+    values, or entries {(row, column): value}:
+
+    casimirs(v, r2)           the Casimir values at v, r2 = r**2
+    chart_map(v, params)      the chart coordinates of v
+    dual_map(z, lab, params)  the dual slots of z, with j and E from lab
+    jacobian(v, params)       the nonzero entries of chart_jacobian
+    poisson(z, charge, params)  the entries of chart_poisson above the
+                              diagonal, charge the first label
+    energy(lab, params)       the coefficients of
+                              dynamics.energy_hamiltonian: (hessian, slope,
+                              offset) of a QuadraticHamiltonian on a chart
+                              with a constant Poisson tensor, else
+                              (f, mw_eff, U) of a NoncentralEnergy
+
+    split holds the momentum and position indices of phase_space_blocks,
+    or None for a chart without that split; singular_form the dual slot,
+    and its name, whose vanishing makes omega_matrix singular, if any.
+    """
+
+    coords: tuple[str, ...]
+    casimir_names: tuple[str, ...]
+    omega_basis: tuple[str, ...]
+    label_keys: tuple[str, ...]
+    constant_poisson: bool
+    casimirs: Callable
+    chart_map: Callable
+    dual_map: Callable
+    jacobian: Callable
+    poisson: Callable
+    energy: Callable
+    split: tuple[list[int], list[int]] | None = None
+    singular_form: tuple[int, str] | None = None
+
+
+# central1: dual (j, p1, p2, E, l); chart (p, q); labels (l, E, s)
+
+def _central1_casimirs(v, r2):
+    j, p, E, l = v[0], v[1:3], v[3], v[4]
+    _require_nonzero(l, "l", ModelId.CENTRAL1)
+    return l, E, j + _dot(p, p) * r2 / (2.0 * l)
+
+
+# central2: dual (j, p1, p2, E, l, h); chart (p, q, l, alpha); labels (h, s)
+
+def _central2_casimirs(v, r2):
+    j, p, h = v[0], v[1:3], v[5]
+    _require_nonzero(h, "h", ModelId.CENTRAL2)
+    return h, j + _dot(p, p) * r2 / (2.0 * h)
+
+
+def _central2_dual(z, lab, params):
+    p, q, l, alpha = z
+    h = lab["h"]
+    return (lab["j"], p, -params.m_omega * q, -alpha * h * params.omega, l, h)
+
+
+def _central2_jacobian(v, params):
+    h = v[5]
+    _require_nonzero(h, "h", ModelId.CENTRAL2)
+    return {(0, 1): 1.0, (1, 2): -1.0 / params.m_omega, (2, 4): 1.0,
+            (3, 3): -1.0 / (h * params.omega)}
+
+
+# noncentral: dual (j, p1, p2, E, f1, f2, h); chart (j, phi_f, p, q);
+# labels (h, f, U)
+
+def _noncentral_casimirs(v, r2):
+    p, E, f, h = v[1:3], v[3], v[4:6], v[6]
+    _require_nonzero(h, "h", ModelId.NONCENTRAL)
+    fmag = np.hypot(f[0], f[1])
+    _require_nonzero(fmag, "f", ModelId.NONCENTRAL)
+    return h, fmag, E + (r2 / h) * cross2(p, f)
+
+
+def _noncentral_dual(z, lab, params):
+    j, phi_f, p, q = z
+    f = lab["f"]
+    return (j, p, -params.m_omega * q, lab["E"], f * np.cos(phi_f),
+            f * np.sin(phi_f), lab["h"])
+
+
+def _noncentral_jacobian(v, params):
+    f = v[4:6]
+    fsq = _dot(f, f)
+    if fsq.min() < DEG_TOL**2:
+        raise ChartDegeneracyError("noncentral chart needs f > 0")
+    return {(0, 0): 1.0, (1, 4): -f[1] / fsq, (1, 5): f[0] / fsq,
+            (2, 1): 1.0, (3, 2): -1.0 / params.m_omega}
+
+
+def _noncentral_poisson_entries(z, charge, params):
+    mw = params.m_omega
+    return {(0, 1): 1.0, (0, 2): mw * z[3], (0, 3): -z[2] / mw,
+            (2, 3): charge / (mw * params.r**2)}
+
+
+# double: dual (j, p1, p2, E, f1, f2, h, k); chart (p1, p2, q1, q2) with
+# q = -f / k; labels (h, k, s, U)
+
+def _double_casimirs(v, r2):
+    j, p, E, f, h, k = v[0], v[1:3], v[3], v[4:6], v[6], v[7]
+    _require_nonzero(k, "k", ModelId.DOUBLE)
+    q = -f / k
+    qq = _dot(q, q)
+    return h, k, j + cross2(p, q) - h * qq / (2.0 * r2), E - 0.5 * k * qq
+
+
+def _double_dual(z, lab, params):
+    p1, p2, q1, q2 = z
+    k = lab["k"]
+    return (lab["j"], p1, p2, lab["E"], -k * q1, -k * q2, lab["h"], k)
+
+
+def _double_jacobian(v, params):
+    k = v[7]
+    _require_nonzero(k, "k", ModelId.DOUBLE)
+    return {(0, 1): 1.0, (1, 2): 1.0, (2, 4): -1.0 / k, (3, 5): -1.0 / k}
+
+
+#: The chart model records; CHART_COORDS, CASIMIR_NAMES and OMEGA_BASIS
+#: are views of them.
+CHARTS: dict[ModelId, Chart] = {
+    ModelId.CENTRAL1: Chart(
+        ("p", "q"), ("l", "E", "s"), ("P1", "P2"), ("l", "E", "j"),
+        constant_poisson=True, casimirs=_central1_casimirs,
+        chart_map=lambda v, params: (v[1], -v[2] / params.m_omega),
+        dual_map=lambda z, lab, params: (lab["j"], z[0],
+                                         -params.m_omega * z[1], lab["E"],
+                                         lab["l"]),
+        jacobian=lambda v, params: {(0, 1): 1.0,
+                                    (1, 2): -1.0 / params.m_omega},
+        poisson=lambda z, charge, params: {
+            (0, 1): charge / (params.m_omega * params.r**2)},
+        energy=lambda lab, params: (np.zeros((2, 2)), np.zeros(2), lab["E"]),
+        split=([0], [1])),
+    ModelId.CENTRAL2: Chart(
+        ("p", "q", "l", "alpha"), ("h", "s"), ("P1", "P2", "H", "S"),
+        ("h", "j"), constant_poisson=True, casimirs=_central2_casimirs,
+        chart_map=lambda v, params: (v[1], -v[2] / params.m_omega, v[4],
+                                     -v[3] / (v[5] * params.omega)),
+        dual_map=_central2_dual,
+        jacobian=_central2_jacobian,
+        poisson=lambda z, charge, params: {
+            (0, 1): charge / (params.m_omega * params.r**2), (2, 3): 1.0},
+        energy=lambda lab, params: (
+            np.zeros((4, 4)), [0.0, 0.0, 0.0, -lab["h"] * params.omega])),
+    ModelId.NONCENTRAL: Chart(
+        ("j", "phi_f", "p", "q"), ("h", "f", "U"), ("J", "F1", "P1", "P2"),
+        ("h", "f", "E"), constant_poisson=False,
+        casimirs=_noncentral_casimirs,
+        chart_map=lambda v, params: (v[0], np.arctan2(v[5], v[4]), v[1],
+                                     -v[2] / params.m_omega),
+        dual_map=_noncentral_dual,
+        jacobian=_noncentral_jacobian,
+        poisson=_noncentral_poisson_entries,
+        energy=lambda lab, params: (lab["f"], lab["h"] / params.r**2,
+                                    lab["U"]),
+        singular_form=(5, "f*sin(phi_f)")),
+    ModelId.DOUBLE: Chart(
+        ("p1", "p2", "q1", "q2"), ("h", "k", "s", "U"),
+        ("P1", "P2", "F1", "F2"), ("h", "k", "j", "E"),
+        constant_poisson=True, casimirs=_double_casimirs,
+        chart_map=lambda v, params: (v[1], v[2], -v[4] / v[7],
+                                     -v[5] / v[7]),
+        dual_map=_double_dual,
+        jacobian=_double_jacobian,
+        poisson=lambda z, charge, params: {
+            (0, 1): -(charge / params.r**2), (0, 2): 1.0, (1, 3): 1.0},
+        energy=lambda lab, params: (np.diag([0.0, 0.0, lab["k"], lab["k"]]),
+                                    np.zeros(4), lab["U"]),
+        split=([0, 1], [2, 3])),
 }
 
-CASIMIR_NAMES: dict[ModelId, tuple[str, ...]] = {
-    ModelId.CENTRAL1: ("l", "E", "s"),
-    ModelId.CENTRAL2: ("h", "s"),
-    ModelId.NONCENTRAL: ("h", "f", "U"),
-    ModelId.DOUBLE: ("h", "k", "s", "U"),
-}
-
+CHART_COORDS = {model: c.coords for model, c in CHARTS.items()}
+CASIMIR_NAMES = {model: c.casimir_names for model, c in CHARTS.items()}
 #: Generator directions spanning the orbit, used by omega_matrix.
-OMEGA_BASIS: dict[ModelId, tuple[str, ...]] = {
-    ModelId.CENTRAL1: ("P1", "P2"),
-    ModelId.CENTRAL2: ("P1", "P2", "H", "S"),
-    ModelId.NONCENTRAL: ("J", "F1", "P1", "P2"),
-    ModelId.DOUBLE: ("P1", "P2", "F1", "F2"),
-}
-
-#: Keywords orbit_point takes per chart: the orbit's charges, and the dual
-#: coordinates j and E where the chart leaves them hidden (j is a
-#: noncentral chart coordinate, and central2's alpha fixes E).
-_LABEL_KEYS: dict[ModelId, tuple[str, ...]] = {
-    ModelId.CENTRAL1: ("l", "E", "j"),
-    ModelId.CENTRAL2: ("h", "j"),
-    ModelId.NONCENTRAL: ("h", "f", "E"),
-    ModelId.DOUBLE: ("h", "k", "j", "E"),
-}
+OMEGA_BASIS = {model: c.omega_basis for model, c in CHARTS.items()}
 
 #: Dual slot of j (0) or E (3) that a Casimir carries with unit weight:
 #: s = j + ..., U = E + ... and, on central1, E itself.
@@ -133,6 +302,18 @@ class OrbitPoint:
     model: ModelId
     coords: np.ndarray
     labels: np.ndarray
+
+
+def _chart(model: ModelId) -> Chart:
+    """The model's chart record.
+
+    A model without one (base) raises ModelMismatchError.
+    """
+    try:
+        return CHARTS[model]
+    except KeyError:
+        raise gm.ModelMismatchError(
+            f"model {model.value} has no orbit chart") from None
 
 
 def _require_nonzero(value, name: str, model: ModelId) -> None:
@@ -157,6 +338,19 @@ def _stack(parts) -> np.ndarray:
     return out.transpose(*range(1, out.ndim), 0)
 
 
+def _antisymmetric(upper: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """Antisymmetric matrices of the given shape (..., d, d).
+
+    upper {(a, b): value} holds the entries above the diagonal; their
+    negatives go below it, and every other entry is zero.
+    """
+    out = np.zeros(shape)
+    for (a, b), value in upper.items():
+        out[..., a, b] = value
+        out[..., b, a] = -value
+    return out
+
+
 def casimirs(model: ModelId, xi, params: ModelParams = DEFAULT_PARAMS
              ) -> np.ndarray:
     """Casimir invariants (..., c) at the dual points xi (..., n).
@@ -169,39 +363,18 @@ def casimirs(model: ModelId, xi, params: ModelParams = DEFAULT_PARAMS
 
     Written with the orbit's own charge these are exactly conserved by the
     coadjoint action for every dual point; at charge = m omega r**2 they
-    reduce to the m omega forms of the chart documentation.  A value beyond
-    the float range (the squares of a large momentum, say) raises
-    SingularityError.
+    reduce to the m omega forms of the chart documentation.
+
+    Input range: |p|^2 (central1, central2) and |q|^2 (double) are formed
+    before any division, so a component of p or q beyond about 1.3e154 in
+    magnitude raises SingularityError even where the Casimir itself is
+    representable; so does any value beyond the float range.
     """
-    if model not in CASIMIR_NAMES:
-        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    chart = _chart(model)
     v = _slot_first(_trailing(model, xi))
-    r2 = params.r**2
-    j, p, E = v[0], v[1:3], v[3]
     # an overflow is found by the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        if model is ModelId.CENTRAL1:
-            l = v[4]
-            _require_nonzero(l, "l", model)
-            parts = (l, E, j + _dot(p, p) * r2 / (2.0 * l))
-        elif model is ModelId.CENTRAL2:
-            h = v[5]
-            _require_nonzero(h, "h", model)
-            parts = (h, j + _dot(p, p) * r2 / (2.0 * h))
-        elif model is ModelId.NONCENTRAL:
-            f, h = v[4:6], v[6]
-            _require_nonzero(h, "h", model)
-            fmag = np.hypot(f[0], f[1])
-            _require_nonzero(fmag, "f", model)
-            parts = (h, fmag, E + (r2 / h) * cross2(p, f))
-        else:  # double
-            f, h, k = v[4:6], v[6], v[7]
-            _require_nonzero(k, "k", model)
-            q = -f / k
-            qq = _dot(q, q)
-            parts = (h, k, j + cross2(p, q) - h * qq / (2.0 * r2),
-                     E - 0.5 * k * qq)
-    values = _stack(parts)
+        values = _stack(chart.casimirs(v, params.r**2))
     if not np.isfinite(values).all():
         raise SingularityError(f"{model.value}: Casimir labels are not finite")
     return values
@@ -221,17 +394,7 @@ def chart_from_dual(model: ModelId, xi,
     labels = casimirs(model, xi, params)
     # an overflow is found by the check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = _slot_first(xi)
-        q = -v[2] / params.m_omega
-        if model is ModelId.CENTRAL1:
-            coords = (v[1], q)
-        elif model is ModelId.CENTRAL2:
-            coords = (v[1], q, v[4], -v[3] / (v[5] * params.omega))
-        elif model is ModelId.NONCENTRAL:
-            coords = (v[0], np.arctan2(v[5], v[4]), v[1], q)
-        else:  # double; casimirs rejected the models without a chart
-            coords = (v[1], v[2], -v[4] / v[7], -v[5] / v[7])
-        coords = _stack(coords)
+        coords = _stack(CHARTS[model].chart_map(_slot_first(xi), params))
     if not np.isfinite(coords).all():
         raise SingularityError(f"{model.value}: chart coordinates overflow")
     return OrbitPoint(model, coords, labels)
@@ -242,27 +405,14 @@ def _dual_point(model: ModelId, coords, lab: dict,
     """Dual points (..., n) of chart coordinates (..., d).
 
     lab maps the charges (l or h, f, k) and the hidden j and E to values
-    that broadcast against the coordinates' batch shape.
+    that broadcast against the coordinates' batch shape.  Finite
+    coordinates and labels can still give dual slots or Casimirs beyond the
+    float range (coordinates scaled by a huge m omega, say), which the
+    callers' casimirs raises as SingularityError.
     """
     z = _slot_first(np.asarray(coords, dtype=float))
-    mw = params.m_omega
-    if model is ModelId.CENTRAL1:
-        p, q = z
-        parts = (lab["j"], p, -mw * q, lab["E"], lab["l"])
-    elif model is ModelId.CENTRAL2:
-        p, q, l, alpha = z
-        h = lab["h"]
-        parts = (lab["j"], p, -mw * q, -alpha * h * params.omega, l, h)
-    elif model is ModelId.NONCENTRAL:
-        j, phi_f, p, q = z
-        f = lab["f"]
-        parts = (j, p, -mw * q, lab["E"], f * np.cos(phi_f),
-                 f * np.sin(phi_f), lab["h"])
-    else:
-        p1, p2, q1, q2 = z
-        k = lab["k"]
-        parts = (lab["j"], p1, p2, lab["E"], -k * q1, -k * q2, lab["h"], k)
-    return _stack(parts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _stack(CHARTS[model].dual_map(z, lab, params))
 
 
 def dual_from_chart(point: OrbitPoint,
@@ -277,7 +427,7 @@ def dual_from_chart(point: OrbitPoint,
     and Casimirs beyond the float range raise SingularityError.
     """
     model = point.model
-    names = CASIMIR_NAMES[model]
+    names = _chart(model).casimir_names
     _batch_shape(model, point.coords, point.labels)
     labels = np.asarray(point.labels, dtype=float)
     lab = dict(zip(names, _slot_first(labels)), j=0.0, E=0.0)
@@ -295,7 +445,7 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
 
     Defaults: charge l = h = m omega r**2, Hooke constant k = 1, force
     magnitude f = 1, and the hidden dual coordinates j = 0 and E = 0.
-    Keywords per chart (_LABEL_KEYS), each a number or an array that
+    Keywords per chart (Chart.label_keys), each a number or an array that
     broadcasts against the batch shape of coords: central1 l, E, j;
     central2 h, j; noncentral h, f, E; double h, k, j, E.  The charges
     are stored as given; s and U are the casimirs of the dual point.
@@ -303,15 +453,14 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
     f <= 0 raise ChartDegeneracyError; Casimirs that overflow raise
     SingularityError.
     """
-    keys = _LABEL_KEYS.get(model)
-    if keys is None:
-        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    chart = _chart(model)
+    keys = chart.label_keys
     unknown = sorted(set(labels) - set(keys))
     if unknown:
         raise ChartDegeneracyError(f"{model.value} orbit labels are "
                                    f"{', '.join(keys)}; got {unknown}")
     z = np.array(coords, dtype=float)
-    d = len(CHART_COORDS[model])
+    d = len(chart.coords)
     if z.shape[-1:] != (d,):
         raise ChartDegeneracyError(f"{model.value} chart needs {d} "
                                    f"coordinates, got shape {z.shape}")
@@ -333,13 +482,8 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
                                    f"positive, got {float(np.min(f))!r}")
     lab = {"l": params.l_sub, "h": params.l_sub, "f": 1.0, "k": 1.0,
            "j": 0.0, "E": 0.0, **labels}
-    # finite coordinates and labels can still have Casimirs beyond the
-    # float range (coordinates scaled by a huge m omega, squared), which
-    # casimirs raises as SingularityError
-    with np.errstate(over="ignore", invalid="ignore"):
-        xi = _dual_point(model, z, lab, params)
-    values = casimirs(model, xi, params)
-    for i, name in enumerate(CASIMIR_NAMES[model]):
+    values = casimirs(model, _dual_point(model, z, lab, params), params)
+    for i, name in enumerate(chart.casimir_names):
         if name in keys:
             values[..., i] = lab[name]
     return OrbitPoint(model, z, values)
@@ -365,14 +509,17 @@ def _batch_shape(model: ModelId, coords, labels) -> tuple[int, ...]:
             f"{ls[:-1]} of labels do not broadcast") from None
 
 
-def _check_point(model: ModelId, point: OrbitPoint) -> None:
-    """Reject a point of another model or with mismatched shapes."""
-    if model not in CHART_COORDS:
-        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+def _check_point(model: ModelId, point: OrbitPoint) -> Chart:
+    """The model's chart record, checked against a point.
+
+    A point of another model, or with mismatched shapes, raises.
+    """
+    chart = _chart(model)
     if point.model is not model:
         raise gm.ModelMismatchError(f"point belongs to {point.model.value}, "
                                     f"not {model.value}")
     _batch_shape(model, point.coords, point.labels)
+    return chart
 
 
 def omega_matrix(model: ModelId, point: OrbitPoint,
@@ -386,17 +533,18 @@ def omega_matrix(model: ModelId, point: OrbitPoint,
     Here mw is the orbit charge over r**2, equal to m omega on default
     orbits.  A stacked point gives the stacked matrices (..., d, d).
     """
-    _check_point(model, point)
+    chart = _check_point(model, point)
     xi = dual_from_chart(point, params)
-    if model is ModelId.NONCENTRAL:
-        f2 = np.abs(xi[..., 5]).min()
-        if f2 < DEG_TOL:
+    if chart.singular_form is not None:
+        slot, factor = chart.singular_form
+        smallest = np.abs(xi[..., slot]).min()
+        if smallest < DEG_TOL:
             raise SingularityError(
-                "noncentral restricted form is singular where "
-                f"|f*sin(phi_f)| = {f2:.3e}"
+                f"{model.value} restricted form is singular where "
+                f"|{factor}| = {smallest:.3e}"
             )
     tensor = gm.structure_tensor(model, params)
-    idx = [tensor.index(lab) for lab in OMEGA_BASIS[model]]
+    idx = [tensor.index(lab) for lab in chart.omega_basis]
     return kirillov_matrix(tensor, xi)[..., idx, :][..., idx]
 
 
@@ -409,32 +557,10 @@ def chart_jacobian(model: ModelId, xi,
     the pushforward -Jac K Jac^T, which the verify suite checks
     poisson_tensor against, is unaffected.
     """
-    if model not in CHART_COORDS:
-        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    chart = _chart(model)
     xi = _trailing(model, xi)
-    v = _slot_first(xi)
-    inv_mw = -1.0 / params.m_omega
-    # nonzero entries {(chart row, dual column): value}
-    if model is ModelId.CENTRAL1:
-        entries = {(0, 1): 1.0, (1, 2): inv_mw}
-    elif model is ModelId.CENTRAL2:
-        h = v[5]
-        _require_nonzero(h, "h", model)
-        entries = {(0, 1): 1.0, (1, 2): inv_mw, (2, 4): 1.0,
-                   (3, 3): -1.0 / (h * params.omega)}
-    elif model is ModelId.NONCENTRAL:
-        f = v[4:6]
-        fsq = _dot(f, f)
-        if fsq.min() < DEG_TOL**2:
-            raise ChartDegeneracyError("noncentral chart needs f > 0")
-        entries = {(0, 0): 1.0, (1, 4): -f[1] / fsq, (1, 5): f[0] / fsq,
-                   (2, 1): 1.0, (3, 2): inv_mw}
-    else:
-        k = v[7]
-        _require_nonzero(k, "k", model)
-        entries = {(0, 1): 1.0, (1, 2): 1.0, (2, 4): -1.0 / k,
-                   (3, 5): -1.0 / k}
-    jac = np.zeros(xi.shape[:-1] + (len(CHART_COORDS[model]), xi.shape[-1]))
+    entries = chart.jacobian(_slot_first(xi), params)
+    jac = np.zeros(xi.shape[:-1] + (len(chart.coords), xi.shape[-1]))
     for (row, col), value in entries.items():
         jac[..., row, col] = value
     return jac
@@ -474,31 +600,16 @@ def chart_poisson(model: ModelId, z, labels,
     An entry that is not finite (kappa at a tiny m omega, say, or p / 0
     where m omega underflows to 0) raises SingularityError.
     """
-    if model not in CHART_COORDS:
-        raise gm.ModelMismatchError(f"model {model.value} has no orbit chart")
+    chart = _chart(model)
     z = np.asarray(z, dtype=float)
     labels = np.asarray(labels, dtype=float)
     batch = _batch_shape(model, z, labels)
-    mw = params.m_omega
-    r2 = params.r**2
-    charge = labels[..., 0]
-    # entries above the diagonal {(a, b): {z_a, z_b}}, with kappa formed
-    # only by the charts that have it; a non-finite entry is found below
+    # kappa is formed only by the charts that have it; a non-finite entry
+    # is found below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if model is ModelId.CENTRAL1:
-            upper = {(0, 1): charge / (mw * r2)}
-        elif model is ModelId.CENTRAL2:
-            upper = {(0, 1): charge / (mw * r2), (2, 3): 1.0}
-        elif model is ModelId.NONCENTRAL:
-            upper = {(0, 1): 1.0, (0, 2): mw * z[..., 3],
-                     (0, 3): -z[..., 2] / mw, (2, 3): charge / (mw * r2)}
-        else:
-            upper = {(0, 1): -(charge / r2), (0, 2): 1.0, (1, 3): 1.0}
+        upper = chart.poisson(_slot_first(z), labels[..., 0], params)
     d = z.shape[-1]
-    pi = np.zeros(batch + (d, d))
-    for (a, b), value in upper.items():
-        pi[..., a, b] = value
-        pi[..., b, a] = -value
+    pi = _antisymmetric(upper, batch + (d, d))
     if not np.isfinite(pi).all():
         raise SingularityError(f"{model.value}: a chart Poisson bracket "
                                f"is not finite")
@@ -529,13 +640,11 @@ def phase_space_blocks(model: ModelId, point: OrbitPoint,
     model produces a nonzero dual magnetic block.  A stacked point gives
     stacked blocks.
     """
-    if model is ModelId.CENTRAL1:
-        p_idx, q_idx = [0], [1]
-    elif model is ModelId.DOUBLE:
-        p_idx, q_idx = [0, 1], [2, 3]
-    else:
+    split = _chart(model).split
+    if split is None:
         raise gm.ModelMismatchError(
             f"{model.value} chart has no global momentum/position split")
+    p_idx, q_idx = split
     pi = poisson_tensor(model, point, params)
     return {
         "momentum_momentum": pi[..., p_idx, :][..., p_idx],

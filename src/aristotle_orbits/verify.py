@@ -26,7 +26,6 @@ from .lie_core import (
     StructureTensor,
     bracket,
     coad_matrix,
-    exp_coadjoint,
     expm,
     jacobi_defect,
     kirillov_matrix,
@@ -39,8 +38,7 @@ from . import orbit_chart as oc
 from . import dynamics as dyn
 from .group_models import ModelId
 
-CHART_MODELS = (ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.NONCENTRAL,
-                ModelId.DOUBLE)
+CHART_MODELS = tuple(oc.CHARTS)
 ALL_MODELS = (ModelId.BASE,) + CHART_MODELS
 
 
@@ -167,16 +165,21 @@ def check_adjoint_consistency(report: Report, params: ModelParams, models,
 
 def check_coadjoint_oracle(report: Report, params: ModelParams,
                            models) -> None:
-    """Closed-form coadjoint against the exponential series, per subgroup."""
+    """Closed-form coadjoint against the exponential series, per subgroup.
+
+    The series of every model come from one _padded_expm call.
+    """
     svals = np.array((-1.0, -0.37, 0.51, 1.0))
-    for model in models:
-        tensor = gm.structure_tensor(model, params)
+    # x[a, i] = svals[i] e_a, the parameters of exp(svals[i] e_a)
+    xs = [svals[:, None] * np.eye(gm.dim(model))[:, None, :]
+          for model in models]
+    exps = _padded_expm([coad_matrix(gm.structure_tensor(model, params), x)
+                         for model, x in zip(models, xs)])
+    for model, x, exp in zip(models, xs, exps):
         n = gm.dim(model)
-        # x[a, i] = svals[i] e_a, the parameters of exp(svals[i] e_a)
-        x = svals[:, None] * np.eye(n)[:, None, :]
         xi = np.random.default_rng(7).uniform(-1.0, 1.0, size=(n, len(svals),
                                                                n))
-        series = exp_coadjoint(tensor, x, xi, tol=1e-14)
+        series = (exp @ xi[..., None])[..., 0]
         report.add(f"{model.value}: coadjoint matches exponential oracle",
                    _max_abs(series, gm.coadjoint(model, x, xi, params)), 1e-6)
 
@@ -265,11 +268,10 @@ def _sample_point(model: ModelId, rng: np.random.Generator,
     state.
     """
     d = len(oc.CHART_COORDS[model])
-    names = ["f"] if model is ModelId.NONCENTRAL else []
+    keys = oc.CHARTS[model].label_keys
+    names = [key for key in keys if key == "f"]
     if any_orbit:
-        names.append("l" if model is ModelId.CENTRAL1 else "h")
-        if model is ModelId.DOUBLE:
-            names.append("k")
+        names += [key for key in keys if key in ("l", "h", "k")]
     ndraws = d + sum(1 if name == "f" else 2 for name in names)
     u = rng.random(size=(ndraws,) if size is None else (size, ndraws))
     # Generator.uniform(low, high) is low + (high - low) * random()
@@ -309,30 +311,6 @@ def check_bracket_tables(report: Report, params: ModelParams, models,
                    1e-10)
 
 
-def _printed_omega(model: ModelId, point: oc.OrbitPoint,
-                   params: ModelParams) -> np.ndarray:
-    """The documented restricted-form matrices on default orbits."""
-    mw = params.m_omega
-    if model is ModelId.CENTRAL1:
-        return np.array([[0.0, mw], [-mw, 0.0]])
-    if model is ModelId.CENTRAL2:
-        h, _ = point.labels
-        hw = h * params.omega
-        m = np.zeros((4, 4))
-        m[0, 1] = mw
-        m[2, 3] = -hw
-        return m - m.T
-    if model is ModelId.DOUBLE:
-        _, k, _, _ = point.labels
-        m = np.zeros((4, 4))
-        m[0, 1] = mw
-        m[0, 2] = k
-        m[1, 3] = k
-        return m - m.T
-    raise gm.ModelMismatchError(f"no documented restricted form for "
-                                f"{model.value}")
-
-
 def printed_noncentral_omega_inverse(point: oc.OrbitPoint,
                                      params: ModelParams) -> np.ndarray:
     """The documented inverse form with its 1/(m omega f sin phi) prefactor.
@@ -344,22 +322,21 @@ def printed_noncentral_omega_inverse(point: oc.OrbitPoint,
     fmag = point.labels[..., 1]
     p1, p2 = p, -mw * q
     fs = fmag * np.sin(phi_f)
-    m = np.zeros(np.shape(fs) + (4, 4))
-    for (a, b), value in {(0, 1): -mw, (1, 2): p1, (1, 3): p2,
-                          (2, 3): -fs}.items():
-        m[..., a, b] = value
-        m[..., b, a] = -value
+    m = oc._antisymmetric({(0, 1): -mw, (1, 2): p1, (1, 3): p2, (2, 3): -fs},
+                          np.shape(fs) + (4, 4))
     return m / (mw * fs)[..., None, None]
 
 
 def check_restricted_forms(report: Report, params: ModelParams, models,
                            rng: np.random.Generator) -> None:
     for model in models:
-        if model not in (ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.DOUBLE):
+        if model not in PRINTED_OMEGA:
             continue
         point = _sample_point(model, rng, params)
         om = oc.omega_matrix(model, point, params)
-        diff = float(np.max(np.abs(om - _printed_omega(model, point, params))))
+        printed = oc._antisymmetric(PRINTED_OMEGA[model](point.labels, params),
+                                    om.shape)
+        diff = float(np.max(np.abs(om - printed)))
         report.add(f"{model.value}: restricted kirillov form", diff, 1e-12)
     if ModelId.NONCENTRAL in models:
         points = _sample_point(ModelId.NONCENTRAL, rng, params, size=10)
@@ -384,6 +361,19 @@ def check_canonical_chart(report: Report, params: ModelParams, models,
     report.add("noncentral: canonical pair bracket {H, tau} = 1",
                _max_abs(vals, 1.0), 1e-9)
 
+
+#: The documented restricted-form matrices on default orbits, per chart
+#: model that has one: their entries above the diagonal at one point's
+#: labels.
+PRINTED_OMEGA = {
+    ModelId.CENTRAL1: lambda labels, params: {(0, 1): params.m_omega},
+    # labels (h, s)
+    ModelId.CENTRAL2: lambda labels, params: {
+        (0, 1): params.m_omega, (2, 3): -(labels[0] * params.omega)},
+    # labels (h, k, s, U)
+    ModelId.DOUBLE: lambda labels, params: {
+        (0, 1): params.m_omega, (0, 2): labels[1], (1, 3): labels[1]},
+}
 
 #: Exact time flows per chart model: the report row and the constant
 #: velocity of the dual points xi (..., n) at frequency omega.
@@ -461,28 +451,39 @@ Note = namedtuple("Note", "model term implemented alternate_form values "
                   "remark", defaults=("",))
 
 
-def _probes(params: ModelParams) -> dict[ModelId, Probe]:
-    """Every chart model's probe, with one expm call on all the factors.
+def _padded_expm(coads: list[np.ndarray]) -> list[np.ndarray]:
+    """expm of each stack coads[i] (n, ..., n, n), from one call.
 
-    Row a of diag(s) holds the coordinates of exp(s_a e_a).  A model with
-    n generators fills the top left n x n x n block of an 8 x 8 x 8 zero
-    stack with its coadjoint matrices coad(s_a e_a).  The padding
-    exponentiates to identity blocks, so the same block of the result
-    holds the factors exp(s_a coad(e_a)).
+    A model with n generators fills the top left block of a zero stack
+    (size, ..., size, size), size the largest n, with its n coadjoint
+    matrices.  The padding exponentiates to identity blocks, so the same
+    block of the result holds the exponentials of its stack.
     """
-    coad = np.zeros((len(PROBE_DUALS),) + 3 * (len(PROBE_S),))
-    for i, model in enumerate(PROBE_DUALS):
-        n = gm.dim(model)
-        coad[i, :n, :n, :n] = coad_matrix(gm.structure_tensor(model, params),
-                                          np.diag(PROBE_S[:n]))
+    size = max(map(len, coads))
+    stack = np.zeros((len(coads), size) + coads[0].shape[1:-2] + (size, size))
+    for padded, coad in zip(stack, coads):
+        n = len(coad)
+        padded[:n, ..., :n, :n] = coad
+    return [exps[:len(coad), ..., :len(coad), :len(coad)]
+            for coad, exps in zip(coads, expm(stack, tol=1e-14))]
+
+
+def _probes(params: ModelParams) -> dict[ModelId, Probe]:
+    """Every chart model's probe, with the factors from one _padded_expm call.
+
+    Row a of diag(s) holds the coordinates of exp(s_a e_a), and its
+    coadjoint matrix coad(s_a e_a) exponentiates to the factor
+    exp(s_a coad(e_a)).
+    """
+    diags = [np.diag(PROBE_S[:gm.dim(model)]) for model in PROBE_DUALS]
+    exps = _padded_expm([coad_matrix(gm.structure_tensor(model, params), diag)
+                         for model, diag in zip(PROBE_DUALS, diags)])
     probes = {}
-    for model, exps in zip(PROBE_DUALS, expm(coad, tol=1e-14)):
-        n = gm.dim(model)
+    for model, diag, factors in zip(PROBE_DUALS, diags, exps):
         xi = gm.dual_vector(model, **PROBE_DUALS[model],  # the charge l or h
                             **{oc.CASIMIR_NAMES[model][0]: params.l_sub})
         g = functools.reduce(lambda u, v: gm.multiply(model, u, v, params),
-                             np.diag(PROBE_S[:n]))
-        factors = exps[:n, :n, :n]
+                             diag)
         probes[model] = Probe(model, g, xi, factors,
                               functools.reduce(np.matmul, factors) @ xi)
     return probes

@@ -124,6 +124,15 @@ def test_chart_round_trip_is_exact(model):
         assert np.max(np.abs(back - xi)) < 1e-12
 
 
+def test_dual_from_chart_overflow_is_a_singularity_without_a_warning():
+    # -m omega q overflows; the suite's error::RuntimeWarning filter turns a
+    # leaked numpy warning into a failure before casimirs can raise
+    point = ao.OrbitPoint(ModelId.CENTRAL1, np.array([0.1, 1e10]),
+                          np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ao.SingularityError):
+        ao.dual_from_chart(point, ModelParams(m=1e300, omega=10.0))
+
+
 def test_orbit_point_rejects_wrong_arity_and_unknown_labels():
     with pytest.raises(ao.ChartDegeneracyError):
         ao.orbit_point(ModelId.CENTRAL1, (1.0,), PARAMS)

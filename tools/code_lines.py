@@ -3,9 +3,11 @@
 A code line holds at least one token that is not a comment, and is not
 part of a docstring (the leading string of a module, class or function).
 Blank lines, comment-only lines and docstring lines are not counted.
-After the per-module counts and the total, it lists the five largest
-top-level functions and classes by the same rule (decorators not
-included).  Standard library only:
+Next to each module's count it prints its dispatch lines: the code lines
+that match `model is ModelId` or `model is not ModelId`, the per-model
+branches of the package.  After the per-module counts and the totals, it
+lists the five largest top-level functions and classes by the same rule
+(decorators not included).  Standard library only:
 
     python tools/code_lines.py [ROOT]
 
@@ -15,12 +17,14 @@ ROOT defaults to the repository's src/ directory.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 import tokenize
 from pathlib import Path
 
 _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
          tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+_DISPATCH = re.compile(r"model is (not )?ModelId")
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
@@ -56,19 +60,23 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
-    total = 0
+    total = dispatch_total = 0
     definitions = []  # (code lines, name) of each top-level def and class
+    print("  code dispatch  module")
     for path in sorted(root.rglob("*.py")):
         lines, tree = _code_line_set(path)
+        source = path.read_text(encoding="utf-8").splitlines()
+        dispatch = sum(bool(_DISPATCH.search(source[n - 1])) for n in lines)
         total += len(lines)
+        dispatch_total += dispatch
         definitions += [
             (len(lines.intersection(range(node.lineno, node.end_lineno + 1))),
              node.name)
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))]
-        print(f"{len(lines):6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+        print(f"{len(lines):6d} {dispatch:8d}  {path.relative_to(root)}")
+    print(f"{total:6d} {dispatch_total:8d}  total")
     print("largest top-level functions and classes:")
     for n, name in sorted(definitions, key=lambda d: -d[0])[:5]:
         print(f"{n:6d}  {name}")
