@@ -18,9 +18,11 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -290,24 +292,37 @@ def _trajectory_rows(traj: dyn.Trajectory) -> tuple[list[str], list[list[float]]
     return _trajectory_header(traj), table.tolist()
 
 
+#: Lines per write: the writer holds one block of formatted rows at a time.
+_CSV_BLOCK = 1024
+
+
 def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     """Write the rows of _trajectory_rows as CSV, with the same strings.
 
-    Values are formatted a column at a time.  When every Casimir row
-    equals the first, as on Hamiltonian flows, that block is formatted
-    once and ends every line.
+    A column whose rows all equal its first is formatted once: the Casimir
+    labels of a Hamiltonian flow, say, or j and phi_f of the noncentral
+    energy flow.  The trailing run of such columns ends every line.  The
+    other columns are formatted a value at a time, and lines are joined
+    and written _CSV_BLOCK rows at a time.  The bytes are those of a writer
+    that formats every value of every row.
     """
-    series = traj.casimir_series
-    constant = len(series) > 0 and bool((series == series[0]).all())
-    table = np.column_stack((traj.times, traj.coords)
-                            + (() if constant else (series,))) + 0.0
-    end = "\n"
-    if constant:
-        end = "".join("," + repr(v) for v in (series[0] + 0.0).tolist()) + end
-    columns = (map(repr, col) for col in table.T.tolist())
+    table = np.column_stack((traj.times, traj.coords,
+                             traj.casimir_series)) + 0.0
+    n = len(table)
+    constant = (table == table[:1]).all(axis=0) & (n > 0)
+    first = list(map(repr, table[0].tolist())) if n else []
+    # the trailing constant columns, short of the first column
+    cut = len(constant)
+    while cut > 1 and constant[cut - 1]:
+        cut -= 1
+    end = "".join("," + s for s in first[cut:]) + "\n"
+    columns = [repeat(first[j], n) if constant[j]
+               else map(repr, table[:, j].tolist()) for j in range(cut)]
+    rows = map(",".join, zip(*columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(_trajectory_header(traj)) + "\n")
-        fh.writelines(",".join(row) + end for row in zip(*columns))
+        for _ in range(0, n, _CSV_BLOCK):
+            fh.write(end.join(islice(rows, _CSV_BLOCK)) + end)
 
 
 def read_trajectory_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -345,6 +360,32 @@ def _merge_config(args, cfg: dict) -> None:
             setattr(args, key, value)
 
 
+def _write_trajectory(args, traj: dyn.Trajectory,
+                      drift: dict[str, float] | None) -> None:
+    """traj to args.out in args.format.
+
+    A partial run passes no drift: its energies may not be finite, and the
+    JSON document then has no "drift" key.
+    """
+    if args.format == "csv":
+        write_trajectory_csv(args.out, traj)
+        return
+    header, rows = _trajectory_rows(traj)
+    doc = {
+        "model": traj.model.value,
+        "flow": args.flow,
+        "dt": args.dt,
+        "steps": args.steps,
+        "columns": header,
+        "rows": rows,
+    }
+    if drift is not None:
+        doc["drift"] = drift
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def cmd_simulate(args) -> int:
     _merge_config(args, _load_config(args.config))
     if args.model is None:
@@ -376,29 +417,14 @@ def cmd_simulate(args) -> int:
         traj = dyn.hamiltonian_flow(model, spec, z0, params)
     except dyn.FlowSingularityError as exc:
         if exc.partial is not None and len(exc.partial.times) > 0:
-            write_trajectory_csv(args.out, exc.partial)
+            _write_trajectory(args, exc.partial, None)
             print(f"wrote partial trajectory "
                   f"({len(exc.partial.times)} rows) to {args.out}",
                   file=sys.stderr)
         print(f"flow singularity: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     drift = dyn.invariant_drift(traj)
-    if args.format == "csv":
-        write_trajectory_csv(args.out, traj)
-    else:
-        header, rows = _trajectory_rows(traj)
-        doc = {
-            "model": model.value,
-            "flow": args.flow,
-            "dt": args.dt,
-            "steps": args.steps,
-            "columns": header,
-            "rows": rows,
-            "drift": drift,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _write_trajectory(args, traj, drift)
     print(f"wrote {args.out} ({args.steps} steps, dt = {_fmt(args.dt)})")
     print("invariant drift: " + ", ".join(
         f"{k} = {_fmt(v)}" for k, v in drift.items()))
@@ -482,10 +508,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process.
+
+    parse_args makes a new namespace per call and leaves the parser as it
+    was, so repeated main calls in one process share it.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

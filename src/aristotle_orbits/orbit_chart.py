@@ -555,14 +555,24 @@ def chart_jacobian(model: ModelId, xi,
     Derivatives along Casimir-only directions (h, k rows of the structure)
     are dropped; those directions carry a vanishing Poisson structure, so
     the pushforward -Jac K Jac^T, which the verify suite checks
-    poisson_tensor against, is unaffected.
+    poisson_tensor against, is unaffected.  An entry that is not finite
+    (1 / (m omega) where m omega underflows, say) raises SingularityError.
     """
     chart = _chart(model)
     xi = _trailing(model, xi)
-    entries = chart.jacobian(_slot_first(xi), params)
+    singular = SingularityError(f"{model.value}: a chart Jacobian entry is "
+                                f"not finite")
+    try:
+        # the entries divide by m omega as Python floats, and by charges
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            entries = chart.jacobian(_slot_first(xi), params)
+    except ZeroDivisionError:
+        raise singular from None
     jac = np.zeros(xi.shape[:-1] + (len(chart.coords), xi.shape[-1]))
     for (row, col), value in entries.items():
         jac[..., row, col] = value
+    if not np.isfinite(jac).all():
+        raise singular
     return jac
 
 

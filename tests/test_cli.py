@@ -293,9 +293,60 @@ def _signed_zero_trajectory():
                       casimir_series=series)
 
 
+def _noncentral_energy_trajectory():
+    # j and phi_f stay put: constant columns ahead of the moving p and q
+    params = ao.ModelParams(m=1.7, omega=0.6, r=1.3)
+    z0 = ao.orbit_point(ModelId.NONCENTRAL, (0.4, 0.9, -0.3, 0.2), params)
+    ham, grad = ao.energy_hamiltonian(ModelId.NONCENTRAL, z0, params)
+    spec = ao.FlowSpec(kind="hamiltonian", dt=1e-2, nsteps=300,
+                       integrator="implicit-midpoint", hamiltonian=ham,
+                       gradient=grad)
+    traj = ao.hamiltonian_flow(ModelId.NONCENTRAL, spec, z0, params)
+    moving = (traj.coords != traj.coords[0]).any(axis=0)
+    assert moving.tolist() == [False, False, True, True]
+    return traj
+
+
+def _one_row_trajectory():
+    # every column is constant, the time column included
+    return Trajectory(model=ModelId.DOUBLE, times=np.array([-0.0]),
+                      coords=np.array([[0.1 + 0.2, -0.0, 1e-300, -5e-324]]),
+                      casimir_names=("h", "k", "s", "U"),
+                      casimir_series=np.array([[1.0, -2.5e-7, 0.0, 1e300]]))
+
+
+def _late_change_trajectory():
+    # constant in every row but the last, across more than two blocks
+    n = 2 * cli._CSV_BLOCK + 1
+    coords = np.tile([0.5, -0.0, 1.0 / 3.0, 2.0], (n, 1))
+    coords[:, 0] = np.linspace(0.0, 1.0, n)
+    coords[-1, 2] = 0.25
+    series = np.tile([1.0, 0.1 + 0.2, -0.0, 7.0], (n, 1))
+    series[-1, 3] = 7.5
+    return Trajectory(model=ModelId.DOUBLE, times=0.01 * np.arange(n),
+                      coords=coords, casimir_names=("h", "k", "s", "U"),
+                      casimir_series=series)
+
+
+def _partial_trajectory():
+    ham, grad = ao.kinetic_hamiltonian(ModelId.DOUBLE, ao.ModelParams())
+    z0 = ao.orbit_point(ModelId.DOUBLE, (1.0, 0.0, 0.0, 0.0), ao.ModelParams())
+    spec = ao.FlowSpec(kind="hamiltonian", dt=10.0, nsteps=1000,
+                       integrator="rk4", hamiltonian=ham, gradient=grad)
+    with pytest.raises(ao.FlowSingularityError) as info:
+        ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, ao.ModelParams())
+    assert len(info.value.partial.times) > 1
+    return info.value.partial
+
+
 @pytest.mark.parametrize("make", [_hamiltonian_trajectory, _group_trajectory,
-                                  _signed_zero_trajectory],
-                         ids=["hamiltonian", "group", "signed-zero"])
+                                  _signed_zero_trajectory,
+                                  _noncentral_energy_trajectory,
+                                  _one_row_trajectory, _late_change_trajectory,
+                                  _partial_trajectory],
+                         ids=["hamiltonian", "group", "signed-zero",
+                              "noncentral-energy", "one-row", "late-change",
+                              "partial"])
 def test_trajectory_csv_equals_the_per_row_writer(tmp_path, make):
     traj = make()
     out, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
@@ -529,6 +580,26 @@ def test_overflowing_flow_fails_without_numpy_warnings(tmp_path, flags, lines,
     assert out.exists() == partial
 
 
+def test_overflowing_flow_under_json_writes_a_json_partial(tmp_path):
+    flags = ["--flow", "hamiltonian", "--model", "double", "--hamiltonian",
+             "kinetic", "--integrator", "rk4", "--dt", "10", "--steps", "1000",
+             "--point", "1,0,0,0"]
+    out, csv = tmp_path / "traj.json", tmp_path / "traj.csv"
+    proc = fresh_cli("simulate", *flags, "--format", "json", "--out", str(out))
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 2, proc.stderr
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert "drift" not in doc  # a partial run's energies may overflow
+    assert fresh_cli("simulate", *flags, "--out", str(csv)).returncode == 3
+    header, data = cli.read_trajectory_csv(str(csv))
+    assert doc["columns"] == header
+    assert np.array_equal(np.array(doc["rows"]), data)
+
+
 @pytest.mark.parametrize("mass,code", [("1e300", 3), ("1e-300", 2)])
 def test_verify_at_extreme_mass_fails_without_numpy_warnings(tmp_path, mass,
                                                             code):
@@ -641,3 +712,44 @@ def test_bracket_unknown_coordinate_is_usage_error():
 
 def test_unknown_command_is_usage_error():
     assert run(["frobnicate"]) == 2
+
+
+@pytest.fixture(scope="module")
+def made_first(tmp_path_factory):
+    """One output path, and each call's result in a fresh interpreter."""
+    out = tmp_path_factory.mktemp("first") / "out.csv"
+    results = {}
+
+    def fresh(argv):
+        if tuple(argv) not in results:
+            out.unlink(missing_ok=True)
+            proc = fresh_cli(*argv)
+            results[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr,
+                                    out.read_bytes() if out.exists() else None)
+        return results[tuple(argv)]
+    return out, fresh
+
+
+_CYCLOTRON = ["simulate", "--model", "double", "--flow", "hamiltonian",
+              "--hamiltonian", "kinetic", "--dt", "0.01", "--steps", "50",
+              "--point", "1,0,0.5,0"]
+
+
+@pytest.mark.parametrize("before", [
+    _CYCLOTRON + ["--label", "h=2"],
+    ["simulate", "--model", "nowhere", "--steps", "x"],
+    ["verify", "--seed", "0"],
+], ids=["label-then-none", "usage-error-then-run", "verify-then-simulate"])
+def test_a_call_after_another_matches_the_call_made_first(capsys, made_first,
+                                                          before):
+    # main parses every call with one parser per process
+    out, fresh = made_first
+    for argv in (before, _CYCLOTRON):
+        if argv[0] == "simulate":
+            argv = [*argv, "--out", str(out)]
+        out.unlink(missing_ok=True)
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err,
+                out.read_bytes() if out.exists() else None) == fresh(argv)
+    assert cli._parser() is cli._parser()

@@ -532,6 +532,18 @@ def test_stacked_chart_layer_matches_row_by_row(model):
     assert isinstance(rows["poisson_bracket"], float)
 
 
+@pytest.mark.parametrize("mass", [1e-200, 1e-160])
+@pytest.mark.parametrize("model", [ModelId.CENTRAL1, ModelId.CENTRAL2,
+                                   ModelId.NONCENTRAL])
+def test_chart_jacobian_at_a_vanishing_m_omega_is_a_singularity(model, mass):
+    # m omega underflows to 0 at 1e-200 and to a subnormal at 1e-160, whose
+    # reciprocal overflows; either way the chart is singular, not a crash
+    params = ModelParams(m=mass, omega=mass)
+    xi = ao.sample_dual(model, np.random.default_rng(3), nondegenerate=True)
+    with pytest.raises(ao.SingularityError, match="Jacobian"):
+        orbit_chart.chart_jacobian(model, xi, params)
+
+
 @pytest.mark.parametrize("model", [ModelId.CENTRAL1, ModelId.DOUBLE])
 def test_stacked_phase_space_blocks_match_row_by_row(model):
     rng = np.random.default_rng(43)

@@ -1,0 +1,175 @@
+"""Alternating parent/change pairs of the benchmark, summarized per metric.
+
+Runs ``perfbench/run.py`` in a ``git archive`` copy of a parent revision
+and in the working tree, one after the other, for each pair.  Even pairs
+run the parent first and odd pairs the change first, so a drift of the
+host's speed during the session lands on both sides.  For every bounded
+metric (the ``end_to_end`` list of BENCHMARK.json) it reports each side's
+median and quartiles, the change/parent ratio of the medians, in how many
+pairs the change did better, and whether the gap between the medians
+exceeds the parent's quartile distance.  Standard library only:
+
+    python tools/bench_pairs.py PARENT_REV --workload hamiltonian \\
+        --pairs 10 --seconds 35 --seed 1 --out BENCH.json
+
+``--workload`` may be given more than once; the workloads run one after
+the other.  If the ``--out`` file exists, its runs are kept and the new
+ones are added, so one file can hold several seeds, pair counts and
+workloads.  The summary table goes to standard output; per-pair values
+are in the file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def export_tree(rev: str, dest: str) -> str:
+    """The files of rev, unpacked under dest; the path of the copy."""
+    tree = os.path.join(dest, "parent")
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
+        tar.extractall(tree)
+    return tree
+
+
+def src_digest(tree: str) -> str:
+    """SHA-256 over the paths and bytes of the package source in tree."""
+    h = hashlib.sha256()
+    src = os.path.join(tree, "src")
+    for base, _, files in sorted(os.walk(src)):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(base, name)
+            h.update(os.path.relpath(path, src).encode() + b"\0")
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
+    """The last stdout line of one benchmark run in tree, as a dict."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"run.py in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()}")
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    return {"failed": doc["failed"], "attempted": doc["attempted"],
+            **{k: v["value"] for k, v in doc["metrics"].items()}}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: both sides' quartiles, ratio, wins, and the verdict."""
+    out = {}
+    for name, direction in better.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = (quartiles(parent),
+                                              quartiles(change))
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        out[name] = {
+            "better": direction,
+            "parent": {"median": pmed, "q1": pq1, "q3": pq3},
+            "change": {"median": cmed, "q1": cq1, "q3": cq3},
+            "ratio": cmed / pmed,
+            "change_wins": f"{wins}/{len(pairs)}",
+            "gap_exceeds_parent_iqr": abs(cmed - pmed) > pq3 - pq1,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="git revision of the parent tree")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=int, default=35)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--out", help="JSON file to write (runs are added)")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    doc = {"runs": []}
+    if args.out and os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    parent_rev = _git("rev-parse", args.parent).decode().strip()
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
+        trees = {"parent": export_tree(parent_rev, scratch), "change": ROOT}
+        for workload in args.workload:
+            pairs = []
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change",
+                                                                  "parent")
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_once(trees[side], workload, args.seed,
+                                          args.seconds)
+                pairs.append(pair)
+                print(f"{workload} pair {i + 1}/{args.pairs}: op_p50_s "
+                      f"parent {pair['parent']['op_p50_s']:.4g}, change "
+                      f"{pair['change']['op_p50_s']:.4g}", flush=True)
+            summary = summarize(pairs, better)
+            doc["runs"].append({
+                "workload": workload, "seed": args.seed,
+                "seconds": args.seconds, "pairs": args.pairs,
+                "parent": {"rev": parent_rev,
+                           "src_sha256": src_digest(trees["parent"])},
+                "change": {"head": _git("rev-parse", "HEAD").decode().strip(),
+                           "src_sha256": src_digest(ROOT)},
+                "failed_ops": {side: sum(p[side]["failed"] for p in pairs)
+                               for side in ("parent", "change")},
+                "summary": summary, "per_pair": pairs,
+            })
+            for name, s in summary.items():
+                print(f"  {name:<12} parent {s['parent']['median']:.4g} "
+                      f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  "
+                      f"change {s['change']['median']:.4g} "
+                      f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
+                      f"ratio {s['ratio']:.3f}  wins {s['change_wins']}  "
+                      f"beyond parent IQR {s['gap_exceeds_parent_iqr']}")
+    doc["manifest"] = {
+        "tool": "tools/bench_pairs.py", "python": platform.python_version(),
+        "machine": platform.machine(), "nproc": os.cpu_count(),
+        "written": datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"),
+    }
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
