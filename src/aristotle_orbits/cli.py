@@ -135,8 +135,8 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _config_seed(cfg: dict, default: int) -> int:
-    seed = cfg.get("seed", default)
+def _checked_seed(seed) -> int:
+    """seed if it is a non-negative integer (a bool is not one)."""
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
@@ -180,10 +180,14 @@ def cmd_verify(args) -> int:
     from . import verify as verify_mod
     cfg = _load_config(args.config)
     params = _params_from_args(args)
-    seed = _config_seed(cfg, args.seed)
+    # flags beat the document, and the document beats the defaults
+    seed = _checked_seed(cfg.get("seed", 0))
     models = _config_models(cfg)
-    if args.model != "all":
-        models = [ModelId.from_name(args.model)]
+    if args.seed is not None:
+        seed = _checked_seed(args.seed)
+    if args.model is not None:
+        models = (None if args.model == "all"
+                  else [ModelId.from_name(args.model)])
     corruption = _config_corruption(cfg)
     report = verify_mod.run_verify(models=models, seed=seed, params=params,
                                    corruption=corruption)
@@ -334,12 +338,36 @@ def read_trajectory_csv(path: str) -> tuple[list[str], np.ndarray]:
     return header, np.array(data)
 
 
+#: The choices of the simulate flags that have them.
+_SIM_CHOICES = {"model": MODEL_NAMES, "flow": ("group", "hamiltonian"),
+                "format": ("csv", "json"),
+                "integrator": ("rk4", "implicit-midpoint")}
+
 _SIM_DEFAULTS = {
     "flow": "group", "dt": 1e-3, "steps": 10_000, "format": "csv",
     "integrator": "implicit-midpoint", "hamiltonian": "kinetic",
     "m": 1.0, "omega": 1.0, "r": 1.0,
     "model": None, "out": None, "xi": None, "point": None, "label": None,
 }
+
+
+def _check_config_value(key: str, value) -> None:
+    """A document value must pass its flag's choices and string checks.
+
+    Numbers and points are checked where they are parsed, for flags and
+    document alike; null is an unset key.
+    """
+    if value is None:
+        return
+    if key in _SIM_CHOICES and value not in _SIM_CHOICES[key]:
+        raise UsageError(f"config key {key!r} must be one of "
+                         f"{', '.join(_SIM_CHOICES[key])}, got {value!r}")
+    if key in ("out", "hamiltonian") and not isinstance(value, str):
+        raise UsageError(f"config key {key!r} must be a string, got {value!r}")
+    if key == "label" and not (isinstance(value, list) and all(
+            isinstance(item, str) for item in value)):
+        raise UsageError("config key 'label' must be a list of "
+                         "name=value strings")
 
 
 def _merge_config(args, cfg: dict) -> None:
@@ -354,18 +382,16 @@ def _merge_config(args, cfg: dict) -> None:
     for key, default in _SIM_DEFAULTS.items():
         if getattr(args, key) is None:
             value = cfg.get(key, default)
-            if key == "label" and value is not None and not isinstance(value, list):
-                raise UsageError("config key 'label' must be a list of "
-                                 "name=value strings")
+            _check_config_value(key, value)
             setattr(args, key, value)
 
 
-def _write_trajectory(args, traj: dyn.Trajectory,
-                      drift: dict[str, float] | None) -> None:
-    """traj to args.out in args.format.
+def _write_trajectory(args, traj: dyn.Trajectory, tail: dict) -> None:
+    """traj to args.out in args.format; a JSON document ends with tail.
 
-    A partial run passes no drift: its energies may not be finite, and the
-    JSON document then has no "drift" key.
+    "steps" is the number of rows written less one.  A finished run's tail
+    is its drift; a partial run's is the step that failed, and no drift:
+    its energies may not be finite.
     """
     if args.format == "csv":
         write_trajectory_csv(args.out, traj)
@@ -375,12 +401,11 @@ def _write_trajectory(args, traj: dyn.Trajectory,
         "model": traj.model.value,
         "flow": args.flow,
         "dt": args.dt,
-        "steps": args.steps,
+        "steps": len(rows) - 1,
         "columns": header,
         "rows": rows,
+        **tail,
     }
-    if drift is not None:
-        doc["drift"] = drift
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -417,14 +442,14 @@ def cmd_simulate(args) -> int:
         traj = dyn.hamiltonian_flow(model, spec, z0, params)
     except dyn.FlowSingularityError as exc:
         if exc.partial is not None and len(exc.partial.times) > 0:
-            _write_trajectory(args, exc.partial, None)
+            _write_trajectory(args, exc.partial, {"failed_step": exc.step})
             print(f"wrote partial trajectory "
                   f"({len(exc.partial.times)} rows) to {args.out}",
                   file=sys.stderr)
         print(f"flow singularity: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     drift = dyn.invariant_drift(traj)
-    _write_trajectory(args, traj, drift)
+    _write_trajectory(args, traj, {"drift": drift})
     print(f"wrote {args.out} ({args.steps} steps, dt = {_fmt(args.dt)})")
     print("invariant drift: " + ", ".join(
         f"{k} = {_fmt(v)}" for k, v in drift.items()))
@@ -462,9 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
-    p_verify.add_argument("--model", default="all",
-                          choices=MODEL_NAMES + ("all",))
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--model", choices=MODEL_NAMES + ("all",))
+    p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.add_argument("--config", help="JSON config document")
     _add_param_flags(p_verify)
@@ -478,13 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.set_defaults(func=cmd_orbit)
 
     p_sim = sub.add_parser("simulate", help="integrate a flow")
-    p_sim.add_argument("--model", choices=MODEL_NAMES)
-    p_sim.add_argument("--flow", choices=("group", "hamiltonian"))
+    p_sim.add_argument("--model", choices=_SIM_CHOICES["model"])
+    p_sim.add_argument("--flow", choices=_SIM_CHOICES["flow"])
     p_sim.add_argument("--dt", type=float)
     p_sim.add_argument("--steps", type=int)
     p_sim.add_argument("--out")
-    p_sim.add_argument("--format", choices=("csv", "json"))
-    p_sim.add_argument("--integrator", choices=("rk4", "implicit-midpoint"))
+    p_sim.add_argument("--format", choices=_SIM_CHOICES["format"])
+    p_sim.add_argument("--integrator", choices=_SIM_CHOICES["integrator"])
     p_sim.add_argument("--hamiltonian", help="kinetic, energy or canonical")
     p_sim.add_argument("--xi", help="initial dual point, comma separated")
     p_sim.add_argument("--point", help="initial chart point, comma separated")

@@ -93,6 +93,27 @@ def test_verify_corrupted_structure_fails_with_exit_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+_DOC, _ALL = {"seed": 3, "models": ["base"]}, {m.value for m in ModelId}
+
+
+@pytest.mark.parametrize("flags,cfg,seed,models", [
+    ([], {}, 0, _ALL),
+    ([], _DOC, 3, {"base"}),
+    (["--seed", "5", "--model", "all"], _DOC, 5, _ALL),
+    (["--seed", "5", "--model", "double"], _DOC, 5, {"double"}),
+], ids=["defaults", "document", "flags-all", "flags-one-model"])
+def test_verify_flags_beat_the_document_which_beats_the_defaults(
+        tmp_path, flags, cfg, seed, models):
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", *flags, "--config", str(path),
+                "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["seed"] == seed
+    assert {c["name"].partition(": ")[0] for c in doc["checks"]
+            if ": " in c["name"]} == models
+
+
 def test_verify_empty_model_list_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"models": []}))
@@ -380,8 +401,10 @@ _STEPS, _DT, _POINT = ["--steps", "10"], ["--dt", "0.1"], ["--point=1,0,0,0"]
     (_DT + _POINT, {"steps": "x"}),
     (_STEPS + _POINT, {"dt": "0.1"}),
     (_DT + _STEPS + _POINT, {"m": float("inf")}),
+    (_DT + _STEPS + _POINT, {"integrator": "euler"}),
+    (_DT + _STEPS + _POINT, {"format": "xml"}),
 ], ids=["dt-nan", "dt-inf", "point-nan", "steps-string", "dt-string",
-        "m-inf"])
+        "m-inf", "integrator-euler", "format-xml"])
 def test_simulate_bad_input_is_one_line_usage_error(tmp_path, capsys, flags,
                                                     cfg):
     out = tmp_path / "traj.csv"
@@ -395,6 +418,23 @@ def test_simulate_bad_input_is_one_line_usage_error(tmp_path, capsys, flags,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("model", 7), ("out", 1), ("label", [5])], ids=["model", "out", "label"])
+def test_simulate_document_value_its_flag_rejects_is_a_usage_error(
+        tmp_path, capsys, key, value):
+    # the test above passes --model and --out, which beat the document
+    out = tmp_path / "traj.csv"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": "double", "flow": "group", "dt": 0.1, "steps": 10,
+        "point": [0, 0, 1, 0], "out": str(out), key: value}))
+    assert run(["simulate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -594,6 +634,8 @@ def test_overflowing_flow_under_json_writes_a_json_partial(tmp_path):
 
     doc = json.loads(out.read_text(), parse_constant=reject)
     assert "drift" not in doc  # a partial run's energies may overflow
+    assert doc["steps"] == len(doc["rows"]) - 1
+    assert f"flow singularity: step {doc['failed_step']}:" in proc.stderr
     assert fresh_cli("simulate", *flags, "--out", str(csv)).returncode == 3
     header, data = cli.read_trajectory_csv(str(csv))
     assert doc["columns"] == header

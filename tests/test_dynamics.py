@@ -51,14 +51,25 @@ def test_time_flow_group_property(model):
 
 
 def test_group_flow_trajectory_conserves_casimirs_exactly():
-    xi = ao.dual_vector(ModelId.DOUBLE, j=0.4, p1=0.3, p2=-0.2, E=0.7,
-                        f1=0.5, f2=-0.1, h=1.0, k=1.0)
-    z0 = ao.chart_from_dual(ModelId.DOUBLE, xi, PARAMS)
+    duals = {
+        ModelId.CENTRAL1: dict(j=0.4, p1=0.3, p2=-0.2, E=0.7, l=1.0),
+        ModelId.CENTRAL2: dict(j=0.4, p1=0.3, p2=-0.2, E=0.7, l=0.6, h=1.0),
+        ModelId.NONCENTRAL: dict(j=0.4, p1=0.3, p2=-0.2, E=0.7, f1=0.5,
+                                 f2=-0.1, h=1.0),
+        ModelId.DOUBLE: dict(j=0.4, p1=0.3, p2=-0.2, E=0.7, f1=0.5, f2=-0.1,
+                             h=1.0, k=1.0),
+    }
     spec = FlowSpec(kind="group-time-flow", dt=0.01, nsteps=200)
-    traj = ao.hamiltonian_flow(ModelId.DOUBLE, spec, z0, PARAMS)
-    drift = ao.invariant_drift(traj)
-    for name in ("h", "k", "s", "U"):
-        assert drift[name] < 1e-12
+    rng = np.random.default_rng(107)
+    for model, coords in duals.items():
+        # the listed dual point and 50 sampled ones
+        for xi in [ao.dual_vector(model, **coords),
+                   *ao.sample_dual(model, rng, nondegenerate=True, size=50)]:
+            z0 = ao.chart_from_dual(model, xi, PARAMS)
+            traj = ao.hamiltonian_flow(model, spec, z0, PARAMS)
+            drift = ao.invariant_drift(traj)
+            for name in ao.CASIMIR_NAMES[model]:
+                assert drift[name] < 1e-12, (model, xi, name)
 
 
 def _bits(a):
