@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from itertools import islice, repeat
 
 import numpy as np
 
@@ -300,33 +299,49 @@ def _trajectory_rows(traj: dyn.Trajectory) -> tuple[list[str], list[list[float]]
 _CSV_BLOCK = 1024
 
 
+def _csv_lines(block: np.ndarray) -> list[bytes]:
+    """The rows of a 2-d float block as CSV lines, without line ends.
+
+    Each line is ``",".join(map(repr, row))``.  orjson formats the whole
+    block in one call with the same shortest round-trip digits, and where
+    |x| is in [1e-4, 1e16) or x is 0 with the same text too; a row holding
+    any other value (tiny, huge, NaN or infinite) is formatted by repr.
+    """
+    import orjson  # here, so that importing cli does not load it
+    block = np.ascontiguousarray(block)  # orjson reads C order only
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    lines = text[2:-2].split(b"],[")
+    size = np.abs(block)
+    outside = ~(((size >= 1e-4) & (size < 1e16)) | (block == 0)).all(axis=1)
+    for i in np.flatnonzero(outside).tolist():
+        lines[i] = ",".join(map(repr, block[i].tolist())).encode()
+    return lines
+
+
 def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     """Write the rows of _trajectory_rows as CSV, with the same strings.
 
-    A column whose rows all equal its first is formatted once: the Casimir
-    labels of a Hamiltonian flow, say, or j and phi_f of the noncentral
-    energy flow.  The trailing run of such columns ends every line.  The
-    other columns are formatted a value at a time, and lines are joined
-    and written _CSV_BLOCK rows at a time.  The bytes are those of a writer
-    that formats every value of every row.
+    The trailing run of columns whose rows all equal their first (the
+    Casimir labels of a Hamiltonian flow, say) is formatted once and ends
+    every line.  The other columns go through _csv_lines _CSV_BLOCK rows
+    at a time.  The bytes are those of a writer that formats every value
+    of every row with repr.
     """
     table = np.column_stack((traj.times, traj.coords,
                              traj.casimir_series)) + 0.0
     n = len(table)
     constant = (table == table[:1]).all(axis=0) & (n > 0)
-    first = list(map(repr, table[0].tolist())) if n else []
     # the trailing constant columns, short of the first column
     cut = len(constant)
     while cut > 1 and constant[cut - 1]:
         cut -= 1
-    end = "".join("," + s for s in first[cut:]) + "\n"
-    columns = [repeat(first[j], n) if constant[j]
-               else map(repr, table[:, j].tolist()) for j in range(cut)]
-    rows = map(",".join, zip(*columns))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_trajectory_header(traj)) + "\n")
-        for _ in range(0, n, _CSV_BLOCK):
-            fh.write(end.join(islice(rows, _CSV_BLOCK)) + end)
+    suffix = table[:1, cut:].ravel().tolist()
+    end = "".join("," + repr(v) for v in suffix).encode() + b"\n"
+    with open(path, "wb") as fh:
+        fh.write((",".join(_trajectory_header(traj)) + "\n").encode())
+        for start in range(0, n, _CSV_BLOCK):
+            lines = _csv_lines(table[start:start + _CSV_BLOCK, :cut])
+            fh.write(end.join(lines) + end)
 
 
 def read_trajectory_csv(path: str) -> tuple[list[str], np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import aristotle_orbits as ao
 from aristotle_orbits import ModelId, ModelParams, Trajectory, cli, verify
@@ -145,17 +147,25 @@ def test_verify_config_that_is_not_utf8_is_one_line_usage_error(tmp_path,
     assert "Traceback" not in err
 
 
+_GROUP_FLOW = ["simulate", "--model", "double", "--flow", "group", "--dt",
+               "0.1", "--steps", "10", "--point", "0,0,1,0"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--model", "base"],
-    ["simulate", "--model", "double", "--flow", "group", "--dt", "0.1",
-     "--steps", "10", "--point", "0,0,1,0"],
-], ids=["verify", "simulate"])
+    _GROUP_FLOW,
+    _GROUP_FLOW + ["--format", "json"],
+    # the partial trajectory of a failing flow goes to the same path
+    ["simulate", "--flow", "hamiltonian", "--model", "double",
+     "--hamiltonian", "kinetic", "--integrator", "rk4", "--dt", "10",
+     "--steps", "1000", "--point", "1,0,0,0"],
+], ids=["verify", "simulate", "simulate-json", "simulate-partial"])
 def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "out.json"
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err.startswith("error: cannot write output:")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_verify_deterministic_output(tmp_path):
@@ -349,6 +359,28 @@ def _late_change_trajectory():
                       casimir_series=series)
 
 
+#: Values at the edges of the range where orjson's text is repr's.
+_WINDOW_EDGES = tuple(sign * v for v in (
+    math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16, 5e-324,
+    1e-300, math.nan, math.inf) for sign in (1.0, -1.0))
+
+
+def _window_edge_trajectory():
+    # moving columns reach the window edges and non-finite values in the
+    # middle block of three, as the last rows of a partial run can
+    n = 2 * cli._CSV_BLOCK + 5
+    coords = np.tile([0.5, -0.0, 1.0 / 3.0, 2.0], (n, 1))
+    coords[:, 1] = np.linspace(-1.0, 1.0, n)
+    # one edge value per row, so that no other value of the row hides it
+    rows = cli._CSV_BLOCK + np.arange(len(_WINDOW_EDGES))
+    coords[rows, 1] = _WINDOW_EDGES
+    coords[rows + len(_WINDOW_EDGES), 3] = _WINDOW_EDGES
+    series = np.tile([1.0, 0.1 + 0.2, -0.0, 7.0], (n, 1))
+    return Trajectory(model=ModelId.DOUBLE, times=0.01 * np.arange(n),
+                      coords=coords, casimir_names=("h", "k", "s", "U"),
+                      casimir_series=series)
+
+
 def _partial_trajectory():
     ham, grad = ao.kinetic_hamiltonian(ModelId.DOUBLE, ao.ModelParams())
     z0 = ao.orbit_point(ModelId.DOUBLE, (1.0, 0.0, 0.0, 0.0), ao.ModelParams())
@@ -364,16 +396,30 @@ def _partial_trajectory():
                                   _signed_zero_trajectory,
                                   _noncentral_energy_trajectory,
                                   _one_row_trajectory, _late_change_trajectory,
+                                  _window_edge_trajectory,
                                   _partial_trajectory],
                          ids=["hamiltonian", "group", "signed-zero",
                               "noncentral-energy", "one-row", "late-change",
-                              "partial"])
+                              "window-edges", "partial"])
 def test_trajectory_csv_equals_the_per_row_writer(tmp_path, make):
     traj = make()
     out, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
     cli.write_trajectory_csv(str(out), traj)
     _per_row_csv(str(ref), traj)
     assert out.read_bytes() == ref.read_bytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rows=st.integers(1, 9).flatmap(lambda width: st.lists(
+    st.lists(st.floats() | st.sampled_from(_WINDOW_EDGES), min_size=width,
+             max_size=width), min_size=1, max_size=6)))
+@example(rows=[list(_WINDOW_EDGES)])
+@example(rows=[[v] for v in _WINDOW_EDGES])
+@example(rows=[[0.5, v, -2.0] for v in _WINDOW_EDGES])
+def test_csv_lines_are_the_repr_join_of_each_row(rows):
+    # the guard on the orjson formatter, whatever its version
+    lines = cli._csv_lines(np.array(rows))
+    assert lines == [",".join(map(repr, row)).encode() for row in rows]
 
 
 def test_simulate_json_document_carries_drift(tmp_path):
