@@ -94,12 +94,11 @@ a failed flow) is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .lie_core import ModelParams
+from .lie_core import ModelParams, _Record
 from . import group_models as gm
 from . import orbit_chart as oc
 from .group_models import ModelId
@@ -129,8 +128,7 @@ class SolverConvergenceError(ArithmeticError):
     """The implicit midpoint fixed point iteration did not converge."""
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticHamiltonian:
+class QuadraticHamiltonian(_Record):
     """H(z) = offset + slope . z + z . hessian z / 2 on a chart.
 
     Called like any Hamiltonian, it maps chart coordinates (..., d) to
@@ -141,19 +139,17 @@ class QuadraticHamiltonian:
     integrates it by one precomputed increment matrix.
     """
 
-    hessian: np.ndarray
-    slope: np.ndarray
-    offset: float = 0.0
+    __slots__ = ("hessian", "slope", "offset")
 
-    def __post_init__(self):
-        hessian = np.array(self.hessian, dtype=float)
-        slope = np.array(self.slope, dtype=float)
+    def __init__(self, hessian, slope, offset: float = 0.0):
+        hessian = np.array(hessian, dtype=float)
+        slope = np.array(slope, dtype=float)
         d = slope.size
         if slope.shape != (d,) or hessian.shape != (d, d):
             raise ValueError(f"quadratic hamiltonian needs a hessian (d, d) "
                              f"and a slope (d,), got {hessian.shape} and "
                              f"{slope.shape}")
-        offset = float(self.offset)
+        offset = float(offset)
         if not (np.isfinite(hessian).all() and np.isfinite(slope).all()
                 and math.isfinite(offset)):
             raise ValueError("quadratic hamiltonian must have finite "
@@ -162,9 +158,7 @@ class QuadraticHamiltonian:
         if not np.array_equal(hessian, hessian.T):
             raise ValueError("quadratic hamiltonian needs a symmetric hessian")
         hessian.flags.writeable = slope.flags.writeable = False
-        object.__setattr__(self, "hessian", hessian)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "offset", offset)
+        self._set(hessian=hessian, slope=slope, offset=offset)
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -177,8 +171,7 @@ class QuadraticHamiltonian:
         return np.vecmat(np.asarray(z, dtype=float), self.hessian) + self.slope
 
 
-@dataclass(frozen=True)
-class NoncentralEnergy:
+class NoncentralEnergy(_Record):
     """The energy coordinate on the noncentral chart (j, phi_f, p, q).
 
     H(z) = U - (f / mw_eff) (p sin phi_f + mw_eff q cos phi_f), with f the
@@ -189,9 +182,10 @@ class NoncentralEnergy:
     hamiltonian_flow integrates it by one precomputed increment matrix.
     """
 
-    f: float
-    mw_eff: float
-    U: float
+    __slots__ = ("f", "mw_eff", "U")
+
+    def __init__(self, f: float, mw_eff: float, U: float):
+        self._set(f=f, mw_eff=mw_eff, U=U)
 
     def __call__(self, z) -> np.ndarray:
         phi_f, p, q = z[..., 1], z[..., 2], z[..., 3]
@@ -210,8 +204,7 @@ class NoncentralEnergy:
         ])
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(_Record):
     """What to integrate and how.
 
     kind is "group-time-flow" or "hamiltonian".  For the latter,
@@ -228,17 +221,15 @@ class FlowSpec:
     MAX_ITERATIONS.
     """
 
-    kind: str = "group-time-flow"
-    dt: float = 1e-3
-    nsteps: int = 10_000
-    integrator: str = "implicit-midpoint"
-    hamiltonian: Callable[[np.ndarray], np.ndarray | float] | None = None
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    __slots__ = ("kind", "dt", "nsteps", "integrator", "hamiltonian",
+                 "gradient")
 
-    def __post_init__(self):
-        if self.kind not in ("group-time-flow", "hamiltonian"):
-            raise ValueError(f"unknown flow kind {self.kind!r}")
-        dt, nsteps = self.dt, self.nsteps
+    def __init__(self, kind: str = "group-time-flow", dt: float = 1e-3,
+                 nsteps: int = 10_000, integrator: str = "implicit-midpoint",
+                 hamiltonian: Callable | None = None,
+                 gradient: Callable | None = None):
+        if kind not in ("group-time-flow", "hamiltonian"):
+            raise ValueError(f"unknown flow kind {kind!r}")
         if not (isinstance(dt, (int, float, np.floating))
                 and not isinstance(dt, bool) and math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be a finite positive number, got "
@@ -247,14 +238,15 @@ class FlowSpec:
                 and not isinstance(nsteps, bool) and nsteps >= 1):
             raise ValueError(f"nsteps must be an integer of at least 1, got "
                              f"{nsteps!r}")
-        if self.integrator not in ("rk4", "implicit-midpoint"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.kind == "hamiltonian" and self.hamiltonian is None:
+        if integrator not in ("rk4", "implicit-midpoint"):
+            raise ValueError(f"unknown integrator {integrator!r}")
+        if kind == "hamiltonian" and hamiltonian is None:
             raise ValueError("hamiltonian flows need a hamiltonian")
+        self._set(kind=kind, dt=dt, nsteps=nsteps, integrator=integrator,
+                  hamiltonian=hamiltonian, gradient=gradient)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Sampled flow: one row per time in every series.
 
     coords is the (n, d) array of chart coordinates and casimir_series the
@@ -263,12 +255,15 @@ class Trajectory:
     Hamiltonian flows, which also carry the energy per sample.
     """
 
-    model: ModelId
-    times: np.ndarray = field(repr=False)
-    coords: np.ndarray = field(repr=False)
-    casimir_names: tuple[str, ...]
-    casimir_series: np.ndarray = field(repr=False)
-    hamiltonian_series: np.ndarray | None = field(default=None, repr=False)
+    __slots__ = ("model", "times", "coords", "casimir_names",
+                 "casimir_series", "hamiltonian_series")
+
+    def __init__(self, model: ModelId, times: np.ndarray, coords: np.ndarray,
+                 casimir_names: tuple[str, ...], casimir_series: np.ndarray,
+                 hamiltonian_series: np.ndarray | None = None):
+        self._set(model=model, times=times, coords=coords,
+                  casimir_names=casimir_names, casimir_series=casimir_series,
+                  hamiltonian_series=hamiltonian_series)
 
 
 def invariant_drift(traj: Trajectory) -> dict[str, float]:

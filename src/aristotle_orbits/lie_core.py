@@ -25,13 +25,17 @@ verify command uses both as the oracle of the closed-form actions.
 
 All values are double precision.  Types are immutable after construction
 and all operations are pure functions, so everything here is safe to share
-across threads.
+across threads.  The package's records (ModelParams and StructureTensor
+here, the chart points, Hamiltonians, flow specs and trajectories
+elsewhere, and verify's rows) are _Record subclasses with __slots__: each
+__init__ sets its fields once through _Record._set, and any later
+assignment or deletion raises AttributeError.  ModelParams compares and
+hashes by value, so equal params share one cached structure tensor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,8 +78,25 @@ def eps_vec(u) -> np.ndarray:
     return np.array((u[1], -u[0]))
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Record:
+    """Base of the immutable records: fields are slots set once by _set."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot "
+                             f"assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot "
+                             f"delete {name!r}")
+
+
+class ModelParams(_Record):
     """Physical scales shared by all models.
 
     m is a mass, omega a frequency and r a length.  The derived velocity is
@@ -83,20 +104,27 @@ class ModelParams:
     so with the default m = omega = r = 1 all structure constants and matrix
     entries reduce to small integers.  All three must be finite and
     positive, and r**2 must be too (about 1.6e-162 < r < 1.34e154).
+    Equal fields make equal, equally hashed params.
     """
 
-    m: float = 1.0
-    omega: float = 1.0
-    r: float = 1.0
+    __slots__ = ("m", "omega", "r")
 
-    def __post_init__(self):
-        values = (self.m, self.omega, self.r)
+    def __init__(self, m: float = 1.0, omega: float = 1.0, r: float = 1.0):
         # the structure constants hold 1 / r**2, and float ** raises where
         # the square overflows
-        if not (all(v > 0 and math.isfinite(v) for v in values)
-                and 0.0 < self.r * self.r < math.inf):
+        if not (all(v > 0 and math.isfinite(v) for v in (m, omega, r))
+                and 0.0 < r * r < math.inf):
             raise ValueError("ModelParams requires finite m > 0, omega > 0, "
                              "r > 0, and r**2 > 0 finite as a float")
+        self._set(m=m, omega=omega, r=r)
+
+    def __eq__(self, other):
+        if type(other) is not ModelParams:
+            return NotImplemented
+        return (self.m, self.omega, self.r) == (other.m, other.omega, other.r)
+
+    def __hash__(self):
+        return hash((self.m, self.omega, self.r))
 
     @property
     def c(self) -> float:
@@ -112,16 +140,17 @@ class ModelParams:
         return self.m * self.omega
 
 
-@dataclass(frozen=True)
-class StructureTensor:
+class StructureTensor(_Record):
     """Structure constants C^c_{ab} of a Lie algebra over a labeled basis.
 
     The array is indexed c[a, b, out] and is antisymmetric in (a, b) bit
     exactly by construction.
     """
 
-    labels: tuple[str, ...]
-    c: np.ndarray = field(repr=False)
+    __slots__ = ("labels", "c")
+
+    def __init__(self, labels: tuple[str, ...], c: np.ndarray):
+        self._set(labels=labels, c=c)
 
     @property
     def dim(self) -> int:

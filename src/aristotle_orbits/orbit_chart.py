@@ -68,12 +68,11 @@ parameters directly, matching the defaults where charge = m omega r**2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 import numpy as np
 
-from .lie_core import (DimensionMismatchError, ModelParams, cross2,
+from .lie_core import (DimensionMismatchError, ModelParams, _Record, cross2,
                        kirillov_matrix)
 from . import group_models as gm
 from .group_models import ModelId, _dot, _slot_first, _trailing
@@ -95,8 +94,11 @@ class SingularityError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True, eq=False)
-class Chart:
+class Chart(namedtuple("Chart", (
+        "coords", "casimir_names", "omega_basis", "label_keys",
+        "constant_poisson", "casimirs", "chart_map", "dual_map", "jacobian",
+        "poisson", "energy", "split", "singular_form"),
+        defaults=(None, None))):
     """One chart model: its names and its closed forms.
 
     Names: coords (CHART_COORDS), casimir_names (CASIMIR_NAMES),
@@ -125,21 +127,10 @@ class Chart:
     split holds the momentum and position indices of phase_space_blocks,
     or None for a chart without that split; singular_form the dual slot,
     and its name, whose vanishing makes omega_matrix singular, if any.
+    Both default to None.
     """
 
-    coords: tuple[str, ...]
-    casimir_names: tuple[str, ...]
-    omega_basis: tuple[str, ...]
-    label_keys: tuple[str, ...]
-    constant_poisson: bool
-    casimirs: Callable
-    chart_map: Callable
-    dual_map: Callable
-    jacobian: Callable
-    poisson: Callable
-    energy: Callable
-    split: tuple[list[int], list[int]] | None = None
-    singular_form: tuple[int, str] | None = None
+    __slots__ = ()
 
 
 # central1: dual (j, p1, p2, E, l); chart (p, q); labels (l, E, s)
@@ -291,17 +282,18 @@ OMEGA_BASIS = {model: c.omega_basis for model, c in CHARTS.items()}
 _HIDDEN_SLOT = {"s": 0, "U": 3, "E": 3}
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitPoint:
+class OrbitPoint(_Record):
     """Chart points and the Casimir labels of their orbits.
 
     coords (..., d) follows CHART_COORDS[model] and labels (..., c)
     CASIMIR_NAMES[model]; their batch shapes broadcast together.
     """
 
-    model: ModelId
-    coords: np.ndarray
-    labels: np.ndarray
+    __slots__ = ("model", "coords", "labels")
+
+    def __init__(self, model: ModelId, coords: np.ndarray,
+                 labels: np.ndarray):
+        self._set(model=model, coords=coords, labels=labels)
 
 
 def _chart(model: ModelId) -> Chart:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lie_core import (
     ModelParams,
     StructureTensor,
+    _Record,
     bracket,
     coad_matrix,
     expm,
@@ -42,24 +42,34 @@ CHART_MODELS = tuple(oc.CHARTS)
 ALL_MODELS = (ModelId.BASE,) + CHART_MODELS
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "info"
-    measured: float
-    tolerance: float | None
-    note: str = ""
+class CheckResult(_Record):
+    __slots__ = ("name", "status", "measured", "tolerance", "note")
+
+    def __init__(self, name: str, status: str, measured: float,
+                 tolerance: float | None, note: str = ""):
+        # status is "pass", "fail" or "info"
+        self._set(name=name, status=status, measured=measured,
+                  tolerance=tolerance, note=note)
 
     def as_dict(self) -> dict:
         """The fields by name, in declaration order."""
-        return dict(vars(self))
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if type(other) is not CheckResult:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
 
-@dataclass
 class Report:
-    seed: int
-    checks: list[CheckResult] = field(default_factory=list)
-    convention_notes: list[dict] = field(default_factory=list)
+    __slots__ = ("seed", "checks", "convention_notes")
+
+    def __init__(self, seed: int, checks: list[CheckResult] | None = None,
+                 convention_notes: list[dict] | None = None):
+        self.seed = seed
+        self.checks = [] if checks is None else checks
+        self.convention_notes = ([] if convention_notes is None
+                                 else convention_notes)
 
     def add(self, name: str, measured: float, tolerance: float,
             note: str = "") -> None:

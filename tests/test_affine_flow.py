@@ -141,6 +141,10 @@ def test_quadratic_hamiltonian_evaluates_its_coefficients():
     assert np.allclose(ham(z), want, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         ham.hessian[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        ham.offset = 1.0
+    assert ham.offset == 0.25
+    assert QuadraticHamiltonian(s + s.T, np.zeros(3)).offset == 0.0
     with pytest.raises(ValueError, match="hessian"):
         QuadraticHamiltonian(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError, match="finite"):

@@ -1,0 +1,57 @@
+"""tools/bench_pairs.py records which tree its change side measured."""
+
+import importlib.util
+import pathlib
+import subprocess
+
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", TOOLS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], cwd=repo, check=True, capture_output=True)
+
+
+def test_tree_state_names_every_file_that_differs_from_head(tmp_path):
+    tree_state = _load().tree_state
+    _git(tmp_path, "init", "-q")
+    (tmp_path / ".gitignore").write_text("ignored/\n")
+    (tmp_path / "kept.py").write_text("a = 1\n")
+    (tmp_path / "gone.py").write_text("b = 2\n")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "base")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path,
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+    clean = tree_state(str(tmp_path))
+    assert clean["head"] == head
+    assert (clean["dirty"], clean["paths"]) == (False, [])
+
+    (tmp_path / "kept.py").write_text("a = 3\n")
+    (tmp_path / "gone.py").unlink()
+    (tmp_path / "new").mkdir()
+    (tmp_path / "new" / "added.py").write_text("c = 4\n")
+    (tmp_path / "ignored").mkdir()
+    (tmp_path / "ignored" / "out.json").write_text("{}\n")
+    dirty = tree_state(str(tmp_path))
+    assert dirty["head"] == head and dirty["dirty"]
+    assert dirty["paths"] == ["gone.py", "kept.py", "new/added.py"]
+
+    # staging changes nothing; other bytes in a listed file change the digest
+    _git(tmp_path, "add", "kept.py")
+    assert tree_state(str(tmp_path)) == dirty
+    (tmp_path / "new" / "added.py").write_text("c = 5\n")
+    edited = tree_state(str(tmp_path))
+    assert edited["paths"] == dirty["paths"]
+    assert edited["sha256"] != dirty["sha256"]
+    (tmp_path / "new" / "added.py").write_text("c = 4\n")
+    assert tree_state(str(tmp_path))["sha256"] == dirty["sha256"]

@@ -841,3 +841,20 @@ def test_a_call_after_another_matches_the_call_made_first(capsys, made_first,
         assert (code, captured.out, captured.err,
                 out.read_bytes() if out.exists() else None) == fresh(argv)
     assert cli._parser() is cli._parser()
+
+
+# -------------------------------------------------------------- cold start
+
+def test_import_loads_no_module_it_does_not_run():
+    # every command starts a fresh process: importing the package, the CLI
+    # and the property suites generates no dataclass code, and leaves the
+    # CSV formatter and numpy's random module to their first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, numpy, aristotle_orbits, aristotle_orbits.cli, "
+            "aristotle_orbits.verify; print(' '.join(m for m in ('dataclasses',"
+            " 'orjson', 'numpy.random') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.split() == []

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -144,8 +142,8 @@ def test_invariant_drift_reports_only_what_can_drift(model):
     # and the group flow's drift fails on a sample that leaves the orbit
     series = group.casimir_series.copy()
     series[-1, -1] += 1e-6
-    drift = ao.invariant_drift(dataclasses.replace(group,
-                                                   casimir_series=series))
+    drift = ao.invariant_drift(ao.Trajectory(
+        model, group.times, group.coords, names, series))
     assert drift[names[-1]] == pytest.approx(1e-6, rel=1e-6)
     ham, grad = ao.kinetic_hamiltonian(model, PARAMS)
     spec = FlowSpec(kind="hamiltonian", dt=1e-2, nsteps=20, hamiltonian=ham,
@@ -421,6 +419,12 @@ def test_flow_spec_validation():
         FlowSpec(kind="hamiltonian")
     with pytest.raises(ValueError):
         FlowSpec(integrator="euler")
+    spec = FlowSpec("group-time-flow", 0.5, 3, "rk4")
+    assert (spec.kind, spec.dt, spec.nsteps, spec.integrator,
+            spec.hamiltonian, spec.gradient) == (
+        "group-time-flow", 0.5, 3, "rk4", None, None)
+    with pytest.raises(AttributeError):
+        spec.dt = 0.0
 
 
 @pytest.mark.parametrize("field,value", [

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import aristotle_orbits as ao
-from aristotle_orbits import ModelId, ModelParams
+from aristotle_orbits import (ModelId, ModelParams, dynamics, orbit_chart,
+                             verify)
 from aristotle_orbits.group_models import defective_central2_tensor
 
 PARAMS = ModelParams()
@@ -277,6 +278,47 @@ def test_model_params_validation_and_derived_scales():
     p = ModelParams(m=2.0, omega=3.0, r=0.5)
     assert p.c == pytest.approx(1.5)
     assert p.l_sub == pytest.approx(2.0 * 3.0 * 0.25)
+    with pytest.raises(AttributeError):
+        p.m = 1.0
+    with pytest.raises(AttributeError):
+        del p.r
+    assert (p.m, p.omega, p.r) == (2.0, 3.0, 0.5)
+
+
+def test_model_params_compare_and_hash_by_value():
+    a, b = ModelParams(2.0, 3.0, 4.0), ModelParams(2.0, 3.0, 4.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ModelParams(2.0, 4.0, 3.0) and a != (2.0, 3.0, 4.0)
+    assert len({a, b, ModelParams()}) == 2
+    # equal params key one cached tensor
+    tensor = ao.structure_tensor(ModelId.DOUBLE, a)
+    assert ao.structure_tensor(ModelId.DOUBLE, b) is tensor
+
+
+def _point():
+    return ao.orbit_point(ModelId.CENTRAL1, (0.5, -0.3), PARAMS)
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: ao.structure_tensor(ModelId.CENTRAL1, PARAMS), "c"),
+    (lambda: orbit_chart.CHARTS[ModelId.DOUBLE], "coords"),
+    (_point, "coords"),
+    (lambda: dynamics.NoncentralEnergy(1.0, 1.0, 0.0), "f"),
+    (lambda: ao.hamiltonian_flow(ModelId.CENTRAL1, ao.FlowSpec(
+        dt=0.1, nsteps=2), _point(), PARAMS), "times"),
+    (lambda: verify.CheckResult("x", "pass", 0.0, 1.0), "status"),
+], ids=["StructureTensor", "Chart", "OrbitPoint", "NoncentralEnergy",
+        "Trajectory", "CheckResult"])
+def test_records_refuse_assignment(make, field):
+    record = make()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
+    assert getattr(record, field) is before
 
 
 @pytest.mark.parametrize("name", ["m", "omega", "r"])

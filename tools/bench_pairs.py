@@ -7,7 +7,11 @@ host's speed during the session lands on both sides.  For every bounded
 metric (the ``end_to_end`` list of BENCHMARK.json) it reports each side's
 median and quartiles, the change/parent ratio of the medians, in how many
 pairs the change did better, and whether the gap between the medians
-exceeds the parent's quartile distance.  Standard library only:
+exceeds the parent's quartile distance; the raw set-up time and the
+host reference loop (``setup_wall_s``, ``host_ref_s``) are summarized
+beside them.  Each run records what the change side measured: its HEAD
+revision, whether the tree was dirty, the paths that differ from HEAD
+and a SHA-256 over them (``tree_state``).  Standard library only:
 
     python tools/bench_pairs.py PARENT_REV --workload hamiltonian \\
         --pairs 10 --seconds 35 --seed 1 --out BENCH.json
@@ -37,9 +41,39 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+#: Unbounded metrics of run.py's result file, summarized beside the bounded
+#: ones: the raw set-up time and the host reference loop it is rescaled by.
+REPORTED = {"setup_wall_s": "lower", "host_ref_s": "lower"}
+
+
+def _git(*args: str, cwd: str = ROOT) -> bytes:
+    return subprocess.run(["git", *args], cwd=cwd, check=True,
                           capture_output=True).stdout
+
+
+def tree_state(root: str) -> dict:
+    """HEAD of the git tree at root and what differs from it.
+
+    paths lists the files whose contents differ from HEAD: tracked files
+    changed (staged or not) or deleted, and untracked files that
+    .gitignore does not exclude.  sha256 is taken over each path and the
+    SHA-256 of its bytes ("-" for a deleted file), so two trees with the
+    same HEAD and sha256 hold the same files.
+    """
+    listed = (_git("diff", "--name-only", "-z", "HEAD", cwd=root)
+              + _git("ls-files", "--others", "--exclude-standard", "-z",
+                     cwd=root))
+    paths = sorted({p.decode() for p in listed.split(b"\0") if p})
+    h = hashlib.sha256()
+    for path in paths:
+        full = os.path.join(root, path)
+        digest = "-"
+        if os.path.isfile(full):
+            with open(full, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+        h.update(f"{path}\0{digest}\n".encode())
+    return {"head": _git("rev-parse", "HEAD", cwd=root).decode().strip(),
+            "dirty": bool(paths), "paths": paths, "sha256": h.hexdigest()}
 
 
 def export_tree(rev: str, dest: str) -> str:
@@ -64,7 +98,7 @@ def src_digest(tree: str) -> str:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
-    """The last stdout line of one benchmark run in tree, as a dict."""
+    """One benchmark run in tree: op counts, bounded and REPORTED metrics."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -73,8 +107,13 @@ def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
         raise RuntimeError(f"run.py in {tree} exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
     doc = json.loads(proc.stdout.splitlines()[-1])
+    path = os.path.join(tree, "perfbench", "results",
+                        f"{workload}-trace0.json")
+    with open(path, encoding="utf-8") as fh:
+        reported = json.load(fh)["metrics"]
     return {"failed": doc["failed"], "attempted": doc["attempted"],
-            **{k: v["value"] for k, v in doc["metrics"].items()}}
+            **{k: v["value"] for k, v in doc["metrics"].items()},
+            **{k: reported[k]["value"] for k in REPORTED}}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -124,6 +163,7 @@ def main(argv=None) -> int:
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     parent_rev = _git("rev-parse", args.parent).decode().strip()
+    change = tree_state(ROOT)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         trees = {"parent": export_tree(parent_rev, scratch), "change": ROOT}
         for workload in args.workload:
@@ -139,14 +179,13 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i + 1}/{args.pairs}: op_p50_s "
                       f"parent {pair['parent']['op_p50_s']:.4g}, change "
                       f"{pair['change']['op_p50_s']:.4g}", flush=True)
-            summary = summarize(pairs, better)
+            summary = summarize(pairs, {**better, **REPORTED})
             doc["runs"].append({
                 "workload": workload, "seed": args.seed,
                 "seconds": args.seconds, "pairs": args.pairs,
                 "parent": {"rev": parent_rev,
                            "src_sha256": src_digest(trees["parent"])},
-                "change": {"head": _git("rev-parse", "HEAD").decode().strip(),
-                           "src_sha256": src_digest(ROOT)},
+                "change": {**change, "src_sha256": src_digest(ROOT)},
                 "failed_ops": {side: sum(p[side]["failed"] for p in pairs)
                                for side in ("parent", "change")},
                 "summary": summary, "per_pair": pairs,
