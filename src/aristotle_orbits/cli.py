@@ -279,20 +279,16 @@ def _named_hamiltonian(name: str, model: ModelId, point: oc.OrbitPoint,
                      "energy or canonical")
 
 
-def _trajectory_header(traj: dyn.Trajectory) -> list[str]:
-    return (["t"] + list(oc.CHART_COORDS[traj.model])
-            + list(traj.casimir_names))
+def _trajectory_table(traj: dyn.Trajectory) -> tuple[list[str], np.ndarray]:
+    """Column names and table (t, chart coordinates, Casimirs) of traj.
 
-
-def _trajectory_rows(traj: dyn.Trajectory) -> tuple[list[str], list[list[float]]]:
-    """Column names and rows (t, chart coordinates, Casimirs) of traj.
-
-    Adding 0.0 normalizes negative zero as _fmt does, so repr of each row
+    Adding 0.0 normalizes negative zero as _fmt does, so repr of each table
     value is its _fmt string.
     """
-    table = np.column_stack((traj.times, traj.coords,
-                             traj.casimir_series)) + 0.0
-    return _trajectory_header(traj), table.tolist()
+    header = (["t"] + list(oc.CHART_COORDS[traj.model])
+              + list(traj.casimir_names))
+    return header, np.column_stack((traj.times, traj.coords,
+                                    traj.casimir_series)) + 0.0
 
 
 #: Lines per write: the writer holds one block of formatted rows at a time.
@@ -319,7 +315,7 @@ def _csv_lines(block: np.ndarray) -> list[bytes]:
 
 
 def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
-    """Write the rows of _trajectory_rows as CSV, with the same strings.
+    """Write the table of _trajectory_table as CSV, one row a line.
 
     The trailing run of columns whose rows all equal their first (the
     Casimir labels of a Hamiltonian flow, say) is formatted once and ends
@@ -327,8 +323,7 @@ def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     at a time.  The bytes are those of a writer that formats every value
     of every row with repr.
     """
-    table = np.column_stack((traj.times, traj.coords,
-                             traj.casimir_series)) + 0.0
+    header, table = _trajectory_table(traj)
     n = len(table)
     constant = (table == table[:1]).all(axis=0) & (n > 0)
     # the trailing constant columns, short of the first column
@@ -338,7 +333,7 @@ def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     suffix = table[:1, cut:].ravel().tolist()
     end = "".join("," + repr(v) for v in suffix).encode() + b"\n"
     with open(path, "wb") as fh:
-        fh.write((",".join(_trajectory_header(traj)) + "\n").encode())
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, n, _CSV_BLOCK):
             lines = _csv_lines(table[start:start + _CSV_BLOCK, :cut])
             fh.write(end.join(lines) + end)
@@ -411,14 +406,14 @@ def _write_trajectory(args, traj: dyn.Trajectory, tail: dict) -> None:
     if args.format == "csv":
         write_trajectory_csv(args.out, traj)
         return
-    header, rows = _trajectory_rows(traj)
+    header, table = _trajectory_table(traj)
     doc = {
         "model": traj.model.value,
         "flow": args.flow,
         "dt": args.dt,
-        "steps": len(rows) - 1,
+        "steps": len(table) - 1,
         "columns": header,
-        "rows": rows,
+        "rows": table.tolist(),
         **tail,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

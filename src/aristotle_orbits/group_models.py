@@ -34,6 +34,15 @@ exponential series by the test suite.  Where a differently-signed variant
 of a term is in circulation, the verify report lists it as a convention
 note; the series oracle is authoritative here.
 
+Each model is defined in one place, its Group record in GROUPS: its
+algebra and dual labels, its brackets beyond the rotation pairs, and the
+terms that its multiply, inverse, adjoint and coadjoint add to base's.
+The public laws validate their input, compute the terms every model
+shares (the rotated translations, and j + cross2(x, R p) and R p on the
+dual), call the record's terms once and return.  bracket_table is the
+rotation pairs plus the record's brackets, and the public tables
+ALGEBRA_LABELS and DUAL_LABELS are views of the records.
+
 Group elements
 --------------
 A group element of a model is a float array whose last axis holds its
@@ -58,6 +67,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import namedtuple
 
 import numpy as np
 
@@ -81,97 +91,6 @@ class ModelId(enum.Enum):
             return ModelId(name.lower())
         except ValueError:
             raise ModelMismatchError(f"unknown model name {name!r}") from None
-
-
-ALGEBRA_LABELS: dict[ModelId, tuple[str, ...]] = {
-    ModelId.BASE: ("J", "P1", "P2", "H"),
-    ModelId.CENTRAL1: ("J", "P1", "P2", "H", "S"),
-    ModelId.CENTRAL2: ("J", "P1", "P2", "H", "S", "N"),
-    ModelId.NONCENTRAL: ("J", "P1", "P2", "H", "F1", "F2", "S"),
-    ModelId.DOUBLE: ("J", "P1", "P2", "H", "F1", "F2", "S", "K"),
-}
-
-DUAL_LABELS: dict[ModelId, tuple[str, ...]] = {
-    ModelId.BASE: ("j", "p1", "p2", "E"),
-    ModelId.CENTRAL1: ("j", "p1", "p2", "E", "l"),
-    ModelId.CENTRAL2: ("j", "p1", "p2", "E", "l", "h"),
-    ModelId.NONCENTRAL: ("j", "p1", "p2", "E", "f1", "f2", "h"),
-    ModelId.DOUBLE: ("j", "p1", "p2", "E", "f1", "f2", "h", "k"),
-}
-
-DEFAULT_PARAMS = ModelParams()
-
-
-def dim(model: ModelId) -> int:
-    return len(ALGEBRA_LABELS[model])
-
-
-def bracket_table(model: ModelId, params: ModelParams = DEFAULT_PARAMS) -> dict:
-    """Nonzero Lie brackets {(a, b): {out: coeff}} of the model.
-
-    The rotation generator acts as [J, V1] = V2, [J, V2] = -V1 on each
-    translation pair, and [P1, P2] carries the 1/r**2 extension charge.
-    """
-    inv_r2 = 1.0 / params.r**2
-    rot_pairs = {("J", "P1"): {"P2": 1.0}, ("J", "P2"): {"P1": -1.0}}
-    if model is ModelId.BASE:
-        return dict(rot_pairs)
-    if model is ModelId.CENTRAL1:
-        return {**rot_pairs, ("P1", "P2"): {"S": inv_r2}}
-    if model is ModelId.CENTRAL2:
-        return {
-            **rot_pairs,
-            ("P1", "P2"): {"N": inv_r2},
-            ("S", "H"): {"N": params.omega},
-        }
-    force_pairs = {
-        **rot_pairs,
-        ("J", "F1"): {"F2": 1.0},
-        ("J", "F2"): {"F1": -1.0},
-        ("P1", "P2"): {"S": inv_r2},
-        ("P1", "H"): {"F1": 1.0},
-        ("P2", "H"): {"F2": 1.0},
-    }
-    if model is ModelId.NONCENTRAL:
-        return force_pairs
-    if model is ModelId.DOUBLE:
-        return {
-            **force_pairs,
-            ("P1", "F1"): {"K": 1.0},
-            ("P2", "F2"): {"K": 1.0},
-        }
-    raise ModelMismatchError(f"unknown model {model}")
-
-
-def structure_tensor(model: ModelId,
-                     params: ModelParams = DEFAULT_PARAMS) -> StructureTensor:
-    """Structure constants of the model in its documented basis order.
-
-    Built once per (model, params) and shared: the array is read-only, so
-    a caller that perturbs it works on a copy.
-    """
-    return _structure_tensor(model, params)
-
-
-# a plain function in front of the cache keeps structure_tensor a function,
-# which is what tools that wrap the package's public functions look for
-@functools.lru_cache(maxsize=64)
-def _structure_tensor(model: ModelId, params: ModelParams) -> StructureTensor:
-    tensor = StructureTensor.from_brackets(ALGEBRA_LABELS[model],
-                                           bracket_table(model, params))
-    tensor.c.flags.writeable = False
-    return tensor
-
-
-def defective_central2_tensor(params: ModelParams = DEFAULT_PARAMS) -> StructureTensor:
-    """The inconsistent central2 variant with [P1, P2] = S / r**2 kept.
-
-    Not a Lie algebra: the (P1, P2, H) cyclic sum leaves omega / r**2 on N.
-    Exposed for the diagnostic checks of the verify command.
-    """
-    table = bracket_table(ModelId.CENTRAL2, params)
-    table[("P1", "P2")] = {"S": 1.0 / params.r**2}
-    return StructureTensor.from_brackets(ALGEBRA_LABELS[ModelId.CENTRAL2], table)
 
 
 def _trailing(model: ModelId, a) -> np.ndarray:
@@ -214,6 +133,249 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1]
 
 
+def _cocycle(c, s, x, x2, params: ModelParams) -> np.ndarray:
+    """cocycle from cos and sin of the first element's theta."""
+    return cross2(_rotate(c, -s, x), x2) / (2.0 * params.r**2)
+
+
+def _no_terms(*args) -> None:
+    """The terms of a law that adds nothing to the base model's."""
+
+
+class Group(namedtuple("Group", (
+        "labels", "dual_labels", "brackets", "coadjoint", "multiply",
+        "inverse", "adjoint"), defaults=(_no_terms,) * 3)):
+    """One group model: its labels, its brackets and its group-law terms.
+
+    labels and dual_labels are its ALGEBRA_LABELS and DUAL_LABELS, and
+    brackets(inv_r2, omega) returns its nonzero brackets beyond the
+    rotation pairs [J, P_i], with inv_r2 = 1 / r**2.
+
+    The law terms read slot-first views (_slot_first) of the law's
+    arguments a (the element), b, d and v, and write the slot-first view o
+    of its result; c and s are the cosine and sine of a's theta, the sine
+    negated for inverse.  multiply, inverse and adjoint find in o what the
+    base model's law puts there, and add the model's extension terms;
+    they default to _no_terms.  coadjoint finds v in o and writes j and p
+    (o[0] and o[1:3]) itself, from j0 = j + cross2(x, Rp) and Rp = R(theta)
+    p, so that each sum keeps its order:
+
+    coadjoint(o, a, v, c, s, j0, Rp, params)
+    multiply(o, a, b, c, s, Rx2, params)    Rx2 = R(theta) x2
+    inverse(o, a, c, s, params)
+    adjoint(o, a, d, c, s, Rdtr, params)    Rdtr = R(theta) d[1:3]
+    """
+
+    __slots__ = ()
+
+
+def _adjoint_cocycle(a, d, c, s, params):
+    """The cocycle's term of the adjoint action, on the slot it feeds."""
+    x, r2 = a[1:3], params.r**2
+    return (cross2(_rotate(c, -s, x), d[1:3]) / r2
+            - _dot(x, x) / (2 * r2) * d[0])
+
+
+# base: no extension; its coadjoint law writes j and p
+
+def _base_coadjoint(o, a, v, c, s, j0, Rp, params):
+    o[0] = j0
+    o[1:3] = Rp
+
+
+# central1: [P1, P2] = S / r**2; the cocycle twists phi
+
+def _central1_multiply(o, a, b, c, s, Rx2, params):
+    o[4] += _cocycle(c, s, a[1:3], b[1:3], params)
+
+
+def _central1_adjoint(o, a, d, c, s, Rdtr, params):
+    o[4] += _adjoint_cocycle(a, d, c, s, params)
+
+
+def _central1_coadjoint(o, a, v, c, s, j0, Rp, params):
+    x, l, r2 = a[1:3], v[4], params.r**2
+    o[0] = j0 - l * _dot(x, x) / (2 * r2)
+    o[1:3] = Rp + (l / r2) * eps_vec(x)
+
+
+# central2: [P1, P2] = N / r**2 and [S, H] = omega N.  The cocycle feeds
+# the new center N (psi); the S coordinate phi composes additively and
+# pairs with H through N.
+
+def _central2_multiply(o, a, b, c, s, Rx2, params):
+    o[5] += (_cocycle(c, s, a[1:3], b[1:3], params)
+             - params.omega * a[3] * b[4])
+
+
+def _central2_inverse(o, a, c, s, params):
+    o[5] -= params.omega * a[3] * a[4]
+
+
+def _central2_adjoint(o, a, d, c, s, Rdtr, params):
+    o[5] += (_adjoint_cocycle(a, d, c, s, params) - params.omega * a[3] * d[4]
+             + params.omega * a[4] * d[3])
+
+
+def _central2_coadjoint(o, a, v, c, s, j0, Rp, params):
+    x, h, r2 = a[1:3], v[5], params.r**2
+    o[0] = j0 - h * _dot(x, x) / (2 * r2)
+    o[1:3] = Rp + (h / r2) * eps_vec(x)
+    o[3] = v[3] - h * params.omega * a[4]
+    o[4] = v[4] + h * params.omega * a[3]
+
+
+# noncentral and double: the forces F_i, with [P_i, H] = F_i; double adds
+# [P_i, F_j] = K delta_ij
+
+def _force_brackets(inv_r2, omega):
+    return {("J", "F1"): {"F2": 1.0}, ("J", "F2"): {"F1": -1.0},
+            ("P1", "P2"): {"S": inv_r2}, ("P1", "H"): {"F1": 1.0},
+            ("P2", "H"): {"F2": 1.0}}
+
+
+def _noncentral_multiply(o, a, b, c, s, Rx2, params):
+    o[6] += _cocycle(c, s, a[1:3], b[1:3], params)
+    o[4:6] = _rotate(c, s, b[4:6]) - Rx2 * a[3] + a[4:6]
+
+
+def _noncentral_inverse(o, a, c, s, params):
+    o[4:6] = -_rotate(c, s, a[4:6] + a[1:3] * a[3])
+
+
+def _noncentral_adjoint(o, a, d, c, s, Rdtr, params):
+    x, t, eta, dth, dt = a[1:3], a[3], a[4:6], d[0], d[3]
+    Rdeta = _rotate(c, s, d[4:6])
+    o[6] += _adjoint_cocycle(a, d, c, s, params)
+    o[4:6] = Rdeta - t * Rdtr + eps_vec(eta) * dth + x * dt
+
+
+def _noncentral_coadjoint(o, a, v, c, s, j0, Rp, params):
+    x, t, eta, h, r2 = a[1:3], a[3], a[4:6], v[6], params.r**2
+    Rf = _rotate(c, s, v[4:6])
+    o[0] = j0 + cross2(eta + x * t, Rf) - h * _dot(x, x) / (2 * r2)
+    o[1:3] = Rp + t * Rf + (h / r2) * eps_vec(x)
+    o[3] = v[3] - _dot(x, Rf)
+    o[4:6] = Rf
+
+
+def _double_multiply(o, a, b, c, s, Rx2, params):
+    x, eta, t2 = a[1:3], a[4:6], b[3]
+    Reta2 = _rotate(c, s, b[4:6])
+    o[6] += _cocycle(c, s, x, b[1:3], params)
+    o[4:6] = Reta2 + eta + x * t2
+    o[7] += 0.5 * _dot(x, Reta2) - 0.5 * _dot(eta + x * t2, Rx2)
+
+
+def _double_inverse(o, a, c, s, params):
+    o[4:6] = -_rotate(c, s, a[4:6] - a[1:3] * a[3])
+
+
+def _double_adjoint(o, a, d, c, s, Rdtr, params):
+    x, t, eta, dth, dt = a[1:3], a[3], a[4:6], d[0], d[3]
+    Rdeta = _rotate(c, s, d[4:6])
+    o[6] += _adjoint_cocycle(a, d, c, s, params)
+    o[4:6] = Rdeta - t * Rdtr + eps_vec(eta - x * t) * dth + x * dt
+    o[7] += (_dot(x, Rdeta) - _dot(eta, Rdtr) + cross2(x, eta) * dth
+             + 0.5 * _dot(x, x) * dt)
+
+
+def _double_coadjoint(o, a, v, c, s, j0, Rp, params):
+    x, t, eta, h, k, r2 = a[1:3], a[3], a[4:6], v[6], v[7], params.r**2
+    xx = _dot(x, x)
+    Rf = _rotate(c, s, v[4:6])
+    o[0] = (j0 + cross2(eta, Rf) + k * cross2(x, eta)
+            - h * xx / (2 * r2))
+    o[1:3] = Rp + t * Rf + k * (eta - x * t) + (h / r2) * eps_vec(x)
+    o[3] = v[3] - _dot(x, Rf) + 0.5 * k * xx
+    o[4:6] = Rf - k * x
+
+
+#: The group model records; ALGEBRA_LABELS and DUAL_LABELS are views of
+#: them.
+GROUPS: dict[ModelId, Group] = {
+    ModelId.BASE: Group(
+        ("J", "P1", "P2", "H"), ("j", "p1", "p2", "E"),
+        brackets=lambda inv_r2, omega: {}, coadjoint=_base_coadjoint),
+    ModelId.CENTRAL1: Group(
+        ("J", "P1", "P2", "H", "S"), ("j", "p1", "p2", "E", "l"),
+        brackets=lambda inv_r2, omega: {("P1", "P2"): {"S": inv_r2}},
+        multiply=_central1_multiply, adjoint=_central1_adjoint,
+        coadjoint=_central1_coadjoint),
+    ModelId.CENTRAL2: Group(
+        ("J", "P1", "P2", "H", "S", "N"), ("j", "p1", "p2", "E", "l", "h"),
+        brackets=lambda inv_r2, omega: {("P1", "P2"): {"N": inv_r2},
+                                        ("S", "H"): {"N": omega}},
+        multiply=_central2_multiply, inverse=_central2_inverse,
+        adjoint=_central2_adjoint, coadjoint=_central2_coadjoint),
+    ModelId.NONCENTRAL: Group(
+        ("J", "P1", "P2", "H", "F1", "F2", "S"),
+        ("j", "p1", "p2", "E", "f1", "f2", "h"),
+        brackets=_force_brackets,
+        multiply=_noncentral_multiply, inverse=_noncentral_inverse,
+        adjoint=_noncentral_adjoint, coadjoint=_noncentral_coadjoint),
+    ModelId.DOUBLE: Group(
+        ("J", "P1", "P2", "H", "F1", "F2", "S", "K"),
+        ("j", "p1", "p2", "E", "f1", "f2", "h", "k"),
+        brackets=lambda inv_r2, omega: {**_force_brackets(inv_r2, omega),
+                                        ("P1", "F1"): {"K": 1.0},
+                                        ("P2", "F2"): {"K": 1.0}},
+        multiply=_double_multiply, inverse=_double_inverse,
+        adjoint=_double_adjoint, coadjoint=_double_coadjoint),
+}
+
+ALGEBRA_LABELS = {model: g.labels for model, g in GROUPS.items()}
+DUAL_LABELS = {model: g.dual_labels for model, g in GROUPS.items()}
+
+DEFAULT_PARAMS = ModelParams()
+
+
+def dim(model: ModelId) -> int:
+    return len(ALGEBRA_LABELS[model])
+
+
+def bracket_table(model: ModelId, params: ModelParams = DEFAULT_PARAMS) -> dict:
+    """Nonzero Lie brackets {(a, b): {out: coeff}} of the model.
+
+    The rotation generator acts as [J, V1] = V2, [J, V2] = -V1 on each
+    translation pair, and [P1, P2] carries the 1/r**2 extension charge;
+    the model's Group record gives every bracket but [J, P_i].
+    """
+    return {("J", "P1"): {"P2": 1.0}, ("J", "P2"): {"P1": -1.0},
+            **GROUPS[model].brackets(1.0 / params.r**2, params.omega)}
+
+
+def structure_tensor(model: ModelId,
+                     params: ModelParams = DEFAULT_PARAMS) -> StructureTensor:
+    """Structure constants of the model in its documented basis order.
+
+    Built once per (model, params) and shared: the array is read-only, so
+    a caller that perturbs it works on a copy.
+    """
+    return _structure_tensor(model, params)
+
+
+# a plain function in front of the cache keeps structure_tensor a function,
+# which is what tools that wrap the package's public functions look for
+@functools.lru_cache(maxsize=64)
+def _structure_tensor(model: ModelId, params: ModelParams) -> StructureTensor:
+    tensor = StructureTensor.from_brackets(ALGEBRA_LABELS[model],
+                                           bracket_table(model, params))
+    tensor.c.flags.writeable = False
+    return tensor
+
+
+def defective_central2_tensor(params: ModelParams = DEFAULT_PARAMS) -> StructureTensor:
+    """The inconsistent central2 variant with [P1, P2] = S / r**2 kept.
+
+    Not a Lie algebra: the (P1, P2, H) cyclic sum leaves omega / r**2 on N.
+    Exposed for the diagnostic checks of the verify command.
+    """
+    table = bracket_table(ModelId.CENTRAL2, params)
+    table[("P1", "P2")] = {"S": 1.0 / params.r**2}
+    return StructureTensor.from_brackets(ALGEBRA_LABELS[ModelId.CENTRAL2], table)
+
+
 def identity_element(model: ModelId) -> np.ndarray:
     """The neutral element: every parameter of the model is zero."""
     return np.zeros(dim(model))
@@ -230,11 +392,6 @@ def cocycle(g, g2, params: ModelParams = DEFAULT_PARAMS):
     return _cocycle(np.cos(a[0]), np.sin(a[0]), a[1:3], b[1:3], params)
 
 
-def _cocycle(c, s, x, x2, params: ModelParams) -> np.ndarray:
-    """cocycle from cos and sin of the first element's theta."""
-    return cross2(_rotate(c, -s, x), x2) / (2.0 * params.r**2)
-
-
 def multiply(model: ModelId, g, g2,
              params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
     """Composition g * g2 by the model's closed-form multiplication law.
@@ -246,29 +403,10 @@ def multiply(model: ModelId, g, g2,
     a, b = _slots(g, g2)
     out = g + g2
     o = _slot_first(out)
-    theta, x, t = a[0], a[1:3], a[3]
-    c, s = np.cos(theta), np.sin(theta)
+    c, s = np.cos(a[0]), np.sin(a[0])
     Rx2 = _rotate(c, s, b[1:3])
-    o[1:3] = Rx2 + x
-    if model is ModelId.BASE:
-        return out
-    coc = _cocycle(c, s, x, b[1:3], params)
-    if model is ModelId.CENTRAL1:
-        o[4] += coc
-        return out
-    if model is ModelId.CENTRAL2:
-        # The cross-product cocycle feeds the new center N (psi); the S
-        # coordinate phi composes additively and pairs with H through N.
-        o[5] += coc - params.omega * t * b[4]
-        return out
-    eta, t2 = a[4:6], b[3]
-    Reta2 = _rotate(c, s, b[4:6])
-    o[6] += coc
-    if model is ModelId.NONCENTRAL:
-        o[4:6] = Reta2 - Rx2 * t + eta
-        return out
-    o[4:6] = Reta2 + eta + x * t2
-    o[7] += 0.5 * _dot(x, Reta2) - 0.5 * _dot(eta + x * t2, Rx2)
+    o[1:3] = Rx2 + a[1:3]
+    GROUPS[model].multiply(o, a, b, c, s, Rx2, params)
     return out
 
 
@@ -276,20 +414,14 @@ def inverse(model: ModelId, g,
             params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
     """Group inverse, solving multiply(model, g, inverse(g)) = identity.
 
-    theta, t, phi and gamma change sign; x, eta and psi follow below.
+    theta, t, phi and gamma change sign; x, eta and psi follow the record.
     """
     g = _trailing(model, g)
     out = -g
     a, o = _slot_first(g), _slot_first(out)
-    theta, x, t = a[0], a[1:3], a[3]
-    c, s = np.cos(theta), -np.sin(theta)  # R(-theta)
-    o[1:3] = -_rotate(c, s, x)
-    if model is ModelId.CENTRAL2:
-        o[5] -= params.omega * t * a[4]
-    elif model is ModelId.NONCENTRAL:
-        o[4:6] = -_rotate(c, s, a[4:6] + x * t)
-    elif model is ModelId.DOUBLE:
-        o[4:6] = -_rotate(c, s, a[4:6] - x * t)
+    c, s = np.cos(a[0]), -np.sin(a[0])  # R(-theta)
+    o[1:3] = -_rotate(c, s, a[1:3])
+    GROUPS[model].inverse(o, a, c, s, params)
     return out
 
 
@@ -307,32 +439,10 @@ def adjoint(model: ModelId, g, dx,
     out[...] = dx  # the J and H components and every central charge
     a, d = _slots(g, dx)
     o = _slot_first(out)
-    theta, x, t = a[0], a[1:3], a[3]
-    r2 = params.r**2
-    dth, dtr, dt = d[0], d[1:3], d[3]
-    c, s = np.cos(theta), np.sin(theta)
-    Rdtr = _rotate(c, s, dtr)
-    o[1:3] = Rdtr + eps_vec(x) * dth
-    if model is ModelId.BASE:
-        return out
-    coc_term = (cross2(_rotate(c, -s, x), dtr) / r2
-                - _dot(x, x) / (2 * r2) * dth)
-    if model is ModelId.CENTRAL1:
-        o[4] += coc_term
-        return out
-    if model is ModelId.CENTRAL2:
-        o[5] += (coc_term - params.omega * t * d[4]
-                 + params.omega * a[4] * dt)
-        return out
-    eta = a[4:6]
-    Rdeta = _rotate(c, s, d[4:6])
-    o[6] += coc_term
-    if model is ModelId.NONCENTRAL:
-        o[4:6] = Rdeta - t * Rdtr + eps_vec(eta) * dth + x * dt
-        return out
-    o[4:6] = Rdeta - t * Rdtr + eps_vec(eta - x * t) * dth + x * dt
-    o[7] += (_dot(x, Rdeta) - _dot(eta, Rdtr) + cross2(x, eta) * dth
-             + 0.5 * _dot(x, x) * dt)
+    c, s = np.cos(a[0]), np.sin(a[0])
+    Rdtr = _rotate(c, s, d[1:3])
+    o[1:3] = Rdtr + eps_vec(a[1:3]) * d[0]
+    GROUPS[model].adjoint(o, a, d, c, s, Rdtr, params)
     return out
 
 
@@ -349,44 +459,10 @@ def coadjoint(model: ModelId, g, xi,
     out[...] = xi  # E and every extension charge unless changed below
     a, v = _slots(g, xi)
     o = _slot_first(out)
-    theta, x, t = a[0], a[1:3], a[3]
-    r2 = params.r**2
-    j, E = v[0], v[3]
-    c, s = np.cos(theta), np.sin(theta)
+    c, s = np.cos(a[0]), np.sin(a[0])
     Rp = _rotate(c, s, v[1:3])
-    if model is ModelId.BASE:
-        o[0] = j + cross2(x, Rp)
-        o[1:3] = Rp
-        return out
-    xx = _dot(x, x)
-    if model is ModelId.CENTRAL1:
-        l = v[4]
-        o[0] = j + cross2(x, Rp) - l * xx / (2 * r2)
-        o[1:3] = Rp + (l / r2) * eps_vec(x)
-        return out
-    if model is ModelId.CENTRAL2:
-        l, h = v[4], v[5]
-        o[0] = j + cross2(x, Rp) - h * xx / (2 * r2)
-        o[1:3] = Rp + (h / r2) * eps_vec(x)
-        o[3] = E - h * params.omega * a[4]
-        o[4] = l + h * params.omega * t
-        return out
-    h = v[6]
-    Rf = _rotate(c, s, v[4:6])
-    eta = a[4:6]
-    if model is ModelId.NONCENTRAL:
-        o[0] = (j + cross2(x, Rp) + cross2(eta + x * t, Rf)
-                - h * xx / (2 * r2))
-        o[1:3] = Rp + t * Rf + (h / r2) * eps_vec(x)
-        o[3] = E - _dot(x, Rf)
-        o[4:6] = Rf
-        return out
-    k = v[7]
-    o[0] = (j + cross2(x, Rp) + cross2(eta, Rf) + k * cross2(x, eta)
-            - h * xx / (2 * r2))
-    o[1:3] = Rp + t * Rf + k * (eta - x * t) + (h / r2) * eps_vec(x)
-    o[3] = E - _dot(x, Rf) + 0.5 * k * xx
-    o[4:6] = Rf - k * x
+    j0 = v[0] + cross2(a[1:3], Rp)
+    GROUPS[model].coadjoint(o, a, v, c, s, j0, Rp, params)
     return out
 
 
@@ -443,30 +519,39 @@ def sample_dual(model: ModelId, rng: np.random.Generator,
     return xi
 
 
+def _labelled_vector(model: ModelId, labels: tuple[str, ...], kind: str,
+                     components: dict) -> np.ndarray:
+    """Vector over labels from named components, zero elsewhere.
+
+    Array components give a stack of vectors (..., n) of their broadcast
+    shape; a name not in labels raises ModelMismatchError, saying it is not
+    kind (a generator, a dual label) of the model.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, components.values()))
+    vec = np.zeros(shape + (len(labels),))
+    for name, value in components.items():
+        if name not in labels:
+            raise ModelMismatchError(f"{name!r} is not {kind} of "
+                                     f"{model.value}")
+        vec[..., labels.index(name)] = value
+    return vec
+
+
 def dual_vector(model: ModelId, **components) -> np.ndarray:
     """Dual vector from named components, zero elsewhere (e.g. j=1, p1=0.5).
 
     Array components give a stack of vectors (..., n) of their broadcast
     shape.
     """
-    labels = DUAL_LABELS[model]
-    shape = np.broadcast_shapes(*map(np.shape, components.values()))
-    xi = np.zeros(shape + (len(labels),))
-    for name, value in components.items():
-        if name not in labels:
-            raise ModelMismatchError(f"{name!r} is not a dual label of "
-                                     f"{model.value}")
-        xi[..., labels.index(name)] = value
-    return xi
+    return _labelled_vector(model, DUAL_LABELS[model], "a dual label",
+                            components)
 
 
 def algebra_vector(model: ModelId, **components) -> np.ndarray:
-    """Algebra vector from named generator components (e.g. J=0.3, P1=1)."""
-    labels = ALGEBRA_LABELS[model]
-    y = np.zeros(len(labels))
-    for name, value in components.items():
-        if name not in labels:
-            raise ModelMismatchError(f"{name!r} is not a generator of "
-                                     f"{model.value}")
-        y[labels.index(name)] = value
-    return y
+    """Algebra vector from named generator components (e.g. J=0.3, P1=1).
+
+    Array components give a stack of vectors (..., n) of their broadcast
+    shape.
+    """
+    return _labelled_vector(model, ALGEBRA_LABELS[model], "a generator",
+                            components)

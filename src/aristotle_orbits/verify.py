@@ -41,6 +41,17 @@ from .group_models import ModelId
 CHART_MODELS = tuple(oc.CHARTS)
 ALL_MODELS = (ModelId.BASE,) + CHART_MODELS
 
+#: Random samples per model of the checks that draw them: element triples
+#: (check_group_axioms, check_cocycle), direction pairs
+#: (check_adjoint_consistency), element pairs (check_homomorphism), dual
+#: points (check_casimirs) and chart points (check_bracket_tables,
+#: check_canonical_chart).
+N_TRIPLES = 1000
+N_ADJOINT = 20
+N_HOMOMORPHISM = 200
+N_CASIMIRS = 500
+N_POINTS = 100
+
 
 class CheckResult(_Record):
     __slots__ = ("name", "status", "measured", "tolerance", "note")
@@ -124,10 +135,10 @@ def check_structure(report: Report, params: ModelParams, models,
 
 
 def check_group_axioms(report: Report, params: ModelParams, models,
-                       rng: np.random.Generator, ntriples: int = 1000) -> None:
+                       rng: np.random.Generator) -> None:
     for model in models:
         e = gm.identity_element(model)
-        g1, g2, g3 = gm.sample_element(model, rng, (3, ntriples))
+        g1, g2, g3 = gm.sample_element(model, rng, (3, N_TRIPLES))
         left = gm.multiply(model, gm.multiply(model, g1, g2, params), g3,
                            params)
         right = gm.multiply(model, g1, gm.multiply(model, g2, g3, params),
@@ -146,8 +157,8 @@ def check_group_axioms(report: Report, params: ModelParams, models,
 
 
 def check_cocycle(report: Report, params: ModelParams,
-                  rng: np.random.Generator, ntriples: int = 1000) -> None:
-    g1, g2, g3 = gm.sample_element(ModelId.BASE, rng, (3, ntriples))
+                  rng: np.random.Generator) -> None:
+    g1, g2, g3 = gm.sample_element(ModelId.BASE, rng, (3, N_TRIPLES))
     lhs = (gm.cocycle(g1, g2, params)
            + gm.cocycle(gm.multiply(ModelId.BASE, g1, g2, params), g3, params))
     rhs = (gm.cocycle(g2, g3, params)
@@ -156,14 +167,14 @@ def check_cocycle(report: Report, params: ModelParams,
 
 
 def check_adjoint_consistency(report: Report, params: ModelParams, models,
-                              rng: np.random.Generator, n: int = 20) -> None:
+                              rng: np.random.Generator) -> None:
     """Centered difference of Ad along exp(s y) against the bracket."""
     step = 1e-5
     for model in models:
         tensor = gm.structure_tensor(model, params)
-        # sample i draws y then dx, as n single draws would
-        y, dx = np.moveaxis(rng.uniform(-1.0, 1.0, size=(n, 2, gm.dim(model))),
-                            1, 0)
+        # sample i draws y then dx, as single draws would
+        size = (N_ADJOINT, 2, gm.dim(model))
+        y, dx = np.moveaxis(rng.uniform(-1.0, 1.0, size=size), 1, 0)
         # parameters s y agree with exp(s y) to O(s^2), which the
         # centered difference cancels
         plus = gm.adjoint(model, step * y, dx, params)
@@ -195,10 +206,10 @@ def check_coadjoint_oracle(report: Report, params: ModelParams,
 
 
 def check_homomorphism(report: Report, params: ModelParams, models,
-                       rng: np.random.Generator, n: int = 200) -> None:
+                       rng: np.random.Generator) -> None:
     for model in models:
-        g1, g2 = gm.sample_element(model, rng, (2, n))
-        xi = rng.uniform(-1.0, 1.0, size=(n, gm.dim(model)))
+        g1, g2 = gm.sample_element(model, rng, (2, N_HOMOMORPHISM))
+        xi = rng.uniform(-1.0, 1.0, size=(N_HOMOMORPHISM, gm.dim(model)))
         joint = gm.coadjoint(model, gm.multiply(model, g1, g2, params), xi,
                              params)
         split = gm.coadjoint(model, g1, gm.coadjoint(model, g2, xi, params),
@@ -208,13 +219,13 @@ def check_homomorphism(report: Report, params: ModelParams, models,
 
 
 def check_casimirs(report: Report, params: ModelParams, models,
-                   rng: np.random.Generator, n: int = 500) -> None:
+                   rng: np.random.Generator) -> None:
     for model in models:
         if model not in CHART_MODELS:
             continue
-        xis = gm.sample_dual(model, rng, nondegenerate=True, size=n)
-        moved = gm.coadjoint(model, gm.sample_element(model, rng, n), xis,
-                             params)
+        xis = gm.sample_dual(model, rng, nondegenerate=True, size=N_CASIMIRS)
+        g = gm.sample_element(model, rng, N_CASIMIRS)
+        moved = gm.coadjoint(model, g, xis, params)
         report.add(f"{model.value}: casimir invariance",
                    _max_abs(oc.casimirs(model, moved, params),
                             oc.casimirs(model, xis, params)), 1e-9)
@@ -295,12 +306,13 @@ def _sample_point(model: ModelId, rng: np.random.Generator,
 
 
 def check_bracket_tables(report: Report, params: ModelParams, models,
-                         rng: np.random.Generator, n: int = 100) -> None:
+                         rng: np.random.Generator) -> None:
     """Closed-form chart Poisson tensor against its pushforward, any orbit."""
     for model in models:
         if model not in CHART_MODELS:
             continue
-        points = _sample_point(model, rng, params, any_orbit=True, size=n)
+        points = _sample_point(model, rng, params, any_orbit=True,
+                               size=N_POINTS)
         report.add(f"{model.value}: chart bracket table",
                    _max_abs(oc.poisson_tensor(model, points, params),
                             _pushforward_poisson(model, points, params)),
@@ -360,12 +372,12 @@ def check_restricted_forms(report: Report, params: ModelParams, models,
 
 
 def check_canonical_chart(report: Report, params: ModelParams, models,
-                          rng: np.random.Generator, n: int = 100) -> None:
+                          rng: np.random.Generator) -> None:
     if ModelId.NONCENTRAL not in models:
         return
     _, grad_h = dyn.canonical_hamiltonian(params)
     grad_tau = oc.gradient_fd(lambda z: z[..., 1] / params.omega)
-    points = _sample_point(ModelId.NONCENTRAL, rng, params, size=n)
+    points = _sample_point(ModelId.NONCENTRAL, rng, params, size=N_POINTS)
     vals = oc.poisson_bracket(ModelId.NONCENTRAL, grad_h, grad_tau, points,
                               params)
     report.add("noncentral: canonical pair bracket {H, tau} = 1",

@@ -1,8 +1,18 @@
-"""SHA-256 digests of the chart layer's outputs, pinned bit for bit.
+"""SHA-256 digests of the chart and group layers' outputs, pinned bit for bit.
 
-The digests were generated from the tree before the chart models became
-one record each (orbit_chart.CHARTS), so the test shows that every closed
-form kept its arithmetic.  Per chart model it hashes casimirs,
+The chart digests were generated from the tree before the chart models
+became one record each (orbit_chart.CHARTS), and the group digests from
+the tree before the group models did (group_models.GROUPS), so the tests
+show that every closed form kept its arithmetic.
+
+Group layer: per model (base included) it hashes multiply, inverse,
+adjoint, coadjoint and cocycle on 200 random elements, algebra vectors and
+dual vectors, and the structure constants structure_tensor(...).c, at
+both parameter sets below.  The elements have theta = 0, where cos and
+sin are exact: every group law rotates by theta, and numpy's vectorized
+trigonometric kernels change bits with the CPU features they dispatch to.
+
+Chart layer: per chart model it hashes casimirs,
 chart_from_dual (coordinates and labels), dual_from_chart, chart_jacobian,
 chart_poisson and orbit_point labels on 200 nondegenerate sample_dual
 points, and a 2000-step group time flow, at default parameters and at
@@ -15,7 +25,7 @@ features it dispatches to, so those bits differ between hosts.  The
 noncentral flow starts at phi_f = 0, where cos, sin and arctan2 are exact,
 so its coordinates and Casimir series are pinned.
 
-Regenerate (only for an intended change of the arithmetic) with
+Regenerate both tables (only for an intended change of the arithmetic) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -30,6 +40,7 @@ from aristotle_orbits import ModelId, ModelParams, orbit_chart
 
 PARAMS = {"default": ModelParams(), "scaled": ModelParams(m=1.7, omega=0.6,
                                                           r=1.3)}
+GROUP_MODELS = tuple(ModelId)
 CHART_MODELS = (ModelId.CENTRAL1, ModelId.CENTRAL2, ModelId.NONCENTRAL,
                 ModelId.DOUBLE)
 #: Outputs that go through numpy's trigonometric kernels on this chart.
@@ -39,6 +50,24 @@ TRIG_DEPENDENT = {ModelId.NONCENTRAL: ("coords", "dual", "orbit_labels")}
 def _digest(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()
                           ).hexdigest()
+
+
+def group_digests(model: ModelId, params: ModelParams) -> dict[str, str]:
+    """Digest of every pinned output of one group model at params."""
+    rng = np.random.default_rng(21)
+    g, g2 = ao.sample_element(model, rng, (2, 200))
+    g[:, 0] = g2[:, 0] = 0.0  # theta, where cos and sin are exact
+    dx = rng.uniform(-1.0, 1.0, size=g.shape)
+    xi = ao.sample_dual(model, rng, size=200)
+    arrays = {
+        "multiply": ao.multiply(model, g, g2, params),
+        "inverse": ao.inverse(model, g, params),
+        "adjoint": ao.adjoint(model, g, dx, params),
+        "coadjoint": ao.coadjoint(model, g, xi, params),
+        "cocycle": ao.cocycle(g, g2, params),
+        "structure": ao.structure_tensor(model, params).c,
+    }
+    return {name: _digest(a) for name, a in arrays.items()}
 
 
 def chart_digests(model: ModelId, params: ModelParams) -> dict[str, str]:
@@ -68,6 +97,149 @@ def chart_digests(model: ModelId, params: ModelParams) -> dict[str, str]:
         del arrays[name]
     return {name: _digest(a) for name, a in arrays.items()}
 
+
+GROUP_GOLDEN = {
+    ('base', 'default'): {
+        'multiply':
+            'c7d07ab79dac4c9e4b35b6d66b939d2d3bbea106e94626bdbef4b2888988f034',
+        'inverse':
+            'a0610b80db0933ea8772a1294ef124130679ff4142037a84c2c30fc978e09c27',
+        'adjoint':
+            '04ec40ecc77328c2133b370aea790a6b6c47ccd3dac21185facf4eb200c82fda',
+        'coadjoint':
+            'f4929e28682ae7cd6f432c5eed7a59cc95a20212fa7fe3853591616cf4d7bfc3',
+        'cocycle':
+            'e4bd0653655468fd6326c9637a3bf54bb5cb640d77021dbc31d79d03281c6790',
+        'structure':
+            '24f74703b9d9dfa9597b233862842b87350d6cc3fea0bc04b9e8bc1f982cb350',
+    },
+    ('base', 'scaled'): {
+        'multiply':
+            'c7d07ab79dac4c9e4b35b6d66b939d2d3bbea106e94626bdbef4b2888988f034',
+        'inverse':
+            'a0610b80db0933ea8772a1294ef124130679ff4142037a84c2c30fc978e09c27',
+        'adjoint':
+            '04ec40ecc77328c2133b370aea790a6b6c47ccd3dac21185facf4eb200c82fda',
+        'coadjoint':
+            'f4929e28682ae7cd6f432c5eed7a59cc95a20212fa7fe3853591616cf4d7bfc3',
+        'cocycle':
+            '9aa31579b81f05578e68a632edec9461cbb87c670c67d532b0ad07e31bccaf40',
+        'structure':
+            '24f74703b9d9dfa9597b233862842b87350d6cc3fea0bc04b9e8bc1f982cb350',
+    },
+    ('central1', 'default'): {
+        'multiply':
+            '88c49decf6178eecad4efdad62aed0f46487f61a11d11f4cef16dc2789214d9d',
+        'inverse':
+            'b0ebdab33a9ee006528c82b53d4d1c439a25dd9953f80a1a8cf0bd71fc8ff2cf',
+        'adjoint':
+            '6e6bed4aea765ff2e06c2748b8cc098e00ebffc550e6e55abffa2ef35b2d7726',
+        'coadjoint':
+            'ad05fc9a329dcd01a1d02ba41fe8f944a87af8f5d1bc0fe54bf6426e735fee45',
+        'cocycle':
+            'a62367088b0191fef09f116237859ac84ddb61cdc0dce7695af7688896cf8e5d',
+        'structure':
+            '94ac6145ca6901c965fe8f35ec811d6ec787a6dfd890bcb9f171be3f63f9c262',
+    },
+    ('central1', 'scaled'): {
+        'multiply':
+            '302424ed3ab9e9849b671a89b611268287febd92e36eaf9b3a2368b8e665b2ba',
+        'inverse':
+            'b0ebdab33a9ee006528c82b53d4d1c439a25dd9953f80a1a8cf0bd71fc8ff2cf',
+        'adjoint':
+            '50835183263effde8e9c1c04b63381283d1cc89d313db48c60debbba9fa445df',
+        'coadjoint':
+            'fc9db9766ebe59b9a36592d54729bb9d2bbc51879d08ddd7a51a39d0f97c3b0d',
+        'cocycle':
+            '2a7bfc9f9aebabc77a9edf1de025f9d4eb91d26adbbcd10b412317c6b66192b3',
+        'structure':
+            'cdef98bc3f840da925af9977359d658898d8c53993f4081abd494bb232f59c40',
+    },
+    ('central2', 'default'): {
+        'multiply':
+            '5f6fa8fa75359932862b6a903283dbaaa7527b19078ee0396aaf2da3e5e93608',
+        'inverse':
+            '1da7820c102424a6146ff141a95af850255d7a5c0688bb8064134d9f5a350300',
+        'adjoint':
+            'eb60733ca6cc196f289b63871a47d679fa4fe3d533f2d5e92833bea4328b1ae2',
+        'coadjoint':
+            'f6ca4e24beba3a9f5ecdffc045e59ca880082b36aae8534d64a1105fd53769c0',
+        'cocycle':
+            'fff6bb372ac9e76b4c54c907861c29be11128f354652cef7c7a7dfc628e6983f',
+        'structure':
+            'cb082553412349bf9b03e22c592c26a17a6e822eb4fa59c0cd521152cc0ddb84',
+    },
+    ('central2', 'scaled'): {
+        'multiply':
+            'c4b8230dba3f552d0de590ffb9541138d753df5631e41a16baf1aa9b0ff51b67',
+        'inverse':
+            '6eb2ba2b39496a166562a51debe497ea96155737675edda72bcae38eccb039d7',
+        'adjoint':
+            'b7cc3bfe400505cb4eebc08daaf9f40141e2d453cf8776394904718d0f5171aa',
+        'coadjoint':
+            '8dcdc7bfe8b78561b28582c955453887fb5f4c5ae4d2008a23f7d743d743e790',
+        'cocycle':
+            'e987a280ea2939e1bfec9f669d2e488df946fc8b151752ffd9dd4a6fbb6adc9a',
+        'structure':
+            '80e56679ea0653d9766bcb95fc503f0037ae0adc180e38e73eaa638138bac046',
+    },
+    ('noncentral', 'default'): {
+        'multiply':
+            '07b5c3fbf35748027f19b7748a1b20a33b46256545d76ca6f8f7a41fb855d2b8',
+        'inverse':
+            'fc3580e32bc4321b87f9f581e75c6384d2982b159f7ed8341cd2f7990fd9984a',
+        'adjoint':
+            '3783e07055b3f2d366e178ad9f38aa37bfc3fd412018a7aeb2393f66d653a34f',
+        'coadjoint':
+            'babcffafd5b88b1aaa0509fb4986eeacaffe03f671cb0b3256ba826ad087ef52',
+        'cocycle':
+            '2dea2241cab2bfeb73fcdf68bce8ae4126e1beebfa4f6563055f4949d9a36ca9',
+        'structure':
+            '14bb74c70728079982a66b77402e9cb6b13550b10ee50a35c2bc45dc82d0bd62',
+    },
+    ('noncentral', 'scaled'): {
+        'multiply':
+            'c3fd60137c1d3102f659c7310f5eaeecf635fdcf5478ae6ac01c6c1281e01cf8',
+        'inverse':
+            'fc3580e32bc4321b87f9f581e75c6384d2982b159f7ed8341cd2f7990fd9984a',
+        'adjoint':
+            'd8fa3406194385db7ae1b2a5f264e3b9fba32fd38725aa0d030afa07a18dfc86',
+        'coadjoint':
+            'df1ebd5edffd5109ee6c9d386c2bd6430f0ceee73b1308bc4b9932b16230be8d',
+        'cocycle':
+            'f21deabf44227d969c2ce48762590cabb8ac0f09574c44def15c067b6503c5be',
+        'structure':
+            'e07c78a8d39239bda72e1f9b6801b1f12aa4ef2c610c3efe2c1b6add9147abbd',
+    },
+    ('double', 'default'): {
+        'multiply':
+            'a5f8af9eb366a53ca887a687033acca8b965f3a4f5eb73d3c1e131ee0039a90f',
+        'inverse':
+            '83d80c60f9526aef5c6411a35d4cfd5afd433a65c5c4402b1104f097f76c7a1c',
+        'adjoint':
+            'bea86cf4bef49aad44e398ed2ed5f254c5177ba216ee58304bf3e98714e42dfc',
+        'coadjoint':
+            'cb40db56cb5b3d42986e7c5fe3337aaf5f14944c982a902b17c17314ac725d31',
+        'cocycle':
+            'de2132c416652b2949ee688391bed377c6487fd22e8c576bfd46eb6d248d3d6a',
+        'structure':
+            '52fe7e61e6a33cc3db15c9eebb3a9774480f9eff078527991651501a9e89739c',
+    },
+    ('double', 'scaled'): {
+        'multiply':
+            'ca12041b1661c791fb3e15be2eb2cc97d59273dddaff70838af4ac712e4b7e64',
+        'inverse':
+            '83d80c60f9526aef5c6411a35d4cfd5afd433a65c5c4402b1104f097f76c7a1c',
+        'adjoint':
+            'c02580bc8c34484ee07d787b725c8e462bf127d1c79e16e5653574a658eefad0',
+        'coadjoint':
+            'eb829d6373390eb4ca23a04d5df10a8ddf4de5f0824208452bf6d16aa384c77c',
+        'cocycle':
+            '9daca75994427a8b57f715eed063b80b8ad7a1589626c887c91a085114eb2a7c',
+        'structure':
+            'df445d4baec6cec09e4818b885dd94b326e29fea3568e796f8f44156bace94f5',
+    },
+}
 
 GOLDEN = {
     ('central1', 'default'): {
@@ -222,18 +394,31 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("params_name", sorted(PARAMS))
+@pytest.mark.parametrize("model", GROUP_MODELS, ids=lambda m: m.value)
+def test_group_layer_matches_golden_digests(model, params_name):
+    got = group_digests(model, PARAMS[params_name])
+    assert got == GROUP_GOLDEN[model.value, params_name]
+
+
+@pytest.mark.parametrize("params_name", sorted(PARAMS))
 @pytest.mark.parametrize("model", CHART_MODELS, ids=lambda m: m.value)
 def test_chart_layer_matches_golden_digests(model, params_name):
     got = chart_digests(model, PARAMS[params_name])
     assert got == GOLDEN[model.value, params_name]
 
 
-if __name__ == "__main__":
-    print("GOLDEN = {")
-    for model in CHART_MODELS:
-        for name in sorted(PARAMS):
-            print(f"    ({model.value!r}, {name!r}): {{")
-            for key, value in chart_digests(model, PARAMS[name]).items():
+def _print_table(name: str, models, digests) -> None:
+    print(f"{name} = {{")
+    for model in models:
+        for params_name in sorted(PARAMS):
+            print(f"    ({model.value!r}, {params_name!r}): {{")
+            for key, value in digests(model, PARAMS[params_name]).items():
                 print(f"        {key!r}:\n            {value!r},")
             print("    },")
     print("}")
+
+
+if __name__ == "__main__":
+    _print_table("GROUP_GOLDEN", GROUP_MODELS, group_digests)
+    print()
+    _print_table("GOLDEN", CHART_MODELS, chart_digests)

@@ -271,6 +271,26 @@ def test_stacked_dual_vector_broadcasts_its_components():
                                                     p1=float(i), k=2.0))
 
 
+def test_stacked_algebra_vector_broadcasts_its_components():
+    y = ao.algebra_vector(ModelId.BASE, J=np.arange(3.0))
+    assert y.shape == (3, 4)
+    for i in range(3):
+        assert np.array_equal(y[i], ao.algebra_vector(ModelId.BASE,
+                                                      J=float(i)))
+    g = ao.one_param_element(ModelId.DOUBLE, "K", np.array([1.0, 2.0]))
+    assert g.shape == (2, 8)
+    assert np.array_equal(g[1], ao.one_param_element(ModelId.DOUBLE, "K", 2.0))
+
+
+def test_labelled_vectors_name_the_foreign_label():
+    with pytest.raises(ao.ModelMismatchError,
+                       match="'S' is not a generator of base"):
+        ao.algebra_vector(ModelId.BASE, S=1.0)
+    with pytest.raises(ao.ModelMismatchError,
+                       match="'l' is not a dual label of base"):
+        ao.dual_vector(ModelId.BASE, l=1.0)
+
+
 @pytest.mark.parametrize("size", [None, 3, (3, 1000), (2, 5)])
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_sample_element_keeps_the_uniform_draws(model, size):
