@@ -85,6 +85,11 @@ class ModelId(enum.Enum):
     NONCENTRAL = "noncentral"
     DOUBLE = "double"
 
+    # Enum's __hash__ is Python code (it hashes the name) and runs on every
+    # GROUPS, CHARTS and dim lookup; members are singletons that compare by
+    # identity, so the identity hash keeps every dict and set lookup
+    __hash__ = object.__hash__
+
     @staticmethod
     def from_name(name: str) -> "ModelId":
         try:
@@ -112,9 +117,25 @@ def _slot_first(a: np.ndarray) -> np.ndarray:
     return a.transpose(-1, *range(a.ndim - 1))
 
 
-def _slots(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Broadcast the arrays together and return slot-first views to read."""
-    return [_slot_first(a) for a in np.broadcast_arrays(*arrays)]
+def _broadcast_shape(shape: tuple, shape2: tuple) -> tuple:
+    """The shape that shape and shape2 broadcast to.
+
+    np.broadcast_shapes is Python code in numpy, so it runs only where the
+    shapes differ.
+    """
+    return shape if shape == shape2 else np.broadcast_shapes(shape, shape2)
+
+
+def _slots(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot-first views to read of a and b, broadcast together.
+
+    Arrays of one shape are viewed as they are, and np.broadcast_arrays
+    (Python code in numpy) runs only where the shapes differ.  The group
+    law records only read these views.
+    """
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    return _slot_first(a), _slot_first(b)
 
 
 def _rotate(c, s, v) -> np.ndarray:
@@ -435,7 +456,7 @@ def adjoint(model: ModelId, g, dx,
     extension slot it feeds.
     """
     g, dx = _trailing(model, g), _trailing(model, dx)
-    out = np.empty(np.broadcast_shapes(g.shape, dx.shape))
+    out = np.empty(_broadcast_shape(g.shape, dx.shape))
     out[...] = dx  # the J and H components and every central charge
     a, d = _slots(g, dx)
     o = _slot_first(out)
@@ -455,7 +476,7 @@ def coadjoint(model: ModelId, g, xi,
     and the angular momentum picks up -charge |x|^2 / (2 r**2).
     """
     g, xi = _trailing(model, g), _trailing(model, xi)
-    out = np.empty(np.broadcast_shapes(g.shape, xi.shape))
+    out = np.empty(_broadcast_shape(g.shape, xi.shape))
     out[...] = xi  # E and every extension charge unless changed below
     a, v = _slots(g, xi)
     o = _slot_first(out)
@@ -486,9 +507,13 @@ def sample_element(model: ModelId, rng: np.random.Generator,
     shape = (dim(model),)
     if size is not None:
         shape = (*np.atleast_1d(size), dim(model))
-    # the bits and generator state of rng.uniform(-bound, bound, size), at
-    # less overhead per call
-    return -bound + (2.0 * bound) * rng.random(shape)
+    # rng.uniform(-bound, bound, size) in bits and generator state: it
+    # returns -bound + (2 bound) u, and IEEE products and sums commute
+    # exactly, so u is scaled and shifted in place, with no temporaries
+    u = rng.random(shape)
+    u *= 2.0 * bound
+    u -= bound
+    return u
 
 
 def sample_dual(model: ModelId, rng: np.random.Generator,

@@ -204,7 +204,7 @@ def jacobi_defect(t: StructureTensor) -> float:
     # nested[a, b, c, d] = [[e_a, e_b], e_c]^d
     nested = np.einsum("abe,ecd->abcd", t.c, t.c)
     cyc = nested + nested.transpose(1, 2, 0, 3) + nested.transpose(2, 0, 1, 3)
-    return float(np.max(np.abs(cyc)))
+    return float(np.abs(cyc).max())
 
 
 def ad_matrix(t: StructureTensor, x) -> np.ndarray:

@@ -75,7 +75,8 @@ import numpy as np
 from .lie_core import (DimensionMismatchError, ModelParams, _Record, cross2,
                        kirillov_matrix)
 from . import group_models as gm
-from .group_models import ModelId, _dot, _slot_first, _trailing
+from .group_models import (ModelId, _broadcast_shape, _dot, _slot_first,
+                           _trailing)
 
 DEG_TOL = 1e-12
 
@@ -494,7 +495,7 @@ def _batch_shape(model: ModelId, coords, labels) -> tuple[int, ...]:
             f"{model.value}: expected coords (..., {d}) and labels "
             f"(..., {c}); got {zs} and {ls}")
     try:
-        return np.broadcast_shapes(zs[:-1], ls[:-1])
+        return _broadcast_shape(zs[:-1], ls[:-1])
     except ValueError:
         raise DimensionMismatchError(
             f"{model.value}: batch shapes {zs[:-1]} of coords and "

@@ -1,6 +1,8 @@
 """tools/bench_pairs.py records which tree its change side measured."""
 
 import importlib.util
+import json
+import os
 import pathlib
 import subprocess
 
@@ -55,3 +57,42 @@ def test_tree_state_names_every_file_that_differs_from_head(tmp_path):
     assert edited["sha256"] != dirty["sha256"]
     (tmp_path / "new" / "added.py").write_text("c = 4\n")
     assert tree_state(str(tmp_path))["sha256"] == dirty["sha256"]
+
+
+def test_control_runs_a_second_archive_of_the_parent(tmp_path, monkeypatch):
+    bench = _load()
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "op_p50_s", "better": "lower"}]}))
+    (repo / "src" / "m.py").write_text("a = 1\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "m.py").write_text("a = 2\n")  # the change
+
+    sources = {}
+
+    def run_once(tree, workload, seed, seconds):
+        with open(os.path.join(tree, "src", "m.py")) as fh:
+            sources[tree] = fh.read()
+        return {"failed": 0, "attempted": 1, "op_p50_s": 1.0,
+                "setup_wall_s": 1.0, "host_ref_s": 1.0}
+
+    monkeypatch.setattr(bench, "ROOT", str(repo))
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    for control in (True, False):
+        sources.clear()
+        argv = ["HEAD", "--workload", "verify", "--pairs", "2",
+                "--out", str(out)] + ["--control"] * control
+        assert bench.main(argv) == 0
+        run = json.loads(out.read_text())["runs"][-1]
+        assert run["control"] is control
+        same = run["change"]["src_sha256"] == run["parent"]["src_sha256"]
+        assert same is control
+        # two trees ran; the control's are both archives of the parent
+        assert len(sources) == 2
+        assert (str(repo) in sources) is not control
+        assert sorted(sources.values()) == (
+            ["a = 1\n"] * 2 if control else ["a = 1\n", "a = 2\n"])

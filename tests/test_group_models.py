@@ -145,6 +145,102 @@ def test_stacked_elements_match_row_by_row(model):
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
+def test_one_element_on_a_stack_matches_row_by_row(model):
+    # the broadcast path of the laws: one element on either side of a
+    # product, one element on a stack of vectors and a stack on one vector
+    # give the single calls' rows exactly
+    rng = np.random.default_rng(23)
+    n = 25
+    g, g2 = ao.sample_element(model, rng, (2, n))
+    v = rng.uniform(-1, 1, g.shape)
+    one = ao.sample_element(model, rng)
+    cases = {
+        "multiply, one element first": (
+            ao.multiply(model, one, g2, PARAMS),
+            [ao.multiply(model, one, b, PARAMS) for b in g2]),
+        "multiply, one element second": (
+            ao.multiply(model, g, one, PARAMS),
+            [ao.multiply(model, a, one, PARAMS) for a in g]),
+        "adjoint of one element": (
+            ao.adjoint(model, one, v, PARAMS),
+            [ao.adjoint(model, one, x, PARAMS) for x in v]),
+        "adjoint on one vector": (
+            ao.adjoint(model, g, v[0], PARAMS),
+            [ao.adjoint(model, a, v[0], PARAMS) for a in g]),
+        "cocycle": (
+            ao.cocycle(g, g2, PARAMS),
+            [ao.cocycle(a, b, PARAMS) for a, b in zip(g, g2)]),
+        "cocycle, one element first": (
+            ao.cocycle(one, g2, PARAMS),
+            [ao.cocycle(one, b, PARAMS) for b in g2]),
+        "cocycle, one element second": (
+            ao.cocycle(g, one, PARAMS),
+            [ao.cocycle(a, one, PARAMS) for a in g]),
+    }
+    for name, (out, rows) in cases.items():
+        assert np.array_equal(out, np.array(rows)), name
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _outputs(out) -> list:
+    """The arrays of a result: an OrbitPoint's coordinates and labels."""
+    if isinstance(out, ao.OrbitPoint):
+        return [_bits(out.coords), _bits(out.labels)]
+    return [_bits(out)]
+
+
+def _law_calls(model):
+    """(name, function, its array arguments) of each law on the model."""
+    rng = np.random.default_rng(24)
+    g, g2 = ao.sample_element(model, rng, (2, 6))
+    v = rng.uniform(-1, 1, g.shape)
+    calls = [
+        ("multiply", lambda a, b: ao.multiply(model, a, b, PARAMS), (g, g2)),
+        ("inverse", lambda a: ao.inverse(model, a, PARAMS), (g,)),
+        ("adjoint", lambda a, d: ao.adjoint(model, a, d, PARAMS), (g, v)),
+        ("coadjoint", lambda a, x: ao.coadjoint(model, a, x, PARAMS),
+         (g, v)),
+        ("cocycle", lambda a, b: ao.cocycle(a, b, PARAMS), (g, g2)),
+    ]
+    if model in CHART_MODELS:
+        xi = ao.sample_dual(model, rng, nondegenerate=True, size=6)
+        point = ao.chart_from_dual(model, xi, PARAMS)
+        calls += [
+            ("time_flow_exact",
+             lambda x, t: ao.time_flow_exact(model, x, t, PARAMS),
+             (xi, rng.uniform(-1, 1, 6))),
+            ("casimirs", lambda x: ao.casimirs(model, x, PARAMS), (xi,)),
+            ("chart_from_dual",
+             lambda x: ao.chart_from_dual(model, x, PARAMS), (xi,)),
+            ("dual_from_chart",
+             lambda z, lab: ao.dual_from_chart(ao.OrbitPoint(model, z, lab),
+                                               PARAMS),
+             (point.coords, point.labels)),
+        ]
+    return calls
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_the_laws_never_write_into_their_arguments(model):
+    # read-only arguments give the bits of writable copies, which the
+    # calls leave as they were; the first argument is a stack, then one
+    # element against the others' stacks
+    for name, law, stacked in _law_calls(model):
+        for args in (stacked, (stacked[0][0], *stacked[1:])):
+            copies = [a.copy() for a in args]
+            expected = _outputs(law(*copies))
+            frozen = [a.copy() for a in args]
+            for a in frozen:
+                a.flags.writeable = False
+            assert _outputs(law(*frozen)) == expected, name
+            assert all(map(np.array_equal, copies, args)), name
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
 def test_adjoint_at_identity_is_identity_map(model):
     rng = np.random.default_rng(8)
     e = ao.identity_element(model)

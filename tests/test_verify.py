@@ -129,6 +129,23 @@ def test_corruption_flips_only_its_rows_and_leaves_the_cache_clean():
         c.measured for c in clean.checks]
 
 
+def test_a_run_leaves_nothing_behind_for_the_next():
+    # no row, probe or series is kept across runs: seed 7 at default params
+    # reports the same after runs of another seed, other params and a
+    # corrupt config, and each of those reports its own input
+    first = verify.run_verify(seed=7).as_dict()
+    other_seed = verify.run_verify(seed=8).as_dict()
+    scaled = verify.run_verify(seed=7, params=ModelParams(
+        m=1.7, omega=0.6, r=1.3)).as_dict()
+    corrupt = verify.run_verify(seed=7, corruption={
+        "model": "double", "a": "P1", "b": "F1", "out": "K", "delta": 0.5})
+    assert verify.run_verify(seed=7).as_dict() == first
+    assert other_seed["checks"] != first["checks"]
+    assert scaled["checks"] != first["checks"]
+    assert scaled["convention_notes"] != first["convention_notes"]
+    assert not corrupt.all_passed
+
+
 def _flags(notes):
     return [(n["oracle_agrees_with_implementation"],
              n["oracle_rejects_alternate"]) for n in notes]

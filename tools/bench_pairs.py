@@ -16,6 +16,11 @@ and a SHA-256 over them (``tree_state``).  Standard library only:
     python tools/bench_pairs.py PARENT_REV --workload hamiltonian \\
         --pairs 10 --seconds 35 --seed 1 --out BENCH.json
 
+With ``--control`` the change side is a second ``git archive`` copy of
+the parent, so both sides run the same files: the spread of such a run is
+the noise floor that a claimed change must clear.  Each run records
+whether it was a control (``"control": true``).
+
 ``--workload`` may be given more than once; the workloads run one after
 the other.  If the ``--out`` file exists, its runs are kept and the new
 ones are added, so one file can hold several seeds, pair counts and
@@ -46,8 +51,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORTED = {"setup_wall_s": "lower", "host_ref_s": "lower"}
 
 
-def _git(*args: str, cwd: str = ROOT) -> bytes:
-    return subprocess.run(["git", *args], cwd=cwd, check=True,
+def _git(*args: str, cwd: str | None = None) -> bytes:
+    return subprocess.run(["git", *args], cwd=cwd or ROOT, check=True,
                           capture_output=True).stdout
 
 
@@ -76,9 +81,9 @@ def tree_state(root: str) -> dict:
             "dirty": bool(paths), "paths": paths, "sha256": h.hexdigest()}
 
 
-def export_tree(rev: str, dest: str) -> str:
-    """The files of rev, unpacked under dest; the path of the copy."""
-    tree = os.path.join(dest, "parent")
+def export_tree(rev: str, dest: str, name: str = "parent") -> str:
+    """The files of rev, unpacked in dest/name; the path of the copy."""
+    tree = os.path.join(dest, name)
     with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
         tar.extractall(tree)
     return tree
@@ -152,6 +157,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=int, default=35)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", help="JSON file to write (runs are added)")
+    ap.add_argument("--control", action="store_true",
+                    help="run a second archive of the parent as the change "
+                         "side")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -163,9 +171,11 @@ def main(argv=None) -> int:
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     parent_rev = _git("rev-parse", args.parent).decode().strip()
-    change = tree_state(ROOT)
+    change = {"rev": parent_rev} if args.control else tree_state(ROOT)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
-        trees = {"parent": export_tree(parent_rev, scratch), "change": ROOT}
+        trees = {"parent": export_tree(parent_rev, scratch),
+                 "change": (export_tree(parent_rev, scratch, "control")
+                            if args.control else ROOT)}
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
@@ -183,9 +193,11 @@ def main(argv=None) -> int:
             doc["runs"].append({
                 "workload": workload, "seed": args.seed,
                 "seconds": args.seconds, "pairs": args.pairs,
+                "control": args.control,
                 "parent": {"rev": parent_rev,
                            "src_sha256": src_digest(trees["parent"])},
-                "change": {**change, "src_sha256": src_digest(ROOT)},
+                "change": {**change,
+                           "src_sha256": src_digest(trees["change"])},
                 "failed_ops": {side: sum(p[side]["failed"] for p in pairs)
                                for side in ("parent", "change")},
                 "summary": summary, "per_pair": pairs,
