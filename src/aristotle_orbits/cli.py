@@ -57,9 +57,7 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
-    rows = []
-    for row in np.atleast_2d(m):
-        rows.append("[" + ", ".join(_fmt(v) for v in row) + "]")
+    rows = ("[" + ", ".join(map(_fmt, row)) + "]" for row in np.atleast_2d(m))
     return "[" + ",\n ".join(rows) + "]"
 
 
@@ -279,16 +277,11 @@ def _named_hamiltonian(name: str, model: ModelId, point: oc.OrbitPoint,
                      "energy or canonical")
 
 
-def _trajectory_table(traj: dyn.Trajectory) -> tuple[list[str], np.ndarray]:
-    """Column names and table (t, chart coordinates, Casimirs) of traj.
-
-    Adding 0.0 normalizes negative zero as _fmt does, so repr of each table
-    value is its _fmt string.
-    """
+def _trajectory_columns(traj: dyn.Trajectory) -> tuple[list[str], list]:
+    """Column names and columns (t, chart coordinates, Casimirs) of traj."""
     header = (["t"] + list(oc.CHART_COORDS[traj.model])
               + list(traj.casimir_names))
-    return header, np.column_stack((traj.times, traj.coords,
-                                    traj.casimir_series)) + 0.0
+    return header, [traj.times, *traj.coords.T, *traj.casimir_series.T]
 
 
 #: Lines per write: the writer holds one block of formatted rows at a time.
@@ -308,35 +301,41 @@ def _csv_lines(block: np.ndarray) -> list[bytes]:
     text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
     lines = text[2:-2].split(b"],[")
     size = np.abs(block)
-    outside = ~(((size >= 1e-4) & (size < 1e16)) | (block == 0)).all(axis=1)
-    for i in np.flatnonzero(outside).tolist():
-        lines[i] = ",".join(map(repr, block[i].tolist())).encode()
+    # the row mask only for a block not wholly inside the window (NaN fails
+    # the max test)
+    if not size.max() < 1e16 or ((size < 1e-4) & (block != 0)).any():
+        outside = ~(((size >= 1e-4) & (size < 1e16))
+                    | (block == 0)).all(axis=1)
+        for i in np.flatnonzero(outside).tolist():
+            lines[i] = ",".join(map(repr, block[i].tolist())).encode()
     return lines
 
 
 def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
-    """Write the table of _trajectory_table as CSV, one row a line.
+    """Write the columns of _trajectory_columns as CSV, one row a line.
 
     The trailing run of columns whose rows all equal their first (the
     Casimir labels of a Hamiltonian flow, say) is formatted once and ends
-    every line.  The other columns go through _csv_lines _CSV_BLOCK rows
-    at a time.  The bytes are those of a writer that formats every value
-    of every row with repr.
+    every line; the scan runs right to left and stops at the first column
+    that is not constant.  NaN is never constant, and the time column is
+    never cut.  The other columns are copied into one table and go through
+    _csv_lines _CSV_BLOCK rows at a time.  The bytes are those of a writer
+    that formats every value of every row with repr.
     """
-    header, table = _trajectory_table(traj)
-    n = len(table)
-    constant = (table == table[:1]).all(axis=0) & (n > 0)
-    # the trailing constant columns, short of the first column
-    cut = len(constant)
-    while cut > 1 and constant[cut - 1]:
+    header, columns = _trajectory_columns(traj)
+    n = len(traj.times)
+    cut = len(columns)
+    while cut > 1 and n and (columns[cut - 1] == columns[cut - 1][0]).all():
         cut -= 1
-    suffix = table[:1, cut:].ravel().tolist()
-    end = "".join("," + repr(v) for v in suffix).encode() + b"\n"
+    end = "".join("," + _fmt(c[0]) for c in columns[cut:]).encode() + b"\n"
+    table = np.stack(columns[:cut], axis=1, dtype=float)
+    table += 0.0  # normalizes negative zero as _fmt does
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, n, _CSV_BLOCK):
-            lines = _csv_lines(table[start:start + _CSV_BLOCK, :cut])
-            fh.write(end.join(lines) + end)
+            lines = _csv_lines(table[start:start + _CSV_BLOCK])
+            lines.append(b"")
+            fh.write(end.join(lines))
 
 
 def read_trajectory_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -406,14 +405,15 @@ def _write_trajectory(args, traj: dyn.Trajectory, tail: dict) -> None:
     if args.format == "csv":
         write_trajectory_csv(args.out, traj)
         return
-    header, table = _trajectory_table(traj)
+    header, columns = _trajectory_columns(traj)
     doc = {
         "model": traj.model.value,
         "flow": args.flow,
         "dt": args.dt,
-        "steps": len(table) - 1,
+        "steps": len(traj.times) - 1,
         "columns": header,
-        "rows": table.tolist(),
+        # adding 0.0 normalizes negative zero as _fmt does
+        "rows": (np.column_stack(columns) + 0.0).tolist(),
         **tail,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -321,13 +321,9 @@ def _require_nonzero(value, name: str, model: ModelId) -> None:
 def _stack(parts) -> np.ndarray:
     """Slot values stacked along a new last axis, undoing _slot_first.
 
-    Batch shapes broadcast, so chart coordinates of a stack of points can
-    meet the labels of one orbit.
+    The parts share one batch shape; _dual_point broadcasts its own.
     """
-    try:
-        out = np.array(parts, dtype=float)
-    except ValueError:  # the batch shapes differ
-        out = np.array(np.broadcast_arrays(*parts), dtype=float)
+    out = np.array(parts, dtype=float)
     return out.transpose(*range(1, out.ndim), 0)
 
 
@@ -405,7 +401,12 @@ def _dual_point(model: ModelId, coords, lab: dict,
     """
     z = _slot_first(np.asarray(coords, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _stack(CHARTS[model].dual_map(z, lab, params))
+        parts = CHARTS[model].dual_map(z, lab, params)
+    # the labels (numbers or arrays) of one orbit can meet the coordinates
+    # of a stack of points
+    if len({getattr(p, "shape", ()) for p in parts}) > 1:
+        parts = np.broadcast_arrays(*parts)
+    return _stack(parts)
 
 
 def dual_from_chart(point: OrbitPoint,

@@ -392,15 +392,67 @@ def _partial_trajectory():
     return info.value.partial
 
 
+def _frozen_coordinate_trajectory():
+    # at phi_f = 0 the noncentral energy flow also keeps q put: the trailing
+    # constant run reaches into the chart coordinates
+    params = ao.ModelParams(m=1.7, omega=0.6, r=1.3)
+    z0 = ao.orbit_point(ModelId.NONCENTRAL, (0.4, 0.0, -0.3, 0.2), params)
+    ham, grad = ao.energy_hamiltonian(ModelId.NONCENTRAL, z0, params)
+    spec = ao.FlowSpec(kind="hamiltonian", dt=1e-2, nsteps=300,
+                       integrator="implicit-midpoint", hamiltonian=ham,
+                       gradient=grad)
+    traj = ao.hamiltonian_flow(ModelId.NONCENTRAL, spec, z0, params)
+    moving = (traj.coords != traj.coords[0]).any(axis=0)
+    assert moving.tolist() == [False, False, True, False]
+    return traj
+
+
+def _double_trajectory(series):
+    """Rows of series after moving double-model chart coordinates."""
+    n = len(series)
+    coords = np.tile([0.5, -0.25, 1.0 / 3.0, 2.0], (n, 1))
+    coords[:, 3] = np.linspace(-1.0, 1.0, n)
+    return Trajectory(model=ModelId.DOUBLE, times=0.01 * np.arange(n),
+                      coords=coords, casimir_names=("h", "k", "s", "U"),
+                      casimir_series=series)
+
+
+def _nan_label_trajectory():
+    # one NaN in a label column between constant ones: NaN is never
+    # constant, so the scan stops at that column
+    series = np.tile([1.0, 0.1 + 0.2, -2.5e-7, 7.0], (301, 1))
+    series[150, 1] = math.nan
+    return _double_trajectory(series)
+
+
+def _whole_blocks_trajectory():
+    # n an exact multiple of the block length: no short last block
+    return _double_trajectory(np.tile([1.0, 0.5, 0.25, 7.0],
+                                      (2 * cli._CSV_BLOCK, 1)))
+
+
+def _negative_zero_label_trajectory():
+    # labels broadcast down the rows, as a Hamiltonian flow carries them,
+    # with -0.0 in the first row of constant suffix columns
+    labels = np.array([-0.0, 1.0, -0.0, 2.5])
+    return _double_trajectory(np.broadcast_to(labels, (301, 4)))
+
+
 @pytest.mark.parametrize("make", [_hamiltonian_trajectory, _group_trajectory,
                                   _signed_zero_trajectory,
                                   _noncentral_energy_trajectory,
                                   _one_row_trajectory, _late_change_trajectory,
                                   _window_edge_trajectory,
-                                  _partial_trajectory],
+                                  _partial_trajectory,
+                                  _frozen_coordinate_trajectory,
+                                  _nan_label_trajectory,
+                                  _whole_blocks_trajectory,
+                                  _negative_zero_label_trajectory],
                          ids=["hamiltonian", "group", "signed-zero",
                               "noncentral-energy", "one-row", "late-change",
-                              "window-edges", "partial"])
+                              "window-edges", "partial", "frozen-coordinate",
+                              "nan-label", "whole-blocks",
+                              "negative-zero-label"])
 def test_trajectory_csv_equals_the_per_row_writer(tmp_path, make):
     traj = make()
     out, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
