@@ -119,7 +119,8 @@ def _add_param_flags(parser: argparse.ArgumentParser,
                         help="length scale")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys) -> dict:
+    """The JSON object at path ({} without one), whose keys are among keys."""
     if not path:
         return {}
     try:
@@ -129,6 +130,9 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config document must be a JSON object")
+    unknown = set(cfg) - set(keys)
+    if unknown:
+        raise UsageError(f"unknown config keys {sorted(unknown)}")
     return cfg
 
 
@@ -175,7 +179,7 @@ def _config_corruption(cfg: dict) -> dict | None:
 def cmd_verify(args) -> int:
     # imported here, so that the other commands do not load the suites
     from . import verify as verify_mod
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ("seed", "models", "corrupt"))
     params = _params_from_args(args)
     # flags beat the document, and the document beats the defaults
     seed = _checked_seed(cfg.get("seed", 0))
@@ -385,9 +389,6 @@ def _merge_config(args, cfg: dict) -> None:
     Flags beat the document; the document beats the defaults.  A run is
     therefore fully describable by one JSON file.
     """
-    unknown = set(cfg) - set(_SIM_DEFAULTS)
-    if unknown:
-        raise UsageError(f"unknown config keys {sorted(unknown)}")
     for key, default in _SIM_DEFAULTS.items():
         if getattr(args, key) is None:
             value = cfg.get(key, default)
@@ -422,7 +423,7 @@ def _write_trajectory(args, traj: dyn.Trajectory, tail: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    _merge_config(args, _load_config(args.config))
+    _merge_config(args, _load_config(args.config, _SIM_DEFAULTS))
     if args.model is None:
         raise UsageError("no model selected (flag --model or config key)")
     if args.out is None:

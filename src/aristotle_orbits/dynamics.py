@@ -25,10 +25,11 @@ of magnitude m omega (the flow only ever sees that product, exposed as
 magnetic_strength).
 
 The Poisson tensor is the closed form orbit_chart.chart_poisson at the
-orbit's Casimir labels: read once for the chart-constant central1, central2
-and double tensors, and at every right-hand-side evaluation for the
-noncentral one, whose {j, p} and {j, q} entries depend on the state (there
-through its one-point literal form, which skips the shape checks).
+orbit's Casimir labels, read once per flow at z0.  That one matrix serves
+the chart-constant central1, central2 and double tensors as it is; for the
+noncentral one, whose {j, p} and {j, q} entries depend on the state, every
+right-hand-side evaluation first writes the chart record's own Poisson
+entries at the current state into it, in place (skipping the shape checks).
 
 Integrators: classical RK4, and the implicit midpoint rule solved by fixed
 point iteration (module constants: tolerance SOLVER_TOL = 1e-12, at most
@@ -334,22 +335,22 @@ def _group_trajectory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
 
 
 def _rhs_factory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
-                 params: ModelParams):
+                 params: ModelParams, pi: np.ndarray):
+    """The stepped right-hand side z -> Pi(z)^T grad(z) from z0's pi.
+
+    On a chart whose tensor depends on the state, each call first writes
+    the record's entries at z into pi, the one matrix it applies.
+    """
     grad = spec.gradient or oc.gradient_fd(spec.hamiltonian)
-    pi = oc.chart_poisson(model, z0.coords, z0.labels, params)
-    if oc.CHARTS[model].constant_poisson:
-        # only the noncentral chart carries state-dependent entries
-        pi_t = pi.T
-
-        def rhs(z: np.ndarray) -> np.ndarray:
-            return pi_t.dot(grad(z))
-        return rhs
-
-    mw = params.m_omega
-    kappa = float(pi[2, 3])  # {p, q}
+    chart = oc.CHARTS[model]
+    entries = None if chart.constant_poisson else chart.poisson
+    charge, pi_t = z0.labels[0], pi.T
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        return oc._noncentral_poisson(z, kappa, mw).T.dot(grad(z))
+        if entries is not None:
+            for (a, b), v in entries(z, charge, params).items():
+                pi[a, b], pi[b, a] = v, -v
+        return pi_t.dot(grad(z))
     return rhs
 
 
@@ -397,13 +398,15 @@ def _no_convergence(tol: float, max_iterations: int) -> SolverConvergenceError:
 
 
 def _affine_field(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
-                  params: ModelParams) -> tuple[np.ndarray, np.ndarray] | None:
+                  params: ModelParams, pi_t: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
     """The field z' = A z + b (A (d, d), b (d,)) of an affine flow from z0.
 
     None unless the flow is affine: a QuadraticHamiltonian on a chart with
     a constant Poisson tensor, or a NoncentralEnergy on the noncentral
-    chart, whose field is affine on z0's phi_f slice.  A given gradient is
-    checked once, at z0, against the stepped right-hand side.
+    chart, whose field is affine on z0's phi_f slice.  pi_t is the
+    transposed Poisson tensor at z0.  A given gradient is checked once, at
+    z0, against the stepped right-hand side.
     """
     ham = spec.hamiltonian
     z = np.asarray(z0.coords, dtype=float)
@@ -413,11 +416,9 @@ def _affine_field(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
         if ham.slope.shape != (d,):
             raise ValueError(f"quadratic hamiltonian has {ham.slope.size} "
                              f"coordinates, the {model.value} chart has {d}")
-        pi_t = oc.chart_poisson(model, z, z0.labels, params).T
         a, b = pi_t @ ham.hessian, pi_t @ ham.slope
     elif isinstance(ham, NoncentralEnergy) and model is ModelId.NONCENTRAL:
         mw = params.m_omega
-        pi_t = oc.chart_poisson(model, z, z0.labels, params).T
         kappa = pi_t[3, 2]  # {p, q}
         # Pi^T grad H with phi_f' = dH/dj = 0.  On the slice,
         # j' = f (1 / mw_eff - 1 / mw) (p cos phi_f + mw q sin phi_f),
@@ -534,7 +535,8 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
     if spec.kind == "group-time-flow":
         return _group_trajectory(model, z0, spec, params)
 
-    affine = _affine_field(model, z0, spec, params)
+    pi = oc.chart_poisson(model, z0.coords, z0.labels, params)
+    affine = _affine_field(model, z0, spec, params, pi.T)
     increment = (None if affine is None
                  else _increment_matrix(*affine, spec.dt, spec.integrator))
     # rows (z, 1); the stepped path writes only z
@@ -543,8 +545,8 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
     coords[0] = z0.coords
     end, message, cause = len(states), None, None
     if increment is None:
-        end, cause = _step_loop(_rhs_factory(model, z0, spec, params), spec,
-                                coords)
+        end, cause = _step_loop(_rhs_factory(model, z0, spec, params, pi),
+                                spec, coords)
         message = None if cause is None else str(cause)
     elif not np.isfinite(increment).all():
         end, message = 1, f"non-finite increment matrix at dt = {spec.dt!r}"

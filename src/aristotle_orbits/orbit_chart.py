@@ -570,20 +570,6 @@ def chart_jacobian(model: ModelId, xi,
     return jac
 
 
-def _noncentral_poisson(z, kappa: float, mw: float) -> np.ndarray:
-    """chart_poisson at one noncentral point z (4,), kappa and m omega given.
-
-    Written as literals, which is about twice as fast as filling a stack;
-    the noncentral Hamiltonian right-hand side calls it per evaluation.
-    """
-    jp = mw * z[3]
-    jq = -z[2] / mw
-    return np.array([[0.0, 1.0, jp, jq],
-                     [-1.0, 0.0, 0.0, 0.0],
-                     [-jp, 0.0, 0.0, kappa],
-                     [-jq, 0.0, -kappa, 0.0]])
-
-
 def chart_poisson(model: ModelId, z, labels,
                   params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
     """Poisson matrices Pi_{ab} = {z_a, z_b} (..., d, d) at chart points z.

@@ -57,8 +57,8 @@ class CheckResult(_Record):
     __slots__ = ("name", "status", "measured", "tolerance", "note")
 
     def __init__(self, name: str, status: str, measured: float,
-                 tolerance: float | None, note: str = ""):
-        # status is "pass", "fail" or "info"
+                 tolerance: float, note: str = ""):
+        # status is "pass" or "fail"; Report.add writes every row
         self._set(name=name, status=status, measured=measured,
                   tolerance=tolerance, note=note)
 
@@ -104,9 +104,8 @@ class Report:
         width = max(len(c.name) for c in self.checks) + 2
         lines = []
         for c in self.checks:
-            tol = "" if c.tolerance is None else f" (tol {c.tolerance:.0e})"
             lines.append(f"{c.name:<{width}} {c.status.upper():<5} "
-                         f"measured {c.measured:.3e}{tol}")
+                         f"measured {c.measured:.3e} (tol {c.tolerance:.0e})")
         return "\n".join(lines)
 
 

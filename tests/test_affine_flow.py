@@ -199,10 +199,11 @@ def test_noncentral_quadratic_keeps_the_stepped_path():
     model = ModelId.NONCENTRAL
     ham, grad = ao.kinetic_hamiltonian(model, PARAMS)
     assert isinstance(ham, QuadraticHamiltonian)
+    z0 = ao.orbit_point(model, (0.1, 0.5, 0.2, 0.3), PARAMS)
+    pi = ao.chart_poisson(model, z0.coords, z0.labels, PARAMS)
     assert dynamics._affine_field(
-        model, ao.orbit_point(model, (0.1, 0.5, 0.2, 0.3), PARAMS),
-        FlowSpec(kind="hamiltonian", hamiltonian=ham, gradient=grad),
-        PARAMS) is None
+        model, z0, FlowSpec(kind="hamiltonian", hamiltonian=ham,
+                            gradient=grad), PARAMS, pi.T) is None
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -235,7 +236,8 @@ def test_noncentral_energy_flow_matches_the_stepped_flow(integrator, data):
 def _increment(model, z0, integrator, dt, ham):
     spec = FlowSpec(kind="hamiltonian", dt=dt, integrator=integrator,
                     hamiltonian=ham)
-    field = dynamics._affine_field(model, z0, spec, PARAMS)
+    pi = ao.chart_poisson(model, z0.coords, z0.labels, PARAMS)
+    field = dynamics._affine_field(model, z0, spec, PARAMS, pi.T)
     return dynamics._increment_matrix(*field, dt, integrator)
 
 

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py records which tree its change side measured."""
+"""tools/bench_pairs.py records which tree its change side measured, and
+judges each bounded metric against its bound."""
 
 import importlib.util
 import json
@@ -96,3 +97,27 @@ def test_control_runs_a_second_archive_of_the_parent(tmp_path, monkeypatch):
         assert (str(repo) in sources) is not control
         assert sorted(sources.values()) == (
             ["a = 1\n"] * 2 if control else ["a = 1\n", "a = 2\n"])
+
+
+def _pairs(name, parent, change):
+    return [{"parent": {name: p}, "change": {name: c}}
+            for p, c in zip(parent, change)]
+
+
+def test_summarize_flags_a_change_worse_beyond_its_bound():
+    summarize = _load().summarize
+    parent = [0.9, 1.0, 1.1]
+    for factor, worse in ((1.30, True), (1.20, False), (0.70, False)):
+        pairs = _pairs("op_p50_s", parent, [factor * v for v in parent])
+        s = summarize(pairs, {"op_p50_s": "lower"}, {"op_p50_s": 0.25})
+        assert s["op_p50_s"]["worse_beyond_bound"] is worse
+    # higher is better: the mirror image
+    for factor, worse in ((0.70, True), (0.80, False), (1.30, False)):
+        pairs = _pairs("items_per_s", parent, [factor * v for v in parent])
+        s = summarize(pairs, {"items_per_s": "higher"},
+                      {"items_per_s": 0.25})
+        assert s["items_per_s"]["worse_beyond_bound"] is worse
+    # an unbounded metric gets no verdict
+    s = summarize(_pairs("host_ref_s", parent, parent),
+                  {"host_ref_s": "lower"}, {"op_p50_s": 0.25})
+    assert "worse_beyond_bound" not in s["host_ref_s"]

@@ -127,7 +127,10 @@ def test_verify_empty_model_list_is_usage_error(tmp_path):
     {"seed": "abc"},
     {"corrupt": 5},
     {"corrupt": {"model": "base", "a": "P1", "b": "P2", "out": "S"}},
-], ids=["models-string", "seed-string", "corrupt-number", "corrupt-label"])
+    {"m": 2.0, "sed": 5},
+    {"model": "double"},
+], ids=["models-string", "seed-string", "corrupt-number", "corrupt-label",
+        "unknown-keys", "unknown-model-key"])
 def test_verify_bad_config_is_one_line_usage_error(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -317,18 +317,36 @@ def test_hamiltonian_flow_records_orbit_labels():
 
 
 def test_noncentral_rhs_equals_the_chart_poisson_tensor():
-    # the right-hand side builds its Poisson matrix from one-point literals
+    # one rhs refreshes its one matrix in place from the chart record's
+    # entries, so a later call must not see an earlier call's entries
     params = ModelParams(m=1.7, omega=0.6, r=1.3)
     rng = np.random.default_rng(47)
+    ham, grad = ao.canonical_hamiltonian(params)  # nonzero dH/dj
     for _ in range(64):
         z0 = ao.orbit_point(ModelId.NONCENTRAL, rng.uniform(-1, 1, 4), params,
                             h=rng.uniform(-2, 2), f=rng.uniform(0.5, 1.5))
-        ham, grad = ao.energy_hamiltonian(ModelId.NONCENTRAL, z0, params)
         spec = FlowSpec(kind="hamiltonian", hamiltonian=ham, gradient=grad)
-        rhs = dynamics._rhs_factory(ModelId.NONCENTRAL, z0, spec, params)
-        z = rng.uniform(-1, 1, 4)
-        pi = ao.chart_poisson(ModelId.NONCENTRAL, z, z0.labels, params)
-        assert np.array_equal(rhs(z), pi.T.dot(grad(z)))
+        pi0 = ao.chart_poisson(ModelId.NONCENTRAL, z0.coords, z0.labels,
+                               params)
+        rhs = dynamics._rhs_factory(ModelId.NONCENTRAL, z0, spec, params,
+                                    pi0)
+        z1, z2 = rng.uniform(-1, 1, (2, 4))
+        for z in (z1, z2, z1):
+            pi = ao.chart_poisson(ModelId.NONCENTRAL, z, z0.labels, params)
+            assert np.array_equal(rhs(z), pi.T.dot(grad(z)))
+
+
+def test_constant_chart_rhs_leaves_its_matrix_unchanged():
+    rng = np.random.default_rng(48)
+    z0 = ao.orbit_point(ModelId.DOUBLE, rng.uniform(-1, 1, 4), PARAMS, h=1.3)
+    spec = FlowSpec(kind="hamiltonian", hamiltonian=lambda z: np.sum(z**3))
+    pi = ao.chart_poisson(ModelId.DOUBLE, z0.coords, z0.labels, PARAMS)
+    kept = pi.copy()
+    rhs = dynamics._rhs_factory(ModelId.DOUBLE, z0, spec, PARAMS, pi)
+    grad = ao.gradient_fd(spec.hamiltonian)
+    for z in rng.uniform(-1, 1, (3, 4)):
+        assert np.array_equal(rhs(z), kept.T.dot(grad(z)))
+    assert np.array_equal(pi, kept)
 
 
 def _count_calls(monkeypatch, names):

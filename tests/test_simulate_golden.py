@@ -8,12 +8,21 @@ digests were generated from the tree before the CSV writer stopped
 building the whole (t, chart coordinates, Casimirs) table, so the test
 shows that the writer kept every byte.
 
+Four more commands run the stepped integrators, the path that re-reads the
+noncentral chart's state-dependent Poisson tensor at every right-hand side:
+the kinetic and canonical Hamiltonians on the noncentral chart, with RK4
+and with implicit midpoint, at h = 1.7 (so kappa != 1) and f = 0.8.  Their
+digests were generated from the tree before that re-read moved from a
+hand-written matrix literal to the chart record's own Poisson entries.
+
 Left out: every output that passes through numpy's vectorized
 trigonometric kernels, whose bits follow the CPU features they dispatch
-to.  Of these commands only the noncentral energy flow computes cos and
-sin (of phi_f, in its energy and gradient and in its orbit labels), so it
-starts at phi_f = 0, where both are exact.  The double model's chart maps
-and group time flow use no trigonometry.
+to.  Of these commands only the noncentral ones compute cos and sin: the
+energy flow of phi_f in its energy, its gradient and its orbit labels, the
+stepped flows in their orbit labels alone.  So all five start at
+phi_f = 0, where both are exact; neither the kinetic nor the canonical
+Hamiltonian computes trigonometry after that.  The double model's chart
+maps and group time flow use no trigonometry.
 
 The integrators' matrix products go through the BLAS, and the cyclotron's
 last digits differ between OpenBLAS kernels (ROADMAP: "Same-seed bytes
@@ -59,6 +68,17 @@ COMMANDS = {
                           "--integrator", "implicit-midpoint", "--dt", "0.001",
                           "--steps", "2000", "--point=0.3,0.0,0.4,-0.7"],
 }
+_STEPPED = ["simulate", "--model", "noncentral", "--flow", "hamiltonian",
+            "--dt", "0.01", "--steps", "2000", "--point=0.3,0.0,0.4,-0.7",
+            "--label", "h=1.7", "--label", "f=0.8"]
+# the stepped path, at phi_f = 0 again: h = 1.7 makes kappa != 1, so kinetic
+# moves j and q through the state-dependent {j, p} and {j, q} entries, and
+# canonical moves p and q
+COMMANDS.update({
+    f"noncentral-{ham}-{integrator.split('-')[-1]}":
+        _STEPPED + ["--hamiltonian", ham, "--integrator", integrator]
+    for ham in ("kinetic", "canonical")
+    for integrator in ("rk4", "implicit-midpoint")})
 
 
 def _sha256(data: bytes) -> str:
@@ -115,6 +135,30 @@ GOLDEN = {
             '05fe2582eb3d616308f2d530c8eedb6af48a1328d63ecb7c8e80f9de4e4e0f5c',
         'csv':
             '828c087a29571d570ebb24eb683ad9b1e8c51212184751233c5fb03545b3a9ee',
+    },
+    'noncentral-kinetic-rk4': {
+        'stdout':
+            '0d4f0a1328700c3e77be51e9c105582470a390a56fc9d08936b9dc15da834533',
+        'csv':
+            'c7ddac2d0c8f44a187917ad5c898f516e54f861cc0f891d06d55d71a01263524',
+    },
+    'noncentral-kinetic-midpoint': {
+        'stdout':
+            '8d04336157a5a6cfea54de902567611b89106491d24b835fd72de68aab34c7e5',
+        'csv':
+            'c330a7247c2177eb9d5f1ceed75ce4a66444b8df166488cc81ea0847a335034f',
+    },
+    'noncentral-canonical-rk4': {
+        'stdout':
+            'be41dbb80c4832148e3fc8f9fc0ca140059ddd9f0f0d3bdc3c0f55fd4591e569',
+        'csv':
+            'e992313ad51ea60b234ea7ad358dfff2e14ec60e0b204ae87f069fa997f19319',
+    },
+    'noncentral-canonical-midpoint': {
+        'stdout':
+            '55814d45d13b923ce736e88854be18cb681d7274b8f3795d86c4f09f16005a3e',
+        'csv':
+            'e2077cf04f5be6d7fbe01fcd84228bd4a7713992dfb56ae28ed61d16fefdc986',
     },
 }
 

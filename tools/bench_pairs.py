@@ -6,12 +6,16 @@ run the parent first and odd pairs the change first, so a drift of the
 host's speed during the session lands on both sides.  For every bounded
 metric (the ``end_to_end`` list of BENCHMARK.json) it reports each side's
 median and quartiles, the change/parent ratio of the medians, in how many
-pairs the change did better, and whether the gap between the medians
-exceeds the parent's quartile distance; the raw set-up time and the
-host reference loop (``setup_wall_s``, ``host_ref_s``) are summarized
-beside them.  Each run records what the change side measured: its HEAD
-revision, whether the tree was dirty, the paths that differ from HEAD
-and a SHA-256 over them (``tree_state``).  Standard library only:
+pairs the change did better, whether the gap between the medians
+exceeds the parent's quartile distance, and the no-regression verdict
+``worse_beyond_bound``: whether the change's median is worse than the
+parent's, in the metric's ``better`` direction, by more than the metric's
+``bound`` times the parent's median.  The raw set-up time and the host
+reference loop (``setup_wall_s``, ``host_ref_s``) are summarized beside
+them, with no bound and so no verdict.  Each run records what the
+change side measured: its HEAD revision, whether the tree was dirty, the
+paths that differ from HEAD and a SHA-256 over them (``tree_state``).
+Standard library only:
 
     python tools/bench_pairs.py PARENT_REV --workload hamiltonian \\
         --pairs 10 --seconds 35 --seed 1 --out BENCH.json
@@ -128,8 +132,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' quartiles, ratio, wins, and the verdict."""
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float]) -> dict:
+    """Per metric: both sides' quartiles, ratio, wins, and the verdicts.
+
+    better maps each metric to "lower" or "higher"; a metric in bounds
+    also gets worse_beyond_bound, the no-regression verdict against its
+    bound (a fraction of the parent's median).
+    """
     out = {}
     for name, direction in better.items():
         parent = [p["parent"][name] for p in pairs]
@@ -146,6 +156,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "change_wins": f"{wins}/{len(pairs)}",
             "gap_exceeds_parent_iqr": abs(cmed - pmed) > pq3 - pq1,
         }
+        if name in bounds:
+            out[name]["worse_beyond_bound"] = (
+                sign * (cmed - pmed) > bounds[name] * pmed)
     return out
 
 
@@ -165,7 +178,9 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
     doc = {"runs": []}
     if args.out and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -189,7 +204,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i + 1}/{args.pairs}: op_p50_s "
                       f"parent {pair['parent']['op_p50_s']:.4g}, change "
                       f"{pair['change']['op_p50_s']:.4g}", flush=True)
-            summary = summarize(pairs, {**better, **REPORTED})
+            summary = summarize(pairs, {**better, **REPORTED}, bounds)
             doc["runs"].append({
                 "workload": workload, "seed": args.seed,
                 "seconds": args.seconds, "pairs": args.pairs,
@@ -208,7 +223,9 @@ def main(argv=None) -> int:
                       f"change {s['change']['median']:.4g} "
                       f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
                       f"ratio {s['ratio']:.3f}  wins {s['change_wins']}  "
-                      f"beyond parent IQR {s['gap_exceeds_parent_iqr']}")
+                      f"beyond parent IQR {s['gap_exceeds_parent_iqr']}"
+                      + (f"  worse beyond bound {s['worse_beyond_bound']}"
+                         if "worse_beyond_bound" in s else ""))
     doc["manifest"] = {
         "tool": "tools/bench_pairs.py", "python": platform.python_version(),
         "machine": platform.machine(), "nproc": os.cpu_count(),
