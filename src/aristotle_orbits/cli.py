@@ -94,9 +94,13 @@ def _parse_labels(items: list[str]) -> dict[str, float]:
 
 
 def _finite_number(value, name: str) -> float:
-    """value as a float if it is a finite number (a bool is not one)."""
+    """value as a float if it is a finite number (a bool is not one).
+
+    The range test also rejects an int beyond the float range, which JSON
+    reads exactly and float() cannot convert.
+    """
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise UsageError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
@@ -120,7 +124,10 @@ def _add_param_flags(parser: argparse.ArgumentParser,
 
 
 def _load_config(path: str | None, keys) -> dict:
-    """The JSON object at path ({} without one), whose keys are among keys."""
+    """The JSON object at path ({} without one), whose keys are among keys.
+
+    A null value is an unset key, so it is left out.
+    """
     if not path:
         return {}
     try:
@@ -133,7 +140,7 @@ def _load_config(path: str | None, keys) -> dict:
     unknown = set(cfg) - set(keys)
     if unknown:
         raise UsageError(f"unknown config keys {sorted(unknown)}")
-    return cfg
+    return {key: value for key, value in cfg.items() if value is not None}
 
 
 def _checked_seed(seed) -> int:
@@ -164,6 +171,9 @@ def _config_corruption(cfg: dict) -> dict | None:
                                                        str):
         raise UsageError("config key 'corrupt' must be an object naming a "
                          "model and generators a, b, out")
+    unknown = set(corrupt) - {"model", "a", "b", "out", "delta"}
+    if unknown:
+        raise UsageError(f"unknown corrupt keys {sorted(unknown)}")
     model = ModelId.from_name(corrupt["model"])
     labels = gm.ALGEBRA_LABELS[model]
     for key in ("a", "b", "out"):
@@ -210,22 +220,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
 
 
-def _chart_model(name: str) -> ModelId:
-    """The model of that name, which must have an orbit chart."""
-    model = ModelId.from_name(name)
-    if model not in oc.CHARTS:
-        raise UsageError(f"the {model.value} model has no orbit chart; choose "
-                         f"one of {', '.join(m.value for m in oc.CHARTS)}")
-    return model
-
-
 def cmd_orbit(args) -> int:
     params = _params_from_args(args)
-    model = _chart_model(args.model)
+    model = ModelId.from_name(args.model)
     xi = _parse_floats(args.xi, "--xi")
-    if xi.size != gm.dim(model):
-        raise UsageError(f"{model.value} expects {gm.dim(model)} dual "
-                         f"coordinates {gm.DUAL_LABELS[model]}, got {xi.size}")
     tensor = gm.structure_tensor(model, params)
     point = oc.chart_from_dual(model, xi, params)
     print(f"model: {model.value}")
@@ -250,18 +248,11 @@ def _initial_point(model: ModelId, args, params: ModelParams) -> oc.OrbitPoint:
     labels = _parse_labels(args.label)
     if args.xi:
         xi = _parse_floats(args.xi, "--xi")
-        if xi.size != gm.dim(model):
-            raise UsageError(f"{model.value} expects {gm.dim(model)} dual "
-                             "coordinates")
         if labels:
             raise UsageError("--label only applies with --point")
         return oc.chart_from_dual(model, xi, params)
     if args.point:
         z = _parse_floats(args.point, "--point")
-        if z.size != len(oc.CHART_COORDS[model]):
-            raise UsageError(f"{model.value} chart expects "
-                             f"{len(oc.CHART_COORDS[model])} coordinates "
-                             f"{oc.CHART_COORDS[model]}")
         return oc.orbit_point(model, z, params, **labels)
     raise UsageError("give an initial state with --xi or --point")
 
@@ -368,15 +359,16 @@ def _check_config_value(key: str, value) -> None:
     """A document value must pass its flag's choices and string checks.
 
     Numbers and points are checked where they are parsed, for flags and
-    document alike; null is an unset key.
+    document alike.
     """
-    if value is None:
-        return
     if key in _SIM_CHOICES and value not in _SIM_CHOICES[key]:
         raise UsageError(f"config key {key!r} must be one of "
                          f"{', '.join(_SIM_CHOICES[key])}, got {value!r}")
     if key in ("out", "hamiltonian") and not isinstance(value, str):
         raise UsageError(f"config key {key!r} must be a string, got {value!r}")
+    if key == "out" and "\0" in value:
+        # a flag cannot hold one, and open() raises ValueError on it
+        raise UsageError(f"config key 'out' holds a NUL character: {value!r}")
     if key == "label" and not (isinstance(value, list) and all(
             isinstance(item, str) for item in value)):
         raise UsageError("config key 'label' must be a list of "
@@ -391,9 +383,9 @@ def _merge_config(args, cfg: dict) -> None:
     """
     for key, default in _SIM_DEFAULTS.items():
         if getattr(args, key) is None:
-            value = cfg.get(key, default)
-            _check_config_value(key, value)
-            setattr(args, key, value)
+            if key in cfg:
+                _check_config_value(key, cfg[key])
+            setattr(args, key, cfg.get(key, default))
 
 
 def _write_trajectory(args, traj: dyn.Trajectory, tail: dict) -> None:
@@ -429,26 +421,19 @@ def cmd_simulate(args) -> int:
     if args.out is None:
         raise UsageError("no output path (flag --out or config key)")
     params = _params_from_args(args)
-    model = _chart_model(args.model)
-    if isinstance(args.steps, bool) or not isinstance(args.steps, int):
-        raise UsageError(f"steps must be an integer, got {args.steps!r}")
-    if args.steps < 1:
-        raise UsageError("--steps must be at least 1")
+    model = ModelId.from_name(args.model)
     args.dt = _finite_number(args.dt, "dt")
-    if args.dt <= 0:
-        raise UsageError("--dt must be positive")
     z0 = _initial_point(model, args, params)
-    if args.flow == "group":
-        spec = dyn.FlowSpec(kind="group-time-flow", dt=args.dt,
-                            nsteps=args.steps)
-    elif args.flow == "hamiltonian":
-        ham, grad = _named_hamiltonian(args.hamiltonian, model, z0, params)
-        spec = dyn.FlowSpec(kind="hamiltonian", dt=args.dt, nsteps=args.steps,
-                            integrator=args.integrator, hamiltonian=ham,
-                            gradient=grad)
-    else:
-        raise UsageError(f"unknown flow {args.flow!r}; choose group or "
-                         "hamiltonian")
+    hamiltonian = args.flow == "hamiltonian"
+    ham, grad = (_named_hamiltonian(args.hamiltonian, model, z0, params)
+                 if hamiltonian else (None, None))
+    try:
+        spec = dyn.FlowSpec(
+            kind="hamiltonian" if hamiltonian else "group-time-flow",
+            dt=args.dt, nsteps=args.steps, integrator=args.integrator,
+            hamiltonian=ham, gradient=grad)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     try:
         traj = dyn.hamiltonian_flow(model, spec, z0, params)
     except dyn.FlowSingularityError as exc:
@@ -469,22 +454,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_bracket(args) -> int:
     params = _params_from_args(args)
-    model = _chart_model(args.model)
+    model = ModelId.from_name(args.model)
     z = _parse_floats(args.at, "--at")
-    names = oc.CHART_COORDS[model]
-    if z.size != len(names):
-        raise UsageError(f"{model.value} chart expects {len(names)} "
-                         f"coordinates {names}")
-    for coord in (args.f, args.g):
-        if coord not in names:
-            raise UsageError(f"{coord!r} is not a chart coordinate of "
-                             f"{model.value}; choose from {names}")
+    fgrad = oc.coordinate_gradient(model, args.f)
+    ggrad = oc.coordinate_gradient(model, args.g)
     point = oc.orbit_point(model, z, params, **_parse_labels(args.label))
-    value = oc.poisson_bracket(
-        model,
-        oc.coordinate_gradient(model, args.f),
-        oc.coordinate_gradient(model, args.g),
-        point, params)
+    value = oc.poisson_bracket(model, fgrad, ggrad, point, params)
     print(f"{{{args.f}, {args.g}}} = {_fmt(value)}")
     return EXIT_OK
 

@@ -306,7 +306,8 @@ def _chart(model: ModelId) -> Chart:
         return CHARTS[model]
     except KeyError:
         raise gm.ModelMismatchError(
-            f"model {model.value} has no orbit chart") from None
+            f"model {model.value} has no orbit chart; choose one of "
+            f"{', '.join(m.value for m in CHARTS)}") from None
 
 
 def _require_nonzero(value, name: str, model: ModelId) -> None:
@@ -443,9 +444,9 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
     broadcasts against the batch shape of coords: central1 l, E, j;
     central2 h, j; noncentral h, f, E; double h, k, j, E.  The charges
     are stored as given; s and U are the casimirs of the dual point.
-    Other keywords, non-finite input and a noncentral force magnitude
-    f <= 0 raise ChartDegeneracyError; Casimirs that overflow raise
-    SingularityError.
+    Coordinates of the wrong length, other keywords, non-finite input and
+    a noncentral force magnitude f <= 0 raise ChartDegeneracyError;
+    Casimirs that overflow raise SingularityError.
     """
     chart = _chart(model)
     keys = chart.label_keys
@@ -457,7 +458,8 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
     d = len(chart.coords)
     if z.shape[-1:] != (d,):
         raise ChartDegeneracyError(f"{model.value} chart needs {d} "
-                                   f"coordinates, got shape {z.shape}")
+                                   f"coordinates {chart.coords}, got shape "
+                                   f"{z.shape}")
     labels = {name: np.asarray(value, dtype=float)
               for name, value in labels.items()}
     try:
@@ -693,8 +695,15 @@ def poisson_bracket(model: ModelId, fgrad, ggrad, point: OrbitPoint,
 
 
 def coordinate_gradient(model: ModelId, name: str):
-    """Gradient function of the chart coordinate with the given name."""
-    names = CHART_COORDS[model]
+    """Gradient function of the chart coordinate with the given name.
+
+    A name that is not one of the model's chart coordinates raises
+    ChartDegeneracyError, and a model without a chart ModelMismatchError.
+    """
+    names = _chart(model).coords
+    if name not in names:
+        raise ChartDegeneracyError(f"{name!r} is not a chart coordinate of "
+                                   f"{model.value}; choose from {names}")
     i = names.index(name)
     n = len(names)
 

@@ -129,8 +129,10 @@ def test_verify_empty_model_list_is_usage_error(tmp_path):
     {"corrupt": {"model": "base", "a": "P1", "b": "P2", "out": "S"}},
     {"m": 2.0, "sed": 5},
     {"model": "double"},
+    {"corrupt": {"model": "base", "a": "P1", "b": "P2", "out": "P1",
+                 "dleta": 0.0}},
 ], ids=["models-string", "seed-string", "corrupt-number", "corrupt-label",
-        "unknown-keys", "unknown-model-key"])
+        "unknown-keys", "unknown-model-key", "unknown-corrupt-key"])
 def test_verify_bad_config_is_one_line_usage_error(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -138,6 +140,22 @@ def test_verify_bad_config_is_one_line_usage_error(tmp_path, capsys, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+_VERIFY_DOC = {"seed": 3, "models": ["double"],
+               "corrupt": {"model": "double", "a": "P1", "b": "P2",
+                           "out": "P1"}}
+
+
+@pytest.mark.parametrize("key", sorted(_VERIFY_DOC))
+def test_verify_null_config_value_is_an_unset_key(tmp_path, capsys, key):
+    def outcome(doc):
+        path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        code = run(["verify", "--config", str(path), "--out", str(out)])
+        return code, capsys.readouterr(), out.read_bytes()
+    without = {k: v for k, v in _VERIFY_DOC.items() if k != key}
+    assert outcome({**_VERIFY_DOC, key: None}) == outcome(without)
 
 
 def test_verify_config_that_is_not_utf8_is_one_line_usage_error(tmp_path,
@@ -523,7 +541,8 @@ def test_simulate_bad_input_is_one_line_usage_error(tmp_path, capsys, flags,
 
 
 @pytest.mark.parametrize("key,value", [
-    ("model", 7), ("out", 1), ("label", [5])], ids=["model", "out", "label"])
+    ("model", 7), ("out", 1), ("out", "traj\0.csv"), ("label", [5])],
+    ids=["model", "out", "out-nul", "label"])
 def test_simulate_document_value_its_flag_rejects_is_a_usage_error(
         tmp_path, capsys, key, value):
     # the test above passes --model and --out, which beat the document
@@ -629,6 +648,54 @@ def test_simulate_flag_overrides_config(tmp_path):
     }))
     assert run(["simulate", "--config", str(cfg), "--out", str(out_flag)]) == 0
     assert out_flag.exists() and not out_cfg.exists()
+
+
+_SIM_DOC = {"model": "noncentral", "flow": "hamiltonian", "dt": 0.01,
+            "steps": 20, "format": "json", "integrator": "rk4",
+            "hamiltonian": "canonical", "m": 1.7, "omega": 0.6, "r": 1.3,
+            "point": [0.3, 0.0, 0.4, -0.7], "label": ["h=1.7"],
+            "out": "traj.out"}
+
+
+@pytest.mark.parametrize("key", sorted(cli._SIM_DEFAULTS))
+def test_simulate_null_config_value_is_an_unset_key(tmp_path, capsys,
+                                                     monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "traj.out"
+
+    def outcome(doc):
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code = run(["simulate", "--config", "cfg.json"])
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, capsys.readouterr(), written
+    without = {k: v for k, v in _SIM_DOC.items() if k != key}
+    assert outcome({**_SIM_DOC, key: None}) == outcome(without)
+
+
+@pytest.mark.parametrize("key", ["dt", "m", "omega", "r"])
+def test_config_integer_beyond_the_float_range_is_one_line_usage_error(
+        tmp_path, capsys, key):
+    # JSON reads the integer exactly, and float() cannot convert it
+    doc = {"model": "double", "flow": "group", "steps": 2,
+           "point": [0, 0, 1, 0], "out": str(tmp_path / "traj.csv")}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc)[:-1] + f', "{key}": 1{"0" * 400}}}')
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be a finite number")
+    assert err.count("\n") == 1
+
+
+def test_simulate_integer_dt_in_a_document_is_a_float(tmp_path, capsys):
+    out = tmp_path / "traj.json"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "model": "double", "flow": "group", "dt": 1, "steps": 2,
+        "point": [0, 0, 1, 0], "format": "json", "out": str(out)}))
+    assert run(["simulate", "--config", str(cfg)]) == 0
+    assert "dt = 1.0" in capsys.readouterr().out
+    assert '"dt": 1.0,' in out.read_text()
 
 
 def test_simulate_unknown_config_key_is_usage_error(tmp_path):
@@ -846,6 +913,44 @@ def test_extreme_parameters_keep_the_exit_code_contract(tmp_path, capsys,
             # a property check failed, which only verify reports
             assert argv[0] == "verify", run_argv
             assert err == "" and "RESULT: FAIL" in out, run_argv
+
+
+_SIM_ARGV = ["simulate", "--out", "traj.csv", "--dt", "0.1", "--steps", "5"]
+_NO_CHART = "central1, central2, noncentral, double"
+
+
+# inputs that only the library checks: its one-line error names the model
+# and what it expects
+@pytest.mark.parametrize("argv,names", [
+    (["orbit", "--model", "base", "--xi", "0,0,0,0"], ["base", _NO_CHART]),
+    (_SIM_ARGV + ["--model", "base", "--point", "0,0,0,0"],
+     ["base", _NO_CHART]),
+    (["bracket", "--model", "base", "--at", "0,0,0,0", "--f", "p1", "--g",
+      "p2"], ["base", _NO_CHART]),
+    (["orbit", "--model", "central1", "--xi", "1,2,3"], ["central1", "5"]),
+    (_SIM_ARGV + ["--model", "central1", "--xi", "1,2,3"], ["central1", "5"]),
+    (_SIM_ARGV + ["--model", "double", "--point", "0,0,1"],
+     ["double", "4", "('p1', 'p2', 'q1', 'q2')"]),
+    (["bracket", "--model", "double", "--at", "0,0,0", "--f", "p1", "--g",
+      "p2"], ["double", "4", "('p1', 'p2', 'q1', 'q2')"]),
+    (["bracket", "--model", "double", "--at", "0,0,0,0", "--f", "zz", "--g",
+      "p2"], ["'zz'", "double", "('p1', 'p2', 'q1', 'q2')"]),
+    (["simulate", "--out", "traj.csv", "--model", "double", "--point",
+      "0,0,1,0", "--steps", "0"], ["nsteps", "at least 1", "got 0"]),
+    (["simulate", "--out", "traj.csv", "--model", "double", "--point",
+      "0,0,1,0", "--dt", "-1"], ["dt", "positive", "got -1.0"]),
+], ids=["orbit-base", "simulate-base", "bracket-base", "orbit-short-xi",
+        "simulate-short-xi", "simulate-short-point", "bracket-short-at",
+        "bracket-unknown-coordinate", "simulate-zero-steps",
+        "simulate-negative-dt"])
+def test_input_the_library_checks_is_one_line_usage_error(
+        tmp_path, capsys, monkeypatch, argv, names):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert all(name in captured.err for name in names), captured.err
+    assert captured.out == "" and not (tmp_path / "traj.csv").exists()
 
 
 def test_bracket_unknown_coordinate_is_usage_error():

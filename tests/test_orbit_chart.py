@@ -345,6 +345,20 @@ def test_poisson_bracket_antisymmetry_on_same_function():
     assert abs(val) < 1e-12
 
 
+def test_coordinate_gradient_rejects_an_unknown_name_with_the_choices():
+    with pytest.raises(ao.ChartDegeneracyError) as info:
+        ao.coordinate_gradient(ModelId.DOUBLE, "zz")
+    assert str(info.value) == ("'zz' is not a chart coordinate of double; "
+                               "choose from ('p1', 'p2', 'q1', 'q2')")
+
+
+def test_coordinate_gradient_of_a_model_without_a_chart_is_a_mismatch():
+    with pytest.raises(ao.ModelMismatchError,
+                       match="base has no orbit chart; choose one of "
+                             "central1, central2, noncentral, double"):
+        ao.coordinate_gradient(ModelId.BASE, "p")
+
+
 def test_double_bracket_values():
     point = ao.orbit_point(ModelId.DOUBLE, (0.3, -0.7, 0.2, 0.9), PARAMS)
     g = lambda name: ao.coordinate_gradient(ModelId.DOUBLE, name)
