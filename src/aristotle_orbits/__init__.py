@@ -53,7 +53,6 @@ from .group_models import (
     identity_element,
     inverse,
     multiply,
-    one_param_element,
     sample_dual,
     sample_element,
     structure_tensor,
@@ -75,7 +74,6 @@ from .orbit_chart import (
     omega_chart,
     omega_matrix,
     orbit_point,
-    phase_space_blocks,
     poisson_bracket,
     poisson_tensor,
 )
@@ -90,7 +88,6 @@ from .dynamics import (
     hamiltonian_flow,
     invariant_drift,
     kinetic_hamiltonian,
-    magnetic_strength,
     time_flow_exact,
 )
 

@@ -275,7 +275,7 @@ def _named_hamiltonian(name: str, model: ModelId, point: oc.OrbitPoint,
 def _trajectory_columns(traj: dyn.Trajectory) -> tuple[list[str], list]:
     """Column names and columns (t, chart coordinates, Casimirs) of traj."""
     header = (["t"] + list(oc.CHART_COORDS[traj.model])
-              + list(traj.casimir_names))
+              + list(oc.CASIMIR_NAMES[traj.model]))
     return header, [traj.times, *traj.coords.T, *traj.casimir_series.T]
 
 

@@ -22,7 +22,7 @@ With the magnetic chart of the double model and H = |p|^2 / (2 m), the
 momentum circles at frequency omega: the strength of the momentum
 noncommutativity {p1, p2} = -m omega acts exactly like a magnetic field
 of magnitude m omega (the flow only ever sees that product, exposed as
-magnetic_strength).
+ModelParams.m_omega).
 
 The Poisson tensor is the closed form orbit_chart.chart_poisson at the
 orbit's Casimir labels, read once per flow at z0.  That one matrix serves
@@ -112,7 +112,8 @@ MAX_ITERATIONS = 50  # and its sweeps per step
 
 
 class FlowSingularityError(ArithmeticError):
-    """The flow hit a singular or non-finite state.
+    """The flow hit a singular or non-finite state, or its samples do not fit
+    in memory.
 
     Carries the failing step index and the partial trajectory integrated
     up to that point, so callers can still serialize what was computed.
@@ -251,19 +252,20 @@ class Trajectory(_Record):
     """Sampled flow: one row per time in every series.
 
     coords is the (n, d) array of chart coordinates and casimir_series the
-    (n, len(casimir_names)) array of Casimir values: computed per sample
-    from the dual point on group time flows, the orbit labels broadcast on
-    Hamiltonian flows, which also carry the energy per sample.
+    (n, c) array of the Casimir values named by CASIMIR_NAMES[model]:
+    computed per sample from the dual point on group time flows, the orbit
+    labels broadcast on Hamiltonian flows, which also carry the energy per
+    sample.
     """
 
-    __slots__ = ("model", "times", "coords", "casimir_names",
-                 "casimir_series", "hamiltonian_series")
+    __slots__ = ("model", "times", "coords", "casimir_series",
+                 "hamiltonian_series")
 
     def __init__(self, model: ModelId, times: np.ndarray, coords: np.ndarray,
-                 casimir_names: tuple[str, ...], casimir_series: np.ndarray,
+                 casimir_series: np.ndarray,
                  hamiltonian_series: np.ndarray | None = None):
         self._set(model=model, times=times, coords=coords,
-                  casimir_names=casimir_names, casimir_series=casimir_series,
+                  casimir_series=casimir_series,
                   hamiltonian_series=hamiltonian_series)
 
 
@@ -277,15 +279,10 @@ def invariant_drift(traj: Trajectory) -> dict[str, float]:
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
     if traj.hamiltonian_series is None:
-        names, series = traj.casimir_names, traj.casimir_series
+        names, series = oc.CASIMIR_NAMES[traj.model], traj.casimir_series
     else:
         names, series = ("H",), traj.hamiltonian_series[:, None]
     return dict(zip(names, np.abs(series - series[0]).max(axis=0).tolist()))
-
-
-def magnetic_strength(params: ModelParams = DEFAULT_PARAMS) -> float:
-    """The product m * omega measuring momentum noncommutativity."""
-    return params.m * params.omega
 
 
 def time_flow_exact(model: ModelId, xi0, t,
@@ -330,8 +327,7 @@ def _group_trajectory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
             f"step {step}: the dual point at t = {float(times[n])!r} is not "
             f"finite", step=step)
     points = oc.chart_from_dual(model, duals, params)
-    return Trajectory(model, times, points.coords, oc.CASIMIR_NAMES[model],
-                      points.labels)
+    return Trajectory(model, times, points.coords, points.labels)
 
 
 def _rhs_factory(model: ModelId, z0: OrbitPoint, spec: FlowSpec,
@@ -527,20 +523,24 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
     states (z, 1), which is scanned once for its first non-finite row; a
     chart error, a non-finite increment matrix or state, or an energy
     beyond the float range at a finite state raises FlowSingularityError
-    (see the module docstring).
+    (see the module docstring).  So does, at step 0 and with no partial
+    trajectory, a step count whose samples do not fit in memory.
     """
     if z0.model is not model:
         raise gm.ModelMismatchError("initial point belongs to "
                                     f"{z0.model.value}, not {model.value}")
-    if spec.kind == "group-time-flow":
-        return _group_trajectory(model, z0, spec, params)
-
+    try:
+        if spec.kind == "group-time-flow":
+            return _group_trajectory(model, z0, spec, params)
+        # rows (z, 1); the stepped path writes only z
+        states = np.ones((spec.nsteps + 1, np.size(z0.coords) + 1))
+    except MemoryError:
+        raise FlowSingularityError(f"step 0: {spec.nsteps + 1} samples do "
+                                   "not fit in memory", step=0) from None
     pi = oc.chart_poisson(model, z0.coords, z0.labels, params)
     affine = _affine_field(model, z0, spec, params, pi.T)
     increment = (None if affine is None
                  else _increment_matrix(*affine, spec.dt, spec.integrator))
-    # rows (z, 1); the stepped path writes only z
-    states = np.ones((spec.nsteps + 1, np.size(z0.coords) + 1))
     coords = states[:, :-1]
     coords[0] = z0.coords
     end, message, cause = len(states), None, None
@@ -561,7 +561,6 @@ def hamiltonian_flow(model: ModelId, spec: FlowSpec, z0: OrbitPoint,
     with np.errstate(over="ignore", invalid="ignore"):
         energies = _energy_series(spec.hamiltonian, coords[:end])
     traj = Trajectory(model, spec.dt * np.arange(end), coords[:end],
-                      oc.CASIMIR_NAMES[model],
                       np.broadcast_to(z0.labels, (end, z0.labels.size)),
                       energies)
     if message is None and not np.isfinite(energies).all():

@@ -487,14 +487,6 @@ def coadjoint(model: ModelId, g, xi,
     return out
 
 
-def one_param_element(model: ModelId, label: str, s: float) -> np.ndarray:
-    """exp(s * e_label) as a group element, for a single basis generator.
-
-    Its parameters are exactly s * e_label.
-    """
-    return algebra_vector(model, **{label: s})
-
-
 def sample_element(model: ModelId, rng: np.random.Generator,
                    size: int | tuple[int, ...] | None = None) -> np.ndarray:
     """Random element: angle uniform in [-pi, pi], other parameters in [-1, 1].
@@ -576,7 +568,8 @@ def algebra_vector(model: ModelId, **components) -> np.ndarray:
     """Algebra vector from named generator components (e.g. J=0.3, P1=1).
 
     Array components give a stack of vectors (..., n) of their broadcast
-    shape.
+    shape.  One component, s on a single generator, is also the group
+    element exp(s * e_label): its parameters are exactly s * e_label.
     """
     return _labelled_vector(model, ALGEBRA_LABELS[model], "a generator",
                             components)

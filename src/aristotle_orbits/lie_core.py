@@ -99,11 +99,12 @@ class _Record:
 class ModelParams(_Record):
     """Physical scales shared by all models.
 
-    m is a mass, omega a frequency and r a length.  The derived velocity is
-    c = omega * r and the derived reference action is l_sub = m * omega * r**2,
-    so with the default m = omega = r = 1 all structure constants and matrix
-    entries reduce to small integers.  All three must be finite and
-    positive, and r**2 must be too (about 1.6e-162 < r < 1.34e154).
+    m is a mass, omega a frequency and r a length.  Derived from them are
+    the reference action l_sub = m * omega * r**2 and m_omega = m * omega,
+    the magnetic strength of the double model's chart, so with the default
+    m = omega = r = 1 all structure constants and matrix entries reduce to
+    small integers.  All three must be finite and positive, and r**2 must
+    be too (about 1.6e-162 < r < 1.34e154).
     Equal fields make equal, equally hashed params.
     """
 
@@ -125,10 +126,6 @@ class ModelParams(_Record):
 
     def __hash__(self):
         return hash((self.m, self.omega, self.r))
-
-    @property
-    def c(self) -> float:
-        return self.omega * self.r
 
     @property
     def l_sub(self) -> float:

@@ -9,13 +9,13 @@ noncentral  (j, phi_f, p, q) with f1 = f cos(phi_f), f2 = f sin(phi_f);
 double      (p1, p2, q1, q2) with q = -f / k; labels (h, k, s, U).
 
 Each chart model is defined in one place, its Chart record in CHARTS: its
-names (coordinates, Casimirs, the omega_matrix basis, the orbit_point
-keywords, whether its Poisson tensor is constant) and its closed forms
-(Casimirs, chart map, dual map, Jacobian, Poisson entries, energy
-coefficients).  The public functions below validate their input, look
-up the record once, call its closed form and stack the result; the
-public tables CHART_COORDS, CASIMIR_NAMES and OMEGA_BASIS are views of
-the records.  A model without a record (base) raises ModelMismatchError.
+names (coordinates, Casimirs, the omega_matrix basis, whether its
+Poisson tensor is constant) and its closed forms (Casimirs, chart map,
+dual map, Jacobian, Poisson entries, energy coefficients).  The public
+functions below validate their input, look up the record once, call its
+closed form and stack the result; the public tables CHART_COORDS,
+CASIMIR_NAMES and OMEGA_BASIS are views of the records.  A model without
+a record (base) raises ModelMismatchError.
 
 An OrbitPoint holds arrays: coords (..., d) in CHART_COORDS order and
 labels (..., c), the orbit's Casimir values in CASIMIR_NAMES order.
@@ -25,11 +25,10 @@ with slot-first views, so one call maps a single point or a stack of
 points, and a stacked call equals the row-by-row calls bit for bit.  The
 matrix-valued maps follow the same rule with two trailing matrix axes:
 chart_jacobian returns (..., d, n), and chart_poisson, poisson_tensor,
-omega_matrix and omega_chart return (..., d, d) (phase_space_blocks its
-blocks likewise, poisson_bracket a value per point).  A point of another
-model raises ModelMismatchError; coords and labels whose trailing lengths
-are wrong or whose batch shapes do not broadcast raise a one-line
-DimensionMismatchError.
+omega_matrix and omega_chart return (..., d, d) (poisson_bracket a value
+per point).  A point of another model raises ModelMismatchError; coords
+and labels whose trailing lengths are wrong or whose batch shapes do not
+broadcast raise a one-line DimensionMismatchError.
 
 A chart point together with its labels determines the dual point, and
 dual_from_chart(chart_from_dual(xi)) returns xi up to rounding, not bit
@@ -96,18 +95,15 @@ class SingularityError(ArithmeticError):
 
 
 class Chart(namedtuple("Chart", (
-        "coords", "casimir_names", "omega_basis", "label_keys",
-        "constant_poisson", "casimirs", "chart_map", "dual_map", "jacobian",
-        "poisson", "energy", "split", "singular_form"),
-        defaults=(None, None))):
+        "coords", "casimir_names", "omega_basis", "constant_poisson",
+        "casimirs", "chart_map", "dual_map", "jacobian", "poisson", "energy",
+        "singular_form"),
+        defaults=(None,))):
     """One chart model: its names and its closed forms.
 
     Names: coords (CHART_COORDS), casimir_names (CASIMIR_NAMES),
-    omega_basis (OMEGA_BASIS), label_keys, the keywords orbit_point takes
-    (the orbit's charges, and the dual coordinates j and E where the chart
-    leaves them hidden: j is a noncentral chart coordinate, and central2's
-    alpha fixes E), and constant_poisson, whether chart_poisson is the same
-    at every point of an orbit.
+    omega_basis (OMEGA_BASIS), and constant_poisson, whether chart_poisson
+    is the same at every point of an orbit.
 
     Closed forms read slot-first arrays (group_models._slot_first): dual
     points v, chart points z, and labels lab by name.  Each returns slot
@@ -125,10 +121,8 @@ class Chart(namedtuple("Chart", (
                               with a constant Poisson tensor, else
                               (f, mw_eff, U) of a NoncentralEnergy
 
-    split holds the momentum and position indices of phase_space_blocks,
-    or None for a chart without that split; singular_form the dual slot,
-    and its name, whose vanishing makes omega_matrix singular, if any.
-    Both default to None.
+    singular_form holds the dual slot, and its name, whose vanishing makes
+    omega_matrix singular, or None (the default) for a chart without one.
     """
 
     __slots__ = ()
@@ -223,8 +217,8 @@ def _double_jacobian(v, params):
 #: are views of them.
 CHARTS: dict[ModelId, Chart] = {
     ModelId.CENTRAL1: Chart(
-        ("p", "q"), ("l", "E", "s"), ("P1", "P2"), ("l", "E", "j"),
-        constant_poisson=True, casimirs=_central1_casimirs,
+        ("p", "q"), ("l", "E", "s"), ("P1", "P2"), constant_poisson=True,
+        casimirs=_central1_casimirs,
         chart_map=lambda v, params: (v[1], -v[2] / params.m_omega),
         dual_map=lambda z, lab, params: (lab["j"], z[0],
                                          -params.m_omega * z[1], lab["E"],
@@ -233,11 +227,10 @@ CHARTS: dict[ModelId, Chart] = {
                                     (1, 2): -1.0 / params.m_omega},
         poisson=lambda z, charge, params: {
             (0, 1): charge / (params.m_omega * params.r**2)},
-        energy=lambda lab, params: (np.zeros((2, 2)), np.zeros(2), lab["E"]),
-        split=([0], [1])),
+        energy=lambda lab, params: (np.zeros((2, 2)), np.zeros(2), lab["E"])),
     ModelId.CENTRAL2: Chart(
         ("p", "q", "l", "alpha"), ("h", "s"), ("P1", "P2", "H", "S"),
-        ("h", "j"), constant_poisson=True, casimirs=_central2_casimirs,
+        constant_poisson=True, casimirs=_central2_casimirs,
         chart_map=lambda v, params: (v[1], -v[2] / params.m_omega, v[4],
                                      -v[3] / (v[5] * params.omega)),
         dual_map=_central2_dual,
@@ -248,7 +241,7 @@ CHARTS: dict[ModelId, Chart] = {
             np.zeros((4, 4)), [0.0, 0.0, 0.0, -lab["h"] * params.omega])),
     ModelId.NONCENTRAL: Chart(
         ("j", "phi_f", "p", "q"), ("h", "f", "U"), ("J", "F1", "P1", "P2"),
-        ("h", "f", "E"), constant_poisson=False,
+        constant_poisson=False,
         casimirs=_noncentral_casimirs,
         chart_map=lambda v, params: (v[0], np.arctan2(v[5], v[4]), v[1],
                                      -v[2] / params.m_omega),
@@ -260,8 +253,8 @@ CHARTS: dict[ModelId, Chart] = {
         singular_form=(5, "f*sin(phi_f)")),
     ModelId.DOUBLE: Chart(
         ("p1", "p2", "q1", "q2"), ("h", "k", "s", "U"),
-        ("P1", "P2", "F1", "F2"), ("h", "k", "j", "E"),
-        constant_poisson=True, casimirs=_double_casimirs,
+        ("P1", "P2", "F1", "F2"), constant_poisson=True,
+        casimirs=_double_casimirs,
         chart_map=lambda v, params: (v[1], v[2], -v[4] / v[7],
                                      -v[5] / v[7]),
         dual_map=_double_dual,
@@ -269,8 +262,7 @@ CHARTS: dict[ModelId, Chart] = {
         poisson=lambda z, charge, params: {
             (0, 1): -(charge / params.r**2), (0, 2): 1.0, (1, 3): 1.0},
         energy=lambda lab, params: (np.diag([0.0, 0.0, lab["k"], lab["k"]]),
-                                    np.zeros(4), lab["U"]),
-        split=([0, 1], [2, 3])),
+                                    np.zeros(4), lab["U"])),
 }
 
 CHART_COORDS = {model: c.coords for model, c in CHARTS.items()}
@@ -281,6 +273,15 @@ OMEGA_BASIS = {model: c.omega_basis for model, c in CHARTS.items()}
 #: Dual slot of j (0) or E (3) that a Casimir carries with unit weight:
 #: s = j + ..., U = E + ... and, on central1, E itself.
 _HIDDEN_SLOT = {"s": 0, "U": 3, "E": 3}
+
+#: The keywords orbit_point takes, in CASIMIR_NAMES order: each charge by
+#: its own name, and in place of s or U the hidden dual coordinate it
+#: carries (j or E; j is a noncentral chart coordinate, and central2's
+#: alpha fixes E).
+_LABEL_KEYS = {
+    model: tuple(gm.DUAL_LABELS[model][_HIDDEN_SLOT[name]]
+                 if name in _HIDDEN_SLOT else name for name in names)
+    for model, names in CASIMIR_NAMES.items()}
 
 
 class OrbitPoint(_Record):
@@ -440,16 +441,16 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
 
     Defaults: charge l = h = m omega r**2, Hooke constant k = 1, force
     magnitude f = 1, and the hidden dual coordinates j = 0 and E = 0.
-    Keywords per chart (Chart.label_keys), each a number or an array that
-    broadcasts against the batch shape of coords: central1 l, E, j;
-    central2 h, j; noncentral h, f, E; double h, k, j, E.  The charges
-    are stored as given; s and U are the casimirs of the dual point.
+    Keywords per chart, each a number or an array that broadcasts against
+    the batch shape of coords: central1 l, E, j; central2 h, j;
+    noncentral h, f, E; double h, k, j, E.  The charges are stored as
+    given; s and U are the casimirs of the dual point.
     Coordinates of the wrong length, other keywords, non-finite input and
     a noncentral force magnitude f <= 0 raise ChartDegeneracyError;
     Casimirs that overflow raise SingularityError.
     """
     chart = _chart(model)
-    keys = chart.label_keys
+    keys = _LABEL_KEYS[model]
     unknown = sorted(set(labels) - set(keys))
     if unknown:
         raise ChartDegeneracyError(f"{model.value} orbit labels are "
@@ -617,32 +618,6 @@ def poisson_tensor(model: ModelId, point: OrbitPoint,
     """
     _check_point(model, point)
     return chart_poisson(model, point.coords, point.labels, params)
-
-
-def phase_space_blocks(model: ModelId, point: OrbitPoint,
-                       params: ModelParams = DEFAULT_PARAMS
-                       ) -> dict[str, np.ndarray]:
-    """F, G and coupling blocks of the chart tensor on (p, q) splits.
-
-    For charts made of momentum/position pairs this returns the pieces of
-    the generic noncommutative structure {q^i, q^j} = G^ij,
-    {q^i, p_j} = delta^i_j, {p_i, p_j} = F_ij.  The double model carries
-    the magnetic block F = -m omega eps and a vanishing G; central1 is the
-    canonical 1-pair case.  The G slot is structural plumbing: no built-in
-    model produces a nonzero dual magnetic block.  A stacked point gives
-    stacked blocks.
-    """
-    split = _chart(model).split
-    if split is None:
-        raise gm.ModelMismatchError(
-            f"{model.value} chart has no global momentum/position split")
-    p_idx, q_idx = split
-    pi = poisson_tensor(model, point, params)
-    return {
-        "momentum_momentum": pi[..., p_idx, :][..., p_idx],
-        "position_position": pi[..., q_idx, :][..., q_idx],
-        "position_momentum": pi[..., q_idx, :][..., p_idx],
-    }
 
 
 def omega_chart(model: ModelId, point: OrbitPoint,

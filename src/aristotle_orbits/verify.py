@@ -288,7 +288,7 @@ def _sample_point(model: ModelId, rng: np.random.Generator,
     state.
     """
     d = len(oc.CHART_COORDS[model])
-    keys = oc.CHARTS[model].label_keys
+    keys = oc._LABEL_KEYS[model]
     names = [key for key in keys if key == "f"]
     if any_orbit:
         names += [key for key in keys if key in ("l", "h", "k")]

@@ -285,7 +285,6 @@ def test_trajectory_csv_matches_per_value_format(tmp_path):
     coords = np.array(awkward[:4] + awkward[2:6] + awkward[6:10]).reshape(3, 4)
     casimirs = np.array(awkward[::-1] + awkward[:2]).reshape(3, 4)
     traj = Trajectory(model=ModelId.DOUBLE, times=times, coords=coords,
-                      casimir_names=("h", "k", "s", "U"),
                       casimir_series=casimirs)
     out = tmp_path / "traj.csv"
     cli.write_trajectory_csv(str(out), traj)
@@ -301,7 +300,8 @@ def test_trajectory_csv_matches_per_value_format(tmp_path):
 
 def _per_row_csv(path, traj):
     """The writer that formats every value of every row, Casimirs included."""
-    header = ["t", *ao.CHART_COORDS[traj.model], *traj.casimir_names]
+    header = ["t", *ao.CHART_COORDS[traj.model],
+              *ao.CASIMIR_NAMES[traj.model]]
     table = np.column_stack((traj.times, traj.coords,
                              traj.casimir_series)) + 0.0
     with open(path, "w", encoding="utf-8") as fh:
@@ -341,8 +341,7 @@ def _signed_zero_trajectory():
                        [0.0, 1.0, 0.1 + 0.2, -2.5e-7],
                        [-0.0, 1.0, 0.1 + 0.2, -2.5e-7]])
     return Trajectory(model=ModelId.DOUBLE, times=np.array([-0.0, 0.5, 1.0]),
-                      coords=coords, casimir_names=("h", "k", "s", "U"),
-                      casimir_series=series)
+                      coords=coords, casimir_series=series)
 
 
 def _noncentral_energy_trajectory():
@@ -363,7 +362,6 @@ def _one_row_trajectory():
     # every column is constant, the time column included
     return Trajectory(model=ModelId.DOUBLE, times=np.array([-0.0]),
                       coords=np.array([[0.1 + 0.2, -0.0, 1e-300, -5e-324]]),
-                      casimir_names=("h", "k", "s", "U"),
                       casimir_series=np.array([[1.0, -2.5e-7, 0.0, 1e300]]))
 
 
@@ -376,8 +374,7 @@ def _late_change_trajectory():
     series = np.tile([1.0, 0.1 + 0.2, -0.0, 7.0], (n, 1))
     series[-1, 3] = 7.5
     return Trajectory(model=ModelId.DOUBLE, times=0.01 * np.arange(n),
-                      coords=coords, casimir_names=("h", "k", "s", "U"),
-                      casimir_series=series)
+                      coords=coords, casimir_series=series)
 
 
 #: Values at the edges of the range where orjson's text is repr's.
@@ -398,8 +395,7 @@ def _window_edge_trajectory():
     coords[rows + len(_WINDOW_EDGES), 3] = _WINDOW_EDGES
     series = np.tile([1.0, 0.1 + 0.2, -0.0, 7.0], (n, 1))
     return Trajectory(model=ModelId.DOUBLE, times=0.01 * np.arange(n),
-                      coords=coords, casimir_names=("h", "k", "s", "U"),
-                      casimir_series=series)
+                      coords=coords, casimir_series=series)
 
 
 def _partial_trajectory():
@@ -434,8 +430,7 @@ def _double_trajectory(series):
     coords = np.tile([0.5, -0.25, 1.0 / 3.0, 2.0], (n, 1))
     coords[:, 3] = np.linspace(-1.0, 1.0, n)
     return Trajectory(model=ModelId.DOUBLE, times=0.01 * np.arange(n),
-                      coords=coords, casimir_names=("h", "k", "s", "U"),
-                      casimir_series=series)
+                      coords=coords, casimir_series=series)
 
 
 def _nan_label_trajectory():
@@ -950,6 +945,20 @@ def test_input_the_library_checks_is_one_line_usage_error(
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert all(name in captured.err for name in names), captured.err
+    assert captured.out == "" and not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("flow", ["hamiltonian", "group"])
+def test_simulate_steps_beyond_memory_is_one_line_numeric_failure(
+        tmp_path, capsys, monkeypatch, flow):
+    # 10**15 + 1 samples are past the address space, so the allocation
+    # fails at once and no memory is touched
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--model", "double", "--flow", flow, "--steps",
+                str(10**15), "--point", "0,0,1,0", "--out", "traj.csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("flow singularity: step 0: 1000000000000001 "
+                            "samples do not fit in memory\n")
     assert captured.out == "" and not (tmp_path / "traj.csv").exists()
 
 

@@ -69,3 +69,51 @@ def test_reports_dispatch_lines_and_largest_definitions(tmp_path, capsys):
     assert lines[4] == "largest top-level functions and classes:"
     assert [line.split() for line in lines[5:]] == [
         ["9", "large"], ["4", "small"], ["2", "Record"]]
+
+
+PACKAGE = {
+    "__init__.py": '''"""Five public names and a private one."""
+
+from .core import Table, build, helper, unused
+from .extra import _private, described
+
+__version__ = "0"
+''',
+    "core.py": '''"""Builds tables; unused is named here in prose only."""
+
+from . import extra
+
+
+class Table:
+    unused = None  # an assignment to the name is not a read
+
+
+def helper():
+    return Table()
+
+
+def build():
+    return helper(), extra.described
+
+
+def unused():
+    return "unused"
+''',
+    "extra.py": '''def described():
+    return 1
+
+
+def _private():
+    return 2
+''',
+}
+
+
+def test_reports_public_names_that_no_module_reads(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    for name, source in PACKAGE.items():
+        (tmp_path / "pkg" / name).write_text(source)
+    assert _load().main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["public names in pkg: 5",
+                          "  read by no module: build, unused"]

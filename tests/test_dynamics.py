@@ -143,7 +143,7 @@ def test_invariant_drift_reports_only_what_can_drift(model):
     series = group.casimir_series.copy()
     series[-1, -1] += 1e-6
     drift = ao.invariant_drift(ao.Trajectory(
-        model, group.times, group.coords, names, series))
+        model, group.times, group.coords, series))
     assert drift[names[-1]] == pytest.approx(1e-6, rel=1e-6)
     ham, grad = ao.kinetic_hamiltonian(model, PARAMS)
     spec = FlowSpec(kind="hamiltonian", dt=1e-2, nsteps=20, hamiltonian=ham,
@@ -464,7 +464,6 @@ def test_flow_spec_rejects_a_bool_step_count():
 def test_invariant_drift_rejects_empty_trajectory():
     traj = ao.Trajectory(model=ModelId.CENTRAL1, times=np.array([]),
                          coords=np.zeros((0, 2)),
-                         casimir_names=("l", "E", "s"),
                          casimir_series=np.zeros((0, 3)))
     with pytest.raises(ValueError):
         ao.invariant_drift(traj)
@@ -488,7 +487,7 @@ def test_rk4_step_exact_on_cubic_polynomial_rhs():
 
 
 def test_magnetic_strength_is_m_omega_product():
-    assert ao.magnetic_strength(ModelParams(m=2.0, omega=3.0)) == 6.0
+    assert ModelParams(m=2.0, omega=3.0).m_omega == 6.0
 
 
 def test_flow_singularity_carries_step_index_and_partial_trajectory():

@@ -34,8 +34,8 @@ def test_base_law_matches_closed_form():
 
 
 def test_central1_cocycle_value_on_unit_translations():
-    g = ao.one_param_element(ModelId.CENTRAL1, "P1", 1.0)
-    g2 = ao.one_param_element(ModelId.CENTRAL1, "P2", 1.0)
+    g = ao.algebra_vector(ModelId.CENTRAL1, P1=1.0)
+    g2 = ao.algebra_vector(ModelId.CENTRAL1, P2=1.0)
     out = ao.multiply(ModelId.CENTRAL1, g, g2, PARAMS)
     assert out[4] == pytest.approx(0.5)  # phi
 
@@ -44,8 +44,8 @@ def test_cocycle_examples():
     e = ao.identity_element(ModelId.BASE)
     g = np.array([0.3, 0.4, -0.9, 0.1])
     assert ao.cocycle(e, g, PARAMS) == 0.0
-    a = ao.one_param_element(ModelId.BASE, "P1", 1.0)
-    b = ao.one_param_element(ModelId.BASE, "P2", 1.0)
+    a = ao.algebra_vector(ModelId.BASE, P1=1.0)
+    b = ao.algebra_vector(ModelId.BASE, P2=1.0)
     assert ao.cocycle(a, b, PARAMS) == pytest.approx(0.5)
 
 
@@ -249,7 +249,7 @@ def test_adjoint_at_identity_is_identity_map(model):
 
 
 def test_adjoint_central1_pure_rotation():
-    g = ao.one_param_element(ModelId.CENTRAL1, "J", 0.9)
+    g = ao.algebra_vector(ModelId.CENTRAL1, J=0.9)
     dx = ao.algebra_vector(ModelId.CENTRAL1, P1=1.0, P2=-2.0, S=0.7)
     out = ao.adjoint(ModelId.CENTRAL1, g, dx, PARAMS)
     assert np.allclose(out[1:3], ao.rotation(0.9) @ dx[1:3])
@@ -281,7 +281,7 @@ def test_coadjoint_identity_element(model):
 
 
 def test_coadjoint_double_pure_time_translation():
-    g = ao.one_param_element(ModelId.DOUBLE, "H", 3.0)
+    g = ao.algebra_vector(ModelId.DOUBLE, H=3.0)
     xi = ao.dual_vector(ModelId.DOUBLE, j=0.1, p1=1.0, p2=2.0, E=0.5,
                         f1=-0.4, f2=0.8, h=1.0, k=1.0)
     out = ao.coadjoint(ModelId.DOUBLE, g, xi, PARAMS)
@@ -300,8 +300,7 @@ def test_coadjoint_one_parameter_subgroups_match_series_oracle(model):
             xi = rng.uniform(-1, 1, t.dim)
             y = ao.algebra_vector(model, **{label: s})
             series = ao.exp_coadjoint(t, y, xi, tol=1e-14)
-            closed = ao.coadjoint(model, ao.one_param_element(model, label, s),
-                                  xi, PARAMS)
+            closed = ao.coadjoint(model, y, xi, PARAMS)
             assert np.max(np.abs(series - closed)) < 1e-6
 
 
@@ -339,13 +338,13 @@ def test_central1_time_translation_acts_trivially():
     rng = np.random.default_rng(20)
     for _ in range(20):
         xi = rng.uniform(-1, 1, 5)
-        g = ao.one_param_element(ModelId.CENTRAL1, "H", float(rng.uniform(-2, 2)))
+        g = ao.algebra_vector(ModelId.CENTRAL1, H=float(rng.uniform(-2, 2)))
         assert np.array_equal(ao.coadjoint(ModelId.CENTRAL1, g, xi, PARAMS), xi)
 
 
 def test_one_param_element_rejects_foreign_generator():
     with pytest.raises(ao.ModelMismatchError):
-        ao.one_param_element(ModelId.BASE, "S", 1.0)
+        ao.algebra_vector(ModelId.BASE, S=1.0)
 
 
 @pytest.mark.parametrize("nondegenerate", [False, True])
@@ -373,9 +372,9 @@ def test_stacked_algebra_vector_broadcasts_its_components():
     for i in range(3):
         assert np.array_equal(y[i], ao.algebra_vector(ModelId.BASE,
                                                       J=float(i)))
-    g = ao.one_param_element(ModelId.DOUBLE, "K", np.array([1.0, 2.0]))
+    g = ao.algebra_vector(ModelId.DOUBLE, K=np.array([1.0, 2.0]))
     assert g.shape == (2, 8)
-    assert np.array_equal(g[1], ao.one_param_element(ModelId.DOUBLE, "K", 2.0))
+    assert np.array_equal(g[1], ao.algebra_vector(ModelId.DOUBLE, K=2.0))
 
 
 def test_labelled_vectors_name_the_foreign_label():

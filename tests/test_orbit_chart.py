@@ -146,6 +146,29 @@ def test_orbit_point_rejects_wrong_arity_and_unknown_labels():
         ao.orbit_point(ModelId.NONCENTRAL, (0.1, 0.2, 0.3, 0.4), PARAMS, j=1.0)
 
 
+@pytest.mark.parametrize("model, keys", [
+    (ModelId.CENTRAL1, ("l", "E", "j")),
+    (ModelId.CENTRAL2, ("h", "j")),
+    (ModelId.NONCENTRAL, ("h", "f", "E")),
+    (ModelId.DOUBLE, ("h", "k", "j", "E")),
+])
+def test_orbit_point_takes_the_label_keywords_of_its_chart(model, keys):
+    coords = np.full(len(ao.CHART_COORDS[model]), 0.3)
+    for key in keys:
+        point = ao.orbit_point(model, coords, PARAMS, **{key: 0.7})
+        # a charge is stored as its label, a hidden j or E as its dual slot
+        if key in ao.CASIMIR_NAMES[model]:
+            value = point.labels[ao.CASIMIR_NAMES[model].index(key)]
+        else:
+            value = ao.dual_from_chart(point, PARAMS)[
+                ao.DUAL_LABELS[model].index(key)]
+        assert value == pytest.approx(0.7, rel=0.0, abs=1e-15), key
+    with pytest.raises(ao.ChartDegeneracyError) as info:
+        ao.orbit_point(model, coords, PARAMS, bogus=1.0)
+    assert str(info.value) == (f"{model.value} orbit labels are "
+                               f"{', '.join(keys)}; got ['bogus']")
+
+
 @pytest.mark.parametrize("f", [0.0, -1.0])
 def test_orbit_point_rejects_a_non_positive_force_magnitude(f):
     with pytest.raises(ao.ChartDegeneracyError, match="positive") as info:
@@ -424,27 +447,44 @@ def test_chart_bracket_jacobi_identity(model):
 
 
 def test_phase_space_blocks_double_magnetic_structure():
+    # the double chart (p1, p2, q1, q2): momentum block first, then position
     point = ao.orbit_point(ModelId.DOUBLE, (0.3, -0.7, 0.2, 0.9), PARAMS)
-    blocks = ao.phase_space_blocks(ModelId.DOUBLE, point, PARAMS)
+    pi = ao.poisson_tensor(ModelId.DOUBLE, point, PARAMS)
     mw = PARAMS.m_omega
-    assert np.array_equal(blocks["momentum_momentum"],
-                          [[0.0, -mw], [mw, 0.0]])
-    assert np.array_equal(blocks["position_position"], np.zeros((2, 2)))
-    assert np.array_equal(blocks["position_momentum"], -np.eye(2))
+    assert np.array_equal(pi[:2, :2], [[0.0, -mw], [mw, 0.0]])
+    assert np.array_equal(pi[2:, 2:], np.zeros((2, 2)))
+    assert np.array_equal(pi[2:, :2], -np.eye(2))
+    # off the default orbits the field is B = h / r**2:
+    # {p_i, p_j} = -B eps_ij, {q^i, q^j} = 0 and {p_i, q^j} = delta_i^j
+    params = ModelParams(m=1.7, omega=0.6, r=1.3)
+    points = _sample_point(ModelId.DOUBLE, np.random.default_rng(47), params,
+                           any_orbit=True, size=32)
+    h, k = points.labels[:, 0], points.labels[:, 1]
+    assert (h < 0).any() and (h > 0).any() and (k != 1.0).all()
+    field = h / params.r**2
+    pi = ao.poisson_tensor(ModelId.DOUBLE, points, params)
+    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(pi[:, :2, :2], -field[:, None, None] * eps)
+    assert np.array_equal(pi[:, 2:, 2:], np.zeros((32, 2, 2)))
+    assert np.array_equal(pi[:, :2, 2:], np.broadcast_to(np.eye(2),
+                                                         (32, 2, 2)))
+    # minimal coupling pi_1 = p1 - (B / 2) q2, pi_2 = p2 + (B / 2) q1 makes
+    # the chart canonical: its Jacobian carries the tensor to [[0, I], [-I, 0]]
+    jac = np.broadcast_to(np.eye(4), (32, 4, 4)).copy()
+    jac[:, 0, 3] = -field / 2.0
+    jac[:, 1, 2] = field / 2.0
+    canonical = np.block([[np.zeros((2, 2)), np.eye(2)],
+                          [-np.eye(2), np.zeros((2, 2))]])
+    error = np.abs(jac @ pi @ jac.transpose(0, 2, 1) - canonical)
+    assert (error <= 1e-15 * (1.0 + np.abs(field))[:, None, None]).all()
 
 
 def test_phase_space_blocks_central1_canonical():
     point = ao.orbit_point(ModelId.CENTRAL1, (0.3, -0.7), PARAMS)
-    blocks = ao.phase_space_blocks(ModelId.CENTRAL1, point, PARAMS)
-    assert blocks["momentum_momentum"] == pytest.approx(np.zeros((1, 1)))
-    assert blocks["position_position"] == pytest.approx(np.zeros((1, 1)))
-    assert blocks["position_momentum"][0, 0] == pytest.approx(-1.0)
-
-
-def test_phase_space_blocks_rejects_unsplit_charts():
-    point = ao.orbit_point(ModelId.NONCENTRAL, (0.1, 0.4, 0.2, 0.3), PARAMS)
-    with pytest.raises(ao.ModelMismatchError):
-        ao.phase_space_blocks(ModelId.NONCENTRAL, point, PARAMS)
+    pi = ao.poisson_tensor(ModelId.CENTRAL1, point, PARAMS)
+    assert pi[:1, :1] == pytest.approx(np.zeros((1, 1)))
+    assert pi[1:, 1:] == pytest.approx(np.zeros((1, 1)))
+    assert pi[1, 0] == pytest.approx(-1.0)
 
 
 # ----------------------------------------------------------- canonical map
@@ -562,12 +602,11 @@ def test_chart_jacobian_at_a_vanishing_m_omega_is_a_singularity(model, mass):
 def test_stacked_phase_space_blocks_match_row_by_row(model):
     rng = np.random.default_rng(43)
     points = _sample_point(model, rng, PARAMS, any_orbit=True, size=8)
-    blocks = ao.phase_space_blocks(model, points, PARAMS)
+    pi = ao.poisson_tensor(model, points, PARAMS)
     for i in range(8):
         point = ao.OrbitPoint(model, points.coords[i], points.labels[i])
-        for name, block in ao.phase_space_blocks(model, point,
-                                                 PARAMS).items():
-            assert np.array_equal(blocks[name][i], block)
+        # the whole tensor, so every momentum and position block at once
+        assert np.array_equal(pi[i], ao.poisson_tensor(model, point, PARAMS))
 
 
 @pytest.mark.parametrize("model", CHART_MODELS)
@@ -584,8 +623,6 @@ def test_chart_layer_rejects_foreign_and_mismatched_points(model):
         lambda p, m: ao.omega_matrix(m, p, PARAMS),
         lambda p, m: ao.poisson_bracket(m, grad, grad, p, PARAMS),
     ]
-    if model in (ModelId.CENTRAL1, ModelId.DOUBLE):
-        calls.append(lambda p, m: ao.phase_space_blocks(m, p, PARAMS))
     # batch shapes (3,) and (2,) do not broadcast; d + 1 coordinates
     unbroadcastable = ao.OrbitPoint(model, stacked.coords,
                                     stacked.labels[:2])
