@@ -23,7 +23,6 @@ Layers:
 """
 
 from .lie_core import (
-    EPS0,
     DimensionMismatchError,
     ModelParams,
     SeriesConvergenceError,

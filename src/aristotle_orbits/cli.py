@@ -202,6 +202,11 @@ def cmd_verify(args) -> int:
     corruption = _config_corruption(cfg)
     report = verify_mod.run_verify(models=models, seed=seed, params=params,
                                    corruption=corruption)
+    # the report file first, so that a failure to write it prints nothing
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report.as_dict(), fh, indent=2)
+            fh.write("\n")
     print(report.table())
     print()
     notes = report.convention_notes
@@ -211,10 +216,6 @@ def cmd_verify(args) -> int:
     print(f"convention notes: {len(notes)}, {len(notes) - len(missed)} "
           f"confirmed by the exponential oracle{''.join(missed)} (see JSON "
           f"report for the measured differences)")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-            fh.write("\n")
     print()
     print("RESULT:", "PASS" if report.all_passed else "FAIL")
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
@@ -226,15 +227,19 @@ def cmd_orbit(args) -> int:
     xi = _parse_floats(args.xi, "--xi")
     tensor = gm.structure_tensor(model, params)
     point = oc.chart_from_dual(model, xi, params)
+    # every value before the first line, so that a failure prints nothing
+    kirillov = kirillov_matrix(tensor, xi)
+    omega = oc.omega_matrix(model, point, params)
+    poisson = oc.poisson_tensor(model, point, params)
     print(f"model: {model.value}")
     print(f"dual labels: {', '.join(gm.DUAL_LABELS[model])}")
     print("kirillov matrix:")
-    print(_fmt_matrix(kirillov_matrix(tensor, xi)))
+    print(_fmt_matrix(kirillov))
     print(f"restricted form (directions {', '.join(oc.OMEGA_BASIS[model])}):")
-    print(_fmt_matrix(oc.omega_matrix(model, point, params)))
+    print(_fmt_matrix(omega))
     print(f"chart poisson tensor (coordinates "
           f"{', '.join(oc.CHART_COORDS[model])}):")
-    print(_fmt_matrix(oc.poisson_tensor(model, point, params)))
+    print(_fmt_matrix(poisson))
     print("chart point: " + ", ".join(
         f"{n} = {_fmt(v)}"
         for n, v in zip(oc.CHART_COORDS[model], point.coords)))
@@ -331,15 +336,6 @@ def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
             lines = _csv_lines(table[start:start + _CSV_BLOCK])
             lines.append(b"")
             fh.write(end.join(lines))
-
-
-def read_trajectory_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Read back a trajectory file; values round-trip bit for bit."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [[float(v) for v in line.strip().split(",")]
-                for line in fh if line.strip()]
-    return header, np.array(data)
 
 
 #: The choices of the simulate flags that have them.

@@ -374,22 +374,21 @@ def _energy_series(hamiltonian, coords: np.ndarray) -> np.ndarray:
     return h
 
 
-def _midpoint_step(rhs, z: np.ndarray, dt: float, tol: float = SOLVER_TOL,
-                   max_iterations: int = MAX_ITERATIONS) -> np.ndarray:
+def _midpoint_step(rhs, z: np.ndarray, dt: float) -> np.ndarray:
     z_new = z + dt * rhs(z)
-    scale = tol * (1.0 + float(_amax(abs(z))))
-    for _ in range(max_iterations):
+    scale = SOLVER_TOL * (1.0 + float(_amax(abs(z))))
+    for _ in range(MAX_ITERATIONS):
         z_next = z + dt * rhs(0.5 * (z + z_new))
         if _amax(abs(z_next - z_new)) < scale:
             return z_next
         z_new = z_next
-    raise _no_convergence(tol, max_iterations)
+    raise _no_convergence()
 
 
-def _no_convergence(tol: float, max_iterations: int) -> SolverConvergenceError:
+def _no_convergence() -> SolverConvergenceError:
     return SolverConvergenceError(
         f"implicit midpoint fixed point did not converge within "
-        f"{max_iterations} iterations at tolerance {tol:.0e}"
+        f"{MAX_ITERATIONS} iterations at tolerance {SOLVER_TOL:.0e}"
     )
 
 
@@ -473,7 +472,7 @@ def _increment_matrix(a: np.ndarray, b: np.ndarray, dt: float,
                 break
             x = x_next
         else:
-            raise _no_convergence(SOLVER_TOL, MAX_ITERATIONS)
+            raise _no_convergence()
     increment = np.linalg.solve(np.eye(d + 1) - half, ha)
     increment[d] = 0.0  # the state's constant 1 stays exact
     return increment

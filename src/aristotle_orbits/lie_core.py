@@ -7,10 +7,10 @@ conventions used throughout the package are fixed here, once:
 * rotations are counterclockwise, R(theta) = [[cos, -sin], [sin, cos]];
 * the rotation generator acts on each translation pair (V1, V2) as
   [J, V1] = V2 and [J, V2] = -V1, so ad_J restricted to a pair is the
-  counterclockwise generator EPS0 = [[0, -1], [1, 0]];
+  counterclockwise generator [[0, -1], [1, 0]], d/dtheta R(theta) at 0;
 * the antisymmetric pairing of 2-vectors is cross2(a, b) = a1*b2 - a2*b1,
-  and eps_vec(u) = (u2, -u1) = -EPS0 @ u is the vector it induces when a
-  rotation parameter is contracted against a translation;
+  and eps_vec(u) = (u2, -u1) = -[[0, -1], [1, 0]] @ u is the vector it
+  induces when a rotation parameter is contracted against a translation;
 * the lower-index symbol has eps_{12} = +1.
 
 These four statements are one consistent package: changing any of them in
@@ -51,10 +51,6 @@ class SeriesConvergenceError(ArithmeticError):
 #: Term cap of the expm series.
 MAX_TERMS = 200
 
-#: Counterclockwise rotation generator, d/dtheta R(theta) at theta = 0.
-EPS0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
 def rotation(theta: float) -> np.ndarray:
     """Counterclockwise rotation matrix R(theta)."""
     c, s = np.cos(theta), np.sin(theta)
@@ -73,7 +69,7 @@ def eps_vec(u) -> np.ndarray:
     """The vector (u2, -u1) contracted from a rotation parameter.
 
     u may be a stack (2, ...), components first.  Satisfies
-    eps_vec(u) = -EPS0 @ u and cross2(u, eps_vec(u)) = -|u|^2.
+    eps_vec(u) = -[[0, -1], [1, 0]] @ u and cross2(u, eps_vec(u)) = -|u|^2.
     """
     return np.array((u[1], -u[0]))
 

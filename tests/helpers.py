@@ -3,7 +3,9 @@
 import numpy as np
 
 import aristotle_orbits as ao
-from aristotle_orbits.lie_core import EPS0
+
+#: Counterclockwise rotation generator, d/dtheta R(theta) at theta = 0.
+EPS0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def cyclotron_exact(p0, q0, t, params):
@@ -16,6 +18,15 @@ def cyclotron_exact(p0, q0, t, params):
     p = rot @ p0
     q = q0 + (1.0 / (params.m * w)) * (EPS0 @ ((rot - np.eye(2)) @ p0))
     return p, q
+
+
+def read_trajectory_csv(path):
+    """Read back a trajectory file; values round-trip bit for bit."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = [[float(v) for v in line.strip().split(",")]
+                for line in fh if line.strip()]
+    return header, np.array(data)
 
 
 def label_defect(traj, labels, params):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import aristotle_orbits as ao
 from aristotle_orbits import ModelId, ModelParams, Trajectory, cli, verify
-from helpers import cyclotron_exact
+from helpers import cyclotron_exact, read_trajectory_csv
 
 
 def run(argv):
@@ -184,7 +184,9 @@ _GROUP_FLOW = ["simulate", "--model", "double", "--flow", "group", "--dt",
 def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "out.json"
     assert run(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # verify writes its report before the table
+    err = captured.err
     assert err.startswith("error: cannot write output:")
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -225,6 +227,17 @@ def test_orbit_degenerate_force_is_reported(capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+def test_orbit_that_fails_prints_nothing(capsys):
+    # f sin(phi_f) = 0, where the noncentral restricted form is singular:
+    # no header line is printed before the failure
+    code = run(["orbit", "--model", "noncentral",
+                "--xi", "0,0,0,0,1,0,1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numeric failure:")
+    assert captured.err.count("\n") == 1
+
+
 def test_orbit_wrong_arity_is_usage_error(capsys):
     assert run(["orbit", "--model", "central1", "--xi", "1,2,3"]) == 2
 
@@ -241,7 +254,7 @@ def test_simulate_double_group_flow_csv(tmp_path, capsys):
                 "--dt", "0.003", "--steps", "1000", "--out", str(out),
                 "--point", "0,0,1,0"])
     assert code == 0
-    header, data = cli.read_trajectory_csv(str(out))
+    header, data = read_trajectory_csv(str(out))
     assert header == ["t", "p1", "p2", "q1", "q2", "h", "k", "s", "U"]
     assert data.shape == (1001, 9)
     final = data[-1]
@@ -256,7 +269,7 @@ def test_simulate_central2_group_flow_final_action(tmp_path):
                 "--dt", "0.002", "--steps", "1000", "--out", str(out),
                 "--point", "0,0,0,0"])
     assert code == 0
-    header, data = cli.read_trajectory_csv(str(out))
+    header, data = read_trajectory_csv(str(out))
     i_l = header.index("l")
     assert data[-1][i_l] == pytest.approx(2.0, abs=1e-12)
 
@@ -267,7 +280,7 @@ def test_simulate_csv_round_trips_bit_exactly(tmp_path):
          "--hamiltonian", "kinetic", "--integrator", "rk4",
          "--dt", "0.01", "--steps", "100", "--out", str(out),
          "--point", "1,0,0,0"])
-    header, data = cli.read_trajectory_csv(str(out))
+    header, data = read_trajectory_csv(str(out))
     out2 = tmp_path / "traj2.csv"
     with open(out2, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -293,7 +306,7 @@ def test_trajectory_csv_matches_per_value_format(tmp_path):
     for i, line in enumerate(lines[1:]):
         row = [times[i], *coords[i], *casimirs[i]]
         assert line == ",".join(cli._fmt(v) for v in row)
-    _, data = cli.read_trajectory_csv(str(out))
+    _, data = read_trajectory_csv(str(out))
     table = np.column_stack((times, coords, casimirs)) + 0.0
     assert np.array_equal(data.view(np.uint64), table.view(np.uint64))
 
@@ -597,7 +610,7 @@ def test_simulate_label_override(tmp_path):
                 "--dt", "0.1", "--steps", "10", "--out", str(out),
                 "--point", "0,0,1,0", "--label", "k=2.0"])
     assert code == 0
-    header, data = cli.read_trajectory_csv(str(out))
+    header, data = read_trajectory_csv(str(out))
     assert data[-1][header.index("p1")] == pytest.approx(-2.0, abs=1e-12)
 
 
@@ -629,7 +642,7 @@ def test_simulate_fully_driven_by_config_document(tmp_path):
         "out": str(out),
     }))
     assert run(["simulate", "--config", str(cfg)]) == 0
-    header, data = cli.read_trajectory_csv(str(out))
+    header, data = read_trajectory_csv(str(out))
     assert data[-1][header.index("p1")] == pytest.approx(-3.0, abs=1e-12)
 
 
@@ -714,7 +727,7 @@ def test_readme_cyclotron_keeps_its_energy_and_orbit(tmp_path, capsys,
     drift = capsys.readouterr().out.split("invariant drift: ")[1]
     fields = dict(item.split(" = ") for item in drift.strip().split(", "))
     assert float(fields["H"]) <= 2e-14
-    _, data = cli.read_trajectory_csv(str(out))
+    _, data = read_trajectory_csv(str(out))
     t, z = data[-1, 0], data[-1, 1:5]
     p, q = cyclotron_exact(np.array([1.0, 0.0]), np.zeros(2), t,
                            ModelParams())
@@ -738,7 +751,7 @@ def test_noncentral_energy_flow_keeps_its_energy_and_orbit(tmp_path, capsys,
     drift = capsys.readouterr().out.split("invariant drift: ")[1]
     fields = dict(item.split(" = ") for item in drift.strip().split(", "))
     assert float(fields["H"]) <= 2e-14
-    _, data = cli.read_trajectory_csv(str(out))
+    _, data = read_trajectory_csv(str(out))
     t, z = data[-1, 0], data[-1, 1:5]
     assert t == pytest.approx(2.0, abs=1e-12)
     want = (j, phi, p + np.cos(phi) * t, q - np.sin(phi) * t)
@@ -800,7 +813,7 @@ def test_overflowing_flow_under_json_writes_a_json_partial(tmp_path):
     assert doc["steps"] == len(doc["rows"]) - 1
     assert f"flow singularity: step {doc['failed_step']}:" in proc.stderr
     assert fresh_cli("simulate", *flags, "--out", str(csv)).returncode == 3
-    header, data = cli.read_trajectory_csv(str(csv))
+    header, data = read_trajectory_csv(str(csv))
     assert doc["columns"] == header
     assert np.array_equal(np.array(doc["rows"]), data)
 

@@ -8,6 +8,7 @@ input, a run keeps the exit code contract of the CLI docstring:
 
 - the exit code is 0, 1, 2 or 3, and 1 only from a `verify` that prints
   `RESULT: FAIL`;
+- a run that exits 2 or 3 prints nothing on stdout;
 - stderr has at most one line, or two for a flow that writes a partial
   trajectory and exits 3;
 - no exception (a traceback) and no numpy warning leaves `main`.
@@ -155,6 +156,8 @@ def _assert_contract(command, code, out, err):
     if code == 1:
         # a property check failed, which only verify reports
         assert command == "verify" and "RESULT: FAIL" in out
+    if code in (2, 3):
+        assert out == ""
     lines = err.splitlines()
     if len(lines) == 2:
         assert code == 3 and lines[0].startswith("wrote partial trajectory")

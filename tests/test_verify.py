@@ -67,6 +67,61 @@ def test_verify_makes_a_few_batched_calls_per_model(monkeypatch):
     assert max(counts.values()) <= limit, counts
 
 
+#: The law functions whose calls the checks below count, by module.
+_LAWS = {"multiply": group_models, "adjoint": group_models,
+         "coadjoint": group_models, "cocycle": group_models,
+         "casimirs": orbit_chart, "time_flow_exact": dynamics}
+
+
+def _law_calls(monkeypatch, run):
+    """The law calls that run() makes, by name, those it never makes left
+    out."""
+    counts = dict.fromkeys(_LAWS, 0)
+    for name, mod in _LAWS.items():
+        def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    run()
+    return {name: n for name, n in counts.items() if n}
+
+
+#: Law calls per model of each check: one per stage of a property, the
+#: two sides it compares stacked into that call.
+LAW_CALLS = {
+    # (g1 g2, g2 g3), then ((g1 g2) g3, g1 (g2 g3)); (g1 e, e g1); and
+    # (g g^-1, g^-1 g)
+    verify.check_group_axioms: {"multiply": 4},
+    # Ad at parameters (step y, -step y)
+    verify.check_adjoint_consistency: {"adjoint": 1},
+    # g1 g2 and Ad*_g2 xi, then Ad* of (g1 g2, g1) on (xi, Ad*_g2 xi)
+    verify.check_homomorphism: {"multiply": 1, "coadjoint": 2},
+    # the moved points, the Casimirs of (moved, original), and those of
+    # the gradient's shifted points
+    verify.check_casimirs: {"coadjoint": 1, "casimirs": 2},
+    # the exact-flow row, then times (t1 + t2, t2), then t1
+    verify.check_time_flows: {"time_flow_exact": 3},
+}
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+@pytest.mark.parametrize("check", LAW_CALLS, ids=lambda c: c.__name__)
+def test_each_check_makes_one_law_call_per_stage(monkeypatch, check, model):
+    expected = LAW_CALLS[check]
+    if model not in CHART_MODELS and check in (verify.check_casimirs,
+                                               verify.check_time_flows):
+        expected = {}  # chart models only
+    assert _law_calls(monkeypatch, lambda: check(
+        verify.Report(0), PARAMS, [model], np.random.default_rng(0))) == expected
+
+
+def test_the_cocycle_check_makes_one_law_call_per_stage(monkeypatch):
+    # (g1 g2, g2 g3), then the cocycle at all four pairs
+    assert _law_calls(monkeypatch, lambda: verify.check_cocycle(
+        verify.Report(0), PARAMS, np.random.default_rng(0))) == {
+            "multiply": 1, "cocycle": 1}
+
+
 def _rows(report, suffix):
     rows = [c for c in report.checks if c.name.endswith(suffix)]
     assert len(rows) == len(CHART_MODELS)
