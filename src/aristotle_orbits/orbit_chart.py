@@ -178,7 +178,7 @@ def _noncentral_dual(z, lab, params):
 def _noncentral_jacobian(v, params):
     f = v[4:6]
     fsq = _dot(f, f)
-    if fsq.min() < DEG_TOL**2:
+    if fsq.min(initial=np.inf) < DEG_TOL**2:
         raise ChartDegeneracyError("noncentral chart needs f > 0")
     return {(0, 0): 1.0, (1, 4): -f[1] / fsq, (1, 5): f[0] / fsq,
             (2, 1): 1.0, (3, 2): -1.0 / params.m_omega}
@@ -312,7 +312,7 @@ def _chart(model: ModelId) -> Chart:
 
 
 def _require_nonzero(value, name: str, model: ModelId) -> None:
-    smallest = abs(value).min()
+    smallest = abs(value).min(initial=np.inf)
     if smallest < DEG_TOL:
         raise ChartDegeneracyError(
             f"{model.value}: |{name}| = {smallest:.3e} is below the "
@@ -473,7 +473,7 @@ def orbit_point(model: ModelId, coords, params: ModelParams = DEFAULT_PARAMS,
         raise ChartDegeneracyError(f"{model.value}: chart coordinates and "
                                    "labels must be finite")
     f = labels.get("f", 1.0)
-    if np.min(f) <= 0.0:
+    if np.min(f, initial=np.inf) <= 0.0:
         # f is the magnitude |(f1, f2)|, which casimirs would report instead
         raise ChartDegeneracyError(f"{model.value} force magnitude f must be "
                                    f"positive, got {float(np.min(f))!r}")
@@ -534,7 +534,7 @@ def omega_matrix(model: ModelId, point: OrbitPoint,
     xi = dual_from_chart(point, params)
     if chart.singular_form is not None:
         slot, factor = chart.singular_form
-        smallest = np.abs(xi[..., slot]).min()
+        smallest = np.abs(xi[..., slot]).min(initial=np.inf)
         if smallest < DEG_TOL:
             raise SingularityError(
                 f"{model.value} restricted form is singular where "
@@ -626,7 +626,7 @@ def omega_chart(model: ModelId, point: OrbitPoint,
     pi = poisson_tensor(model, point, params)
     # a determinant beyond the float range is inf, which is not singular
     with np.errstate(over="ignore"):
-        det = np.abs(np.linalg.det(pi)).min()
+        det = np.abs(np.linalg.det(pi)).min(initial=np.inf)
     if det < DEG_TOL:
         raise SingularityError(
             f"chart Poisson tensor is singular (|det| = {det:.3e})"

@@ -14,6 +14,15 @@ byte-identical report.  The group laws, coadjoint actions, Casimirs and
 time flows broadcast over leading axes, so a check makes one call per
 stage of a property: the two sides it compares go through that call
 stacked, and one comparison gives the row's defect.
+
+The exponential series side of the oracle depends on no seed, so it is
+memoized with functools.lru_cache: the series of check_coadjoint_oracle
+per (selected models, params), and the probes' factors, dual points and
+references per params.  The first run in a process builds them; later
+runs share the same arrays, which are read-only so that no caller can
+change a later run's reference.  What a law under test returns (the
+probe elements, every coadjoint, casimirs and time flow) and every
+comparison are computed on every run.
 """
 
 from __future__ import annotations
@@ -190,21 +199,40 @@ def check_coadjoint_oracle(report: Report, params: ModelParams,
                            models) -> None:
     """Closed-form coadjoint against the exponential series, per subgroup.
 
-    The series of every model come from one _padded_expm call.
+    The series side comes from _oracle_series, memoized per (models,
+    params); the closed form is called on every run.
+    """
+    for model, (x, xi, series) in zip(
+            models, _oracle_series(tuple(models), params)):
+        report.add(f"{model.value}: coadjoint matches exponential oracle",
+                   _max_abs(series, gm.coadjoint(model, x, xi, params)), 1e-6)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, each made read-only: a memoized array is shared by every
+    later run."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _oracle_series(models: tuple, params: ModelParams) -> tuple:
+    """Per model, the parameters x, dual points xi and series exp @ xi.
+
+    x[a, i] = svals[i] e_a are the parameters of exp(svals[i] e_a), xi the
+    seed-7 draws (n, 4, n), and the series of every model come from one
+    _padded_expm call.  None depends on the seed; all are read-only.
     """
     svals = np.array((-1.0, -0.37, 0.51, 1.0))
-    # x[a, i] = svals[i] e_a, the parameters of exp(svals[i] e_a)
     xs = [svals[:, None] * np.eye(gm.dim(model))[:, None, :]
           for model in models]
     exps = _padded_expm([coad_matrix(gm.structure_tensor(model, params), x)
                          for model, x in zip(models, xs)])
-    for model, x, exp in zip(models, xs, exps):
-        n = gm.dim(model)
-        xi = np.random.default_rng(7).uniform(-1.0, 1.0, size=(n, len(svals),
-                                                               n))
-        series = (exp @ xi[..., None])[..., 0]
-        report.add(f"{model.value}: coadjoint matches exponential oracle",
-                   _max_abs(series, gm.coadjoint(model, x, xi, params)), 1e-6)
+    xis = [np.random.default_rng(7).uniform(-1.0, 1.0, size=x.shape)
+           for x in xs]
+    return tuple(_read_only(x, xi, (exp @ xi[..., None])[..., 0])
+                 for x, xi, exp in zip(xs, xis, exps))
 
 
 def check_homomorphism(report: Report, params: ModelParams, models,
@@ -493,7 +521,25 @@ def _padded_expm(coads: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _probes(params: ModelParams) -> dict[ModelId, Probe]:
-    """Every chart model's probe, with the factors from one _padded_expm call.
+    """Every chart model's probe.
+
+    The factors, dual points and series references come from
+    _probe_references, memoized per params; g is composed by gm.multiply
+    on every call.
+    """
+    probes = {}
+    for model, diag, xi, factors, reference in _probe_references(params):
+        g = functools.reduce(lambda u, v: gm.multiply(model, u, v, params),
+                             diag)
+        probes[model] = Probe(model, g, xi, factors, reference)
+    return probes
+
+
+@functools.lru_cache(maxsize=64)
+def _probe_references(params: ModelParams) -> tuple:
+    """Per chart model: the model, diag(s), the dual point xi, the factors
+    and their product applied to xi, the arrays read-only, from one
+    _padded_expm call.
 
     Row a of diag(s) holds the coordinates of exp(s_a e_a), and its
     coadjoint matrix coad(s_a e_a) exponentiates to the factor
@@ -502,15 +548,13 @@ def _probes(params: ModelParams) -> dict[ModelId, Probe]:
     diags = [np.diag(PROBE_S[:gm.dim(model)]) for model in PROBE_DUALS]
     exps = _padded_expm([coad_matrix(gm.structure_tensor(model, params), diag)
                          for model, diag in zip(PROBE_DUALS, diags)])
-    probes = {}
+    refs = []
     for model, diag, factors in zip(PROBE_DUALS, diags, exps):
         xi = gm.dual_vector(model, **PROBE_DUALS[model],  # the charge l or h
                             **{oc.CASIMIR_NAMES[model][0]: params.l_sub})
-        g = functools.reduce(lambda u, v: gm.multiply(model, u, v, params),
-                             diag)
-        probes[model] = Probe(model, g, xi, factors,
-                              functools.reduce(np.matmul, factors) @ xi)
-    return probes
+        refs.append((model, *_read_only(
+            diag, xi, factors, functools.reduce(np.matmul, factors) @ xi)))
+    return tuple(refs)
 
 
 def _coadjoint_term(slot, delta):

@@ -205,6 +205,41 @@ def test_stacked_chart_maps_match_row_by_row(model):
                               stacked_back[i])
 
 
+#: Chart-layer calls on an empty batch, and the trailing axes of their
+#: result, from the dual length n, chart length d and label count c.
+EMPTY_BATCH_CALLS = {
+    "casimirs": (lambda m, xi, pt: ao.casimirs(m, xi, PARAMS),
+                 lambda n, d, c: (c,)),
+    "chart_from_dual": (lambda m, xi, pt: ao.chart_from_dual(m, xi,
+                                                             PARAMS).coords,
+                        lambda n, d, c: (d,)),
+    "orbit_point": (lambda m, xi, pt: ao.orbit_point(m, pt.coords,
+                                                     PARAMS).labels,
+                    lambda n, d, c: (c,)),
+    "dual_from_chart": (lambda m, xi, pt: ao.dual_from_chart(pt, PARAMS),
+                        lambda n, d, c: (n,)),
+    "chart_jacobian": (lambda m, xi, pt: orbit_chart.chart_jacobian(
+        m, xi, PARAMS), lambda n, d, c: (d, n)),
+    "omega_matrix": (lambda m, xi, pt: ao.omega_matrix(m, pt, PARAMS),
+                     lambda n, d, c: (d, d)),
+    "omega_chart": (lambda m, xi, pt: ao.omega_chart(m, pt, PARAMS),
+                    lambda n, d, c: (d, d)),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_BATCH_CALLS)
+@pytest.mark.parametrize("model", CHART_MODELS, ids=lambda m: m.value)
+def test_an_empty_batch_gives_an_empty_result(model, name):
+    # the degeneracy checks reduce with a minimum, which has no identity
+    n = len(ao.DUAL_LABELS[model])
+    d = len(ao.CHART_COORDS[model])
+    c = len(ao.CASIMIR_NAMES[model])
+    point = ao.OrbitPoint(model, np.zeros((0, d)), np.zeros((0, c)))
+    call, trailing = EMPTY_BATCH_CALLS[name]
+    out = call(model, np.zeros((0, n)), point)
+    assert out.shape == (0, *trailing(n, d, c))
+
+
 def test_orbit_point_stores_given_labels_and_hidden_coordinates():
     # f is stored as given, not recomputed as |f (cos, sin)|
     phis = np.linspace(-np.pi, np.pi, 2001)

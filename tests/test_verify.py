@@ -179,15 +179,16 @@ def test_corruption_flips_only_its_rows_and_leaves_the_cache_clean():
     flipped = [b.name for c, b in zip(clean.checks, bad.checks) if c != b]
     assert flipped == ["double: jacobi identity"]
     assert not bad.all_passed
+    # the rows, and the notes read from the memoized references
     after = verify.run_verify(models=[ModelId.DOUBLE], seed=2)
-    assert [c.measured for c in after.checks] == [
-        c.measured for c in clean.checks]
+    assert after.as_dict() == clean.as_dict()
 
 
 def test_a_run_leaves_nothing_behind_for_the_next():
-    # no row, probe or series is kept across runs: seed 7 at default params
-    # reports the same after runs of another seed, other params and a
-    # corrupt config, and each of those reports its own input
+    # no row is kept across runs, and the memoized series and probe
+    # references are read-only: seed 7 at default params reports the same
+    # after runs of another seed, other params and a corrupt config, and
+    # each of those reports its own input
     first = verify.run_verify(seed=7).as_dict()
     other_seed = verify.run_verify(seed=8).as_dict()
     scaled = verify.run_verify(seed=7, params=ModelParams(
@@ -199,6 +200,58 @@ def test_a_run_leaves_nothing_behind_for_the_next():
     assert scaled["checks"] != first["checks"]
     assert scaled["convention_notes"] != first["convention_notes"]
     assert not corrupt.all_passed
+
+
+def _expm_calls(monkeypatch, **kwargs):
+    """The expm calls that one run_verify(**kwargs) makes."""
+    calls = []
+    real = verify.expm
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+    monkeypatch.setattr(verify, "expm", counted)
+    verify.run_verify(**kwargs)
+    return len(calls)
+
+
+def test_the_series_are_built_once_per_models_and_params(monkeypatch):
+    verify._oracle_series.cache_clear()
+    verify._probe_references.cache_clear()
+    params = ModelParams(m=2.3, omega=0.7, r=0.9)
+    # the coadjoint oracle's series, then the probes' factors
+    assert _expm_calls(monkeypatch, seed=0, params=params) == 2
+    assert _expm_calls(monkeypatch, seed=1, params=params) == 0
+    # a new selection shares the probes, which cover every chart model
+    assert _expm_calls(monkeypatch, seed=1, params=params,
+                       models=[ModelId.DOUBLE]) == 1
+    assert _expm_calls(monkeypatch, seed=1, params=ModelParams(
+        m=2.3, omega=0.7, r=0.8)) == 2
+
+
+def test_the_memoized_series_and_probe_references_are_read_only():
+    [(x, xi, series)] = verify._oracle_series((ModelId.DOUBLE,), PARAMS)
+    probe = verify._probes(PARAMS)[ModelId.NONCENTRAL]
+    for array in (x, xi, series, probe.xi, probe.factors, probe.reference):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]  # the same value, were it taken
+
+
+def test_a_warm_memo_still_calls_the_laws(monkeypatch):
+    verify.run_verify(models=[ModelId.DOUBLE], seed=0)  # fills the memo
+    # each probe g = prod_a exp(s_a e_a) takes n - 1 products
+    assert _law_calls(monkeypatch, lambda: verify.collect_convention_notes(
+        PARAMS))["multiply"] == sum(group_models.dim(m) - 1
+                                    for m in CHART_MODELS)
+    monkeypatch.setattr(group_models, "coadjoint", _slot_shifted(
+        group_models.coadjoint, ModelId.DOUBLE, 0, shift=1e-3))
+    report = verify.run_verify(models=[ModelId.DOUBLE], seed=0)
+    [row] = [c for c in report.checks
+             if c.name == "double: coadjoint matches exponential oracle"]
+    assert row.status == "fail"
+    [note] = [n for n in report.convention_notes if n["term"] ==
+              "coadjoint angular momentum, mixed translation term"]
+    assert not note["oracle_agrees_with_implementation"]
 
 
 def _flags(notes):
