@@ -28,6 +28,7 @@ import numpy as np
 from .lie_core import (
     ModelParams,
     SeriesConvergenceError,
+    _is_finite_number,
     kirillov_matrix,
 )
 from . import group_models as gm
@@ -96,11 +97,11 @@ def _parse_labels(items: list[str]) -> dict[str, float]:
 def _finite_number(value, name: str) -> float:
     """value as a float if it is a finite number (a bool is not one).
 
-    The range test also rejects an int beyond the float range, which JSON
-    reads exactly and float() cannot convert.
+    The test is lie_core._is_finite_number, so an int beyond the float
+    range, which JSON reads exactly and float() cannot convert, is
+    rejected.
     """
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
+    if not _is_finite_number(value):
         raise UsageError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

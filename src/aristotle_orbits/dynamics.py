@@ -99,13 +99,11 @@ from typing import Callable
 
 import numpy as np
 
-from .lie_core import ModelParams, _Record
+from .lie_core import DEFAULT_PARAMS, ModelParams, _Record, _is_finite_number
 from . import group_models as gm
 from . import orbit_chart as oc
 from .group_models import ModelId
 from .orbit_chart import OrbitPoint
-
-DEFAULT_PARAMS = ModelParams()
 
 SOLVER_TOL = 1e-12  # the implicit midpoint's fixed-point tolerance
 MAX_ITERATIONS = 50  # and its sweeps per step
@@ -232,8 +230,7 @@ class FlowSpec(_Record):
                  gradient: Callable | None = None):
         if kind not in ("group-time-flow", "hamiltonian"):
             raise ValueError(f"unknown flow kind {kind!r}")
-        if not (isinstance(dt, (int, float, np.floating))
-                and not isinstance(dt, bool) and math.isfinite(dt) and dt > 0):
+        if not (_is_finite_number(dt) and dt > 0):
             raise ValueError(f"dt must be a finite positive number, got "
                              f"{dt!r}")
         if not (isinstance(nsteps, (int, np.integer))

@@ -71,7 +71,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .lie_core import ModelParams, StructureTensor, cross2, eps_vec
+from .lie_core import (DEFAULT_PARAMS, ModelParams, StructureTensor, cross2,
+                       eps_vec)
 
 
 class ModelMismatchError(ValueError):
@@ -347,8 +348,6 @@ GROUPS: dict[ModelId, Group] = {
 
 ALGEBRA_LABELS = {model: g.labels for model, g in GROUPS.items()}
 DUAL_LABELS = {model: g.dual_labels for model, g in GROUPS.items()}
-
-DEFAULT_PARAMS = ModelParams()
 
 
 def dim(model: ModelId) -> int:

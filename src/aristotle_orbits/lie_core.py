@@ -19,9 +19,11 @@ coadjoint actions, and the Kirillov matrices that the test suite enforces.
 The group laws and chart maps call cross2 and eps_vec directly; both read
 2-vectors components first, so stacks (2, ...) broadcast.  expm is the
 one matrix exponential, over stacks (..., n, n), with one algorithm at
-every argument size: scaling and squaring (Moler & Van Loan, SIAM Review
-45(1), 2003).  exp_coadjoint applies it to coadjoint matrices, and the
-verify command uses both as the oracle of the closed-form actions.
+every argument size and one fixed tolerance, EXPM_TOL: scaling and
+squaring (Moler & Van Loan, SIAM Review 45(1), 2003).  exp_coadjoint
+applies it to coadjoint matrices.  The verify command takes its oracle of
+the closed-form actions from these two alone: exp_coadjoint for the
+coadjoint series, expm for the convention notes' factors.
 
 All values are double precision.  Types are immutable after construction
 and all operations are pure functions, so everything here is safe to share
@@ -30,12 +32,16 @@ here, the chart points, Hamiltonians, flow specs and trajectories
 elsewhere, and verify's rows) are _Record subclasses with __slots__: each
 __init__ sets its fields once through _Record._set, and any later
 assignment or deletion raises AttributeError.  ModelParams compares and
-hashes by value, so equal params share one cached structure tensor.
+hashes by value, so equal params share one cached structure tensor;
+DEFAULT_PARAMS is the one default instance the other modules import.
+ModelParams, the flow spec's dt and the CLI's numbers are tested by one
+predicate, _is_finite_number.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -50,6 +56,10 @@ class SeriesConvergenceError(ArithmeticError):
 
 #: Term cap of the expm series.
 MAX_TERMS = 200
+
+#: Bound on the max-norm of the first omitted term of every expm series.
+EXPM_TOL = 1e-14
+
 
 def rotation(theta: float) -> np.ndarray:
     """Counterclockwise rotation matrix R(theta)."""
@@ -72,6 +82,19 @@ def eps_vec(u) -> np.ndarray:
     eps_vec(u) = -[[0, -1], [1, 0]] @ u and cross2(u, eps_vec(u)) = -|u|^2.
     """
     return np.array((u[1], -u[0]))
+
+
+def _is_finite_number(value) -> bool:
+    """Whether value is a finite real number: a Python or numpy int or
+    float, not a bool, with |value| within the float range.
+
+    A Python int is compared exactly, so one beyond the float range, which
+    float() cannot convert, is rejected rather than raised on.
+    """
+    if isinstance(value, int):
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return (isinstance(value, (float, np.integer, np.floating))
+            and math.isfinite(value))
 
 
 class _Record:
@@ -99,9 +122,9 @@ class ModelParams(_Record):
     the reference action l_sub = m * omega * r**2 and m_omega = m * omega,
     the magnetic strength of the double model's chart, so with the default
     m = omega = r = 1 all structure constants and matrix entries reduce to
-    small integers.  All three must be finite and positive, and r**2 must
-    be too (about 1.6e-162 < r < 1.34e154).
-    Equal fields make equal, equally hashed params.
+    small integers.  All three must be finite positive numbers
+    (_is_finite_number), and r**2 must be too as a float (about 1.6e-162
+    < r < 1.34e154).  Equal fields make equal, equally hashed params.
     """
 
     __slots__ = ("m", "omega", "r")
@@ -109,8 +132,8 @@ class ModelParams(_Record):
     def __init__(self, m: float = 1.0, omega: float = 1.0, r: float = 1.0):
         # the structure constants hold 1 / r**2, and float ** raises where
         # the square overflows
-        if not (all(v > 0 and math.isfinite(v) for v in (m, omega, r))
-                and 0.0 < r * r < math.inf):
+        if not (all(_is_finite_number(v) and v > 0 for v in (m, omega, r))
+                and 0.0 < float(r) * float(r) < math.inf):
             raise ValueError("ModelParams requires finite m > 0, omega > 0, "
                              "r > 0, and r**2 > 0 finite as a float")
         self._set(m=m, omega=omega, r=r)
@@ -131,6 +154,10 @@ class ModelParams(_Record):
     @property
     def m_omega(self) -> float:
         return self.m * self.omega
+
+
+#: The params of every default argument: m = omega = r = 1.
+DEFAULT_PARAMS = ModelParams()
 
 
 class StructureTensor(_Record):
@@ -228,21 +255,19 @@ def kirillov_matrix(t: StructureTensor, xi) -> np.ndarray:
     return np.einsum("abc,...c->...ab", t.c, xi)
 
 
-def expm(m, tol: float = 1e-12) -> np.ndarray:
+def expm(m) -> np.ndarray:
     """Matrix exponentials exp(m) of square matrices (..., n, n).
 
     Scaling and squaring: each matrix M is scaled by the smallest 2^k that
     brings its max row sum nu = |M / 2^k| to at most 1 (k = 0 where
     |M| <= 1 already), the series of exp(M / 2^k) is summed up to the
     first term n whose bound nu^n / n! on its max-norm is at most
-    tol / 2^k, and the sum is squared k times.  The scaling keeps the
+    EXPM_TOL / 2^k, and the sum is squared k times.  The scaling keeps the
     terms at most 1: summing the series of a large M directly would cancel
     catastrophically (terms of size e^|M|).  Each matrix's arithmetic is
     its own, so a stacked call equals the single calls.  A non-finite m
     raises ValueError before any term is summed.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("expm: m must be finite")
@@ -254,7 +279,7 @@ def expm(m, tol: float = 1e-12) -> np.ndarray:
     acc = np.eye(m.shape[-1]) + scaled
     # term n of the scaled series has max-norm at most nu^n / n!
     nu = np.ldexp(norm, -squarings)
-    bound, scale = nu.copy(), np.ldexp(tol, -squarings)
+    bound, scale = nu.copy(), np.ldexp(EXPM_TOL, -squarings)
     active = ~(bound <= scale)
     n = 1
     while active.any():
@@ -278,18 +303,19 @@ def expm(m, tol: float = 1e-12) -> np.ndarray:
     return acc
 
 
-def exp_coadjoint(t: StructureTensor, x, xi,
-                  tol: float = 1e-12) -> np.ndarray:
+def exp_coadjoint(t: StructureTensor, x, xi) -> np.ndarray:
     """exp(coad_matrix(t, x)) @ xi, with the exponential from expm.
 
-    Reference oracle for the closed-form group coadjoint actions.  x and xi
-    are (..., n) with batch axes that broadcast together; each sample's
-    arithmetic is its own, so a stacked call equals the single calls.  A
-    non-finite x or xi raises ValueError before any term is summed.
+    Reference oracle for the closed-form group coadjoint actions: the
+    series side of verify's "coadjoint matches exponential oracle" rows.
+    x and xi are (..., n) with batch axes that broadcast together; each
+    sample's arithmetic is its own, so a stacked call equals the single
+    calls.  A non-finite x or xi raises ValueError before any term is
+    summed.
     """
     x = _check_trailing(t, x, "x")
     xi = _check_trailing(t, xi, "xi")
     for name, v in (("x", x), ("xi", xi)):
         if not np.isfinite(v).all():
             raise ValueError(f"exp_coadjoint: {name} must be finite")
-    return (expm(coad_matrix(t, x), tol) @ xi[..., None])[..., 0]
+    return (expm(coad_matrix(t, x)) @ xi[..., None])[..., 0]

@@ -71,15 +71,13 @@ from collections import namedtuple
 
 import numpy as np
 
-from .lie_core import (DimensionMismatchError, ModelParams, _Record, cross2,
-                       kirillov_matrix)
+from .lie_core import (DEFAULT_PARAMS, DimensionMismatchError, ModelParams,
+                       _Record, cross2, kirillov_matrix)
 from . import group_models as gm
 from .group_models import (ModelId, _broadcast_shape, _dot, _slot_first,
                            _trailing)
 
 DEG_TOL = 1e-12
-
-DEFAULT_PARAMS = ModelParams()
 
 
 class ChartDegeneracyError(ValueError):

@@ -6,8 +6,8 @@ section of the report collects convention notes: terms whose sign or
 factor differs between the implementation and alternate forms in
 circulation.  Notes are informational and never fail the run, but each
 one is measured at a probe point: the disagreement of the two forms, and
-two flags computed against the exponential series oracle (expm), so a
-note whose implementation drifts from the oracle reads false.
+two flags computed against the exponential series oracle, so a note whose
+implementation drifts from the oracle reads false.
 
 All sampling is driven by one seeded generator, so a fixed seed gives a
 byte-identical report.  The group laws, coadjoint actions, Casimirs and
@@ -15,14 +15,16 @@ time flows broadcast over leading axes, so a check makes one call per
 stage of a property: the two sides it compares go through that call
 stacked, and one comparison gives the row's defect.
 
-The exponential series side of the oracle depends on no seed, so it is
-memoized with functools.lru_cache: the series of check_coadjoint_oracle
-per (selected models, params), and the probes' factors, dual points and
-references per params.  The first run in a process builds them; later
-runs share the same arrays, which are read-only so that no caller can
-change a later run's reference.  What a law under test returns (the
-probe elements, every coadjoint, casimirs and time flow) and every
-comparison are computed on every run.
+The oracle is lie_core's: check_coadjoint_oracle's series come from
+exp_coadjoint, and the probes' factors exp(s_a coad(e_a)) from expm.  That
+side depends on no seed, so it is memoized with functools.lru_cache per
+(model, params): the series of check_coadjoint_oracle, and each chart
+model's probe factors, dual point and reference.  A model's entries are
+built by the first run in a process that needs them, whatever the
+selection, and later runs share the same arrays, which are read-only so
+that no caller can change a later run's reference.  What a law under test
+returns (the probe elements, every coadjoint, casimirs and time flow) and
+every comparison are computed on every run.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from collections import namedtuple
 import numpy as np
 
 from .lie_core import (
+    DEFAULT_PARAMS,
     ModelParams,
     StructureTensor,
     _Record,
     bracket,
     coad_matrix,
+    exp_coadjoint,
     expm,
     jacobi_defect,
     kirillov_matrix,
@@ -199,11 +203,11 @@ def check_coadjoint_oracle(report: Report, params: ModelParams,
                            models) -> None:
     """Closed-form coadjoint against the exponential series, per subgroup.
 
-    The series side comes from _oracle_series, memoized per (models,
+    The series side comes from _oracle_series, memoized per (model,
     params); the closed form is called on every run.
     """
-    for model, (x, xi, series) in zip(
-            models, _oracle_series(tuple(models), params)):
+    for model in models:
+        x, xi, series = _oracle_series(model, params)
         report.add(f"{model.value}: coadjoint matches exponential oracle",
                    _max_abs(series, gm.coadjoint(model, x, xi, params)), 1e-6)
 
@@ -217,22 +221,18 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _oracle_series(models: tuple, params: ModelParams) -> tuple:
-    """Per model, the parameters x, dual points xi and series exp @ xi.
+def _oracle_series(model: ModelId, params: ModelParams) -> tuple:
+    """The model's parameters x, dual points xi and series, read-only.
 
     x[a, i] = svals[i] e_a are the parameters of exp(svals[i] e_a), xi the
-    seed-7 draws (n, 4, n), and the series of every model come from one
-    _padded_expm call.  None depends on the seed; all are read-only.
+    seed-7 draws (n, 4, n), and the series exp_coadjoint(tensor, x, xi).
+    None depends on the seed.
     """
     svals = np.array((-1.0, -0.37, 0.51, 1.0))
-    xs = [svals[:, None] * np.eye(gm.dim(model))[:, None, :]
-          for model in models]
-    exps = _padded_expm([coad_matrix(gm.structure_tensor(model, params), x)
-                         for model, x in zip(models, xs)])
-    xis = [np.random.default_rng(7).uniform(-1.0, 1.0, size=x.shape)
-           for x in xs]
-    return tuple(_read_only(x, xi, (exp @ xi[..., None])[..., 0])
-                 for x, xi, exp in zip(xs, xis, exps))
+    x = svals[:, None] * np.eye(gm.dim(model))[:, None, :]
+    xi = np.random.default_rng(7).uniform(-1.0, 1.0, size=x.shape)
+    return _read_only(x, xi, exp_coadjoint(gm.structure_tensor(model, params),
+                                           x, xi))
 
 
 def check_homomorphism(report: Report, params: ModelParams, models,
@@ -503,32 +503,16 @@ Note = namedtuple("Note", "model term implemented alternate_form values "
                   "remark", defaults=("",))
 
 
-def _padded_expm(coads: list[np.ndarray]) -> list[np.ndarray]:
-    """expm of each stack coads[i] (n, ..., n, n), from one call.
-
-    A model with n generators fills the top left block of a zero stack
-    (size, ..., size, size), size the largest n, with its n coadjoint
-    matrices.  The padding exponentiates to identity blocks, so the same
-    block of the result holds the exponentials of its stack.
-    """
-    size = max(map(len, coads))
-    stack = np.zeros((len(coads), size) + coads[0].shape[1:-2] + (size, size))
-    for padded, coad in zip(stack, coads):
-        n = len(coad)
-        padded[:n, ..., :n, :n] = coad
-    return [exps[:len(coad), ..., :len(coad), :len(coad)]
-            for coad, exps in zip(coads, expm(stack, tol=1e-14))]
-
-
 def _probes(params: ModelParams) -> dict[ModelId, Probe]:
     """Every chart model's probe.
 
     The factors, dual points and series references come from
-    _probe_references, memoized per params; g is composed by gm.multiply
-    on every call.
+    _probe_references, memoized per (model, params); g is composed by
+    gm.multiply on every call.
     """
     probes = {}
-    for model, diag, xi, factors, reference in _probe_references(params):
+    for model in PROBE_DUALS:
+        diag, xi, factors, reference = _probe_references(model, params)
         g = functools.reduce(lambda u, v: gm.multiply(model, u, v, params),
                              diag)
         probes[model] = Probe(model, g, xi, factors, reference)
@@ -536,25 +520,20 @@ def _probes(params: ModelParams) -> dict[ModelId, Probe]:
 
 
 @functools.lru_cache(maxsize=64)
-def _probe_references(params: ModelParams) -> tuple:
-    """Per chart model: the model, diag(s), the dual point xi, the factors
-    and their product applied to xi, the arrays read-only, from one
-    _padded_expm call.
+def _probe_references(model: ModelId, params: ModelParams) -> tuple:
+    """A chart model's diag(s), dual point xi, factors and their product
+    applied to xi, read-only.
 
     Row a of diag(s) holds the coordinates of exp(s_a e_a), and its
-    coadjoint matrix coad(s_a e_a) exponentiates to the factor
+    coadjoint matrix coad(s_a e_a) exponentiates (expm) to the factor
     exp(s_a coad(e_a)).
     """
-    diags = [np.diag(PROBE_S[:gm.dim(model)]) for model in PROBE_DUALS]
-    exps = _padded_expm([coad_matrix(gm.structure_tensor(model, params), diag)
-                         for model, diag in zip(PROBE_DUALS, diags)])
-    refs = []
-    for model, diag, factors in zip(PROBE_DUALS, diags, exps):
-        xi = gm.dual_vector(model, **PROBE_DUALS[model],  # the charge l or h
-                            **{oc.CASIMIR_NAMES[model][0]: params.l_sub})
-        refs.append((model, *_read_only(
-            diag, xi, factors, functools.reduce(np.matmul, factors) @ xi)))
-    return tuple(refs)
+    diag = np.diag(PROBE_S[:gm.dim(model)])
+    factors = expm(coad_matrix(gm.structure_tensor(model, params), diag))
+    xi = gm.dual_vector(model, **PROBE_DUALS[model],  # the charge l or h
+                        **{oc.CASIMIR_NAMES[model][0]: params.l_sub})
+    return _read_only(diag, xi, factors,
+                      functools.reduce(np.matmul, factors) @ xi)
 
 
 def _coadjoint_term(slot, delta):
@@ -649,7 +628,7 @@ def collect_convention_notes(params: ModelParams) -> list[dict]:
 
 
 def run_verify(models: list[ModelId] | None = None, seed: int = 0,
-               params: ModelParams = ModelParams(),
+               params: ModelParams = DEFAULT_PARAMS,
                corruption: dict | None = None) -> Report:
     """Run the full property suite and return the Report."""
     rng = np.random.default_rng(seed)

@@ -117,3 +117,12 @@ def test_reports_public_names_that_no_module_reads(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["public names in pkg: 5",
                           "  read by no module: build, unused"]
+
+
+def test_the_package_leaves_only_the_pinned_public_names_unread(capsys):
+    # a change that leaves another export unread updates this list and says
+    # why; a change that gives one of these a caller removes it
+    assert _load().main([str(TOOLS.parent / "src")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == ("  read by no module: algebra_vector, "
+                         "canonicalize_noncentral")

@@ -202,7 +202,7 @@ def test_exp_coadjoint_rotation_closed_form():
     theta = 0.7
     x = ao.algebra_vector(ModelId.CENTRAL1, J=theta)
     xi = ao.dual_vector(ModelId.CENTRAL1, j=0.2, p1=1.0, p2=-0.5, E=2.0, l=3.0)
-    out = ao.exp_coadjoint(t, x, xi, tol=1e-14)
+    out = ao.exp_coadjoint(t, x, xi)
     assert np.allclose(out[1:3], ao.rotation(theta) @ xi[1:3], atol=1e-12)
     assert out[0] == pytest.approx(xi[0], abs=1e-12)
     assert out[3] == pytest.approx(xi[3])
@@ -217,7 +217,7 @@ def test_exp_coadjoint_matches_group_action_on_one_param_subgroups():
             s = float(rng.uniform(-1, 1))
             xi = rng.uniform(-1, 1, t.dim)
             y = ao.algebra_vector(model, **{label: s})
-            series = ao.exp_coadjoint(t, y, xi, tol=1e-14)
+            series = ao.exp_coadjoint(t, y, xi)
             closed = ao.coadjoint(model, y, xi, PARAMS)
             assert np.max(np.abs(series - closed)) < 1e-6
 
@@ -232,7 +232,7 @@ def test_exp_coadjoint_scales_large_arguments(s):
         for label in ao.ALGEBRA_LABELS[model]:
             xi = rng.uniform(-1, 1, t.dim)
             y = ao.algebra_vector(model, **{label: s})
-            series = ao.exp_coadjoint(t, y, xi, tol=1e-14)
+            series = ao.exp_coadjoint(t, y, xi)
             closed = ao.coadjoint(model, y, xi, PARAMS)
             assert (np.max(np.abs(series - closed))
                     < 1e-13 * (1.0 + np.max(np.abs(closed))))
@@ -264,12 +264,6 @@ def test_exp_coadjoint_rejects_non_finite_input(which, bad):
     assert "\n" not in str(info.value)
 
 
-def test_exp_coadjoint_requires_positive_tolerance():
-    t = ao.structure_tensor(ModelId.BASE, PARAMS)
-    with pytest.raises(ValueError):
-        ao.exp_coadjoint(t, np.zeros(4), np.zeros(4), tol=0.0)
-
-
 def test_model_params_validation_and_derived_scales():
     with pytest.raises(ValueError):
         ModelParams(m=-1.0)
@@ -280,6 +274,30 @@ def test_model_params_validation_and_derived_scales():
     with pytest.raises(AttributeError):
         del p.r
     assert (p.m, p.omega, p.r) == (2.0, 3.0, 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelParams(m=10**400),  # OverflowError from math.isfinite
+    lambda: ao.FlowSpec(dt=10**400),
+    lambda: ModelParams(m=True),  # stored True
+    lambda: ModelParams(omega=np.True_),
+    lambda: ModelParams(m="1"),  # TypeError from >
+    lambda: ModelParams(m=None),
+    lambda: ModelParams(r=10**200),  # r * r is an int, 1 / r**2 overflows
+], ids=["m-int-beyond-float", "dt-int-beyond-float", "m-bool", "omega-np-bool",
+        "m-str", "m-none", "r-int-square-beyond-float"])
+def test_non_number_or_out_of_range_scale_is_a_value_error_not_an_escape(
+        make):
+    with pytest.raises(ValueError, match="finite") as info:
+        make()
+    assert type(info.value) is ValueError
+
+
+def test_python_and_numpy_ints_and_floats_are_scales():
+    for value in (2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0)):
+        p = ModelParams(m=value, omega=value, r=value)
+        assert p == ModelParams(2.0, 2.0, 2.0)
+        assert ao.FlowSpec(dt=value).dt == value
 
 
 def test_model_params_compare_and_hash_by_value():
@@ -351,13 +369,12 @@ def test_stacked_exp_coadjoint_matches_single_series(model):
     # and the largest are scaled and squared a different number of times
     x = rng.uniform(-1, 1, (16, t.dim)) * np.geomspace(1e-3, 40.0, 16)[:, None]
     xi = rng.uniform(-1, 1, (16, t.dim))
-    out = ao.exp_coadjoint(t, x, xi, tol=1e-14)
+    out = ao.exp_coadjoint(t, x, xi)
     for i in range(16):
-        assert np.array_equal(out[i], ao.exp_coadjoint(t, x[i], xi[i],
-                                                       tol=1e-14))
+        assert np.array_equal(out[i], ao.exp_coadjoint(t, x[i], xi[i]))
     # one dual point under a stack of algebra elements
-    assert np.array_equal(ao.exp_coadjoint(t, x, xi[0], tol=1e-14)[3],
-                          ao.exp_coadjoint(t, x[3], xi[0], tol=1e-14))
+    assert np.array_equal(ao.exp_coadjoint(t, x, xi[0])[3],
+                          ao.exp_coadjoint(t, x[3], xi[0]))
 
 
 def test_stacked_expm_equals_single_calls():
@@ -365,9 +382,9 @@ def test_stacked_expm_equals_single_calls():
     # matrices of very different norm: different term counts and squarings
     m = rng.uniform(-1, 1, (12, 6, 6)) * np.geomspace(1e-4, 60.0, 12)[:, None,
                                                                       None]
-    out = ao.expm(m.reshape(3, 4, 6, 6), tol=1e-14).reshape(12, 6, 6)
+    out = ao.expm(m.reshape(3, 4, 6, 6)).reshape(12, 6, 6)
     for i in range(12):
-        assert np.array_equal(out[i], ao.expm(m[i], tol=1e-14))
+        assert np.array_equal(out[i], ao.expm(m[i]))
 
 
 def test_expm_of_a_nilpotent_matrix_is_its_finite_series():

@@ -202,35 +202,28 @@ def test_a_run_leaves_nothing_behind_for_the_next():
     assert not corrupt.all_passed
 
 
-def _expm_calls(monkeypatch, **kwargs):
-    """The expm calls that one run_verify(**kwargs) makes."""
-    calls = []
-    real = verify.expm
-
-    def counted(*args, **kw):
-        calls.append(args)
-        return real(*args, **kw)
-    monkeypatch.setattr(verify, "expm", counted)
+def _fills(**kwargs):
+    """The memo entries that one run_verify(**kwargs) builds."""
+    memos = (verify._oracle_series, verify._probe_references)
+    before = sum(memo.cache_info().misses for memo in memos)
     verify.run_verify(**kwargs)
-    return len(calls)
+    return sum(memo.cache_info().misses for memo in memos) - before
 
 
-def test_the_series_are_built_once_per_models_and_params(monkeypatch):
+def test_the_series_are_built_once_per_models_and_params():
     verify._oracle_series.cache_clear()
     verify._probe_references.cache_clear()
     params = ModelParams(m=2.3, omega=0.7, r=0.9)
-    # the coadjoint oracle's series, then the probes' factors
-    assert _expm_calls(monkeypatch, seed=0, params=params) == 2
-    assert _expm_calls(monkeypatch, seed=1, params=params) == 0
-    # a new selection shares the probes, which cover every chart model
-    assert _expm_calls(monkeypatch, seed=1, params=params,
-                       models=[ModelId.DOUBLE]) == 1
-    assert _expm_calls(monkeypatch, seed=1, params=ModelParams(
-        m=2.3, omega=0.7, r=0.8)) == 2
+    # five coadjoint series, then four chart models' probes
+    assert _fills(seed=0, params=params) == 9
+    assert _fills(seed=1, params=params) == 0
+    # a one-model selection reuses what the full run built
+    assert _fills(seed=1, params=params, models=[ModelId.DOUBLE]) == 0
+    assert _fills(seed=1, params=ModelParams(m=2.3, omega=0.7, r=0.8)) == 9
 
 
 def test_the_memoized_series_and_probe_references_are_read_only():
-    [(x, xi, series)] = verify._oracle_series((ModelId.DOUBLE,), PARAMS)
+    x, xi, series = verify._oracle_series(ModelId.DOUBLE, PARAMS)
     probe = verify._probes(PARAMS)[ModelId.NONCENTRAL]
     for array in (x, xi, series, probe.xi, probe.factors, probe.reference):
         with pytest.raises(ValueError, match="read-only"):

@@ -15,8 +15,9 @@ def test_later_runs_make_no_expm_call_and_the_laws_run_each_time():
     assert list(rows) == ["total", "multiply", "adjoint", "coadjoint",
                           "cocycle", "casimirs", "time_flow_exact", "expm"]
     first, later = (int(rows["expm"][0]), float(rows["expm"][1]))
-    # the coadjoint oracle's series and the probes' factors, then the memo
-    assert (first, later) == (2, 0.0)
+    # the probes' factors of four chart models (the five coadjoint series
+    # call it through exp_coadjoint), then the memo
+    assert (first, later) == (9, 0.0)
     assert int(rows["total"][0]) > float(rows["total"][1])
     for law in ("multiply", "adjoint", "coadjoint", "cocycle", "casimirs",
                 "time_flow_exact"):
