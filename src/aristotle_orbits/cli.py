@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -205,9 +208,7 @@ def cmd_verify(args) -> int:
                                    corruption=corruption)
     # the report file first, so that a failure to write it prints nothing
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_out(args.out, _json_chunks(report.as_dict()))
     print(report.table())
     print()
     notes = report.convention_notes
@@ -312,6 +313,50 @@ def _csv_lines(block: np.ndarray) -> list[bytes]:
     return lines
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """open()'s opener for _write_out: the file is created where missing
+    and never truncated, which the "wb" flags in flags would do."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT
+                   | getattr(os, "O_BINARY", 0), 0o666)
+
+
+def _write_out(path: str, chunks) -> None:
+    """Write the byte strings of chunks to path; the CLI's one file writer.
+
+    The file is rewritten in place: it is opened without O_TRUNC, written
+    from offset 0, and then trimmed at the end of what was written, so it
+    holds exactly those bytes.  Over an existing regular file this keeps
+    the blocks and cached pages that a truncating open would free and the
+    write allocate again, and it keeps the inode, the mode and any symlink
+    to it.  A path that does not exist is created.  The trim also runs
+    when chunks raises part way, so no stale tail follows the bytes
+    written so far; it is skipped where fstat finds no regular file (a
+    pipe, /dev/null), which has no tail.  Nothing is fsync'd.
+    """
+    with open(path, "wb", opener=_open_in_place) as fh:
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
+#: Encoder pieces per JSON write: a write per piece costs more than the
+#: formatting, and the whole document at once is held twice, as text and
+#: as bytes.
+_JSON_BATCH = 8192
+
+
+def _json_chunks(doc):
+    """doc as the CLI's JSON files hold it: json.dump's text, indented by
+    2, and one line end, _JSON_BATCH encoder pieces a chunk."""
+    pieces = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := list(itertools.islice(pieces, _JSON_BATCH)):
+        yield "".join(batch).encode()
+    yield b"\n"
+
+
 def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     """Write the columns of _trajectory_columns as CSV, one row a line.
 
@@ -321,7 +366,8 @@ def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     that is not constant.  NaN is never constant, and the time column is
     never cut.  The other columns are copied into one table and go through
     _csv_lines _CSV_BLOCK rows at a time.  The bytes are those of a writer
-    that formats every value of every row with repr.
+    that formats every value of every row with repr.  The file is written
+    by _write_out: in place, block by block, and trimmed at the end.
     """
     header, columns = _trajectory_columns(traj)
     n = len(traj.times)
@@ -331,12 +377,15 @@ def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     end = "".join("," + _fmt(c[0]) for c in columns[cut:]).encode() + b"\n"
     table = np.stack(columns[:cut], axis=1, dtype=float)
     table += 0.0  # normalizes negative zero as _fmt does
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+
+    def chunks():
+        yield (",".join(header) + "\n").encode()
         for start in range(0, n, _CSV_BLOCK):
             lines = _csv_lines(table[start:start + _CSV_BLOCK])
             lines.append(b"")
-            fh.write(end.join(lines))
+            yield end.join(lines)
+
+    _write_out(path, chunks())
 
 
 #: The choices of the simulate flags that have them.
@@ -406,9 +455,7 @@ def _write_trajectory(args, traj: dyn.Trajectory, tail: dict) -> None:
         "rows": (np.column_stack(columns) + 0.0).tolist(),
         **tail,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_out(args.out, _json_chunks(doc))
 
 
 def cmd_simulate(args) -> int:

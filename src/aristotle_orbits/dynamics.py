@@ -241,8 +241,11 @@ class FlowSpec(_Record):
             raise ValueError(f"unknown integrator {integrator!r}")
         if kind == "hamiltonian" and hamiltonian is None:
             raise ValueError("hamiltonian flows need a hamiltonian")
-        self._set(kind=kind, dt=dt, nsteps=nsteps, integrator=integrator,
-                  hamiltonian=hamiltonian, gradient=gradient)
+        # dt as a float: numpy holds a Python int dt as an int64, which
+        # raises beyond 2**63
+        self._set(kind=kind, dt=float(dt), nsteps=nsteps,
+                  integrator=integrator, hamiltonian=hamiltonian,
+                  gradient=gradient)
 
 
 class Trajectory(_Record):

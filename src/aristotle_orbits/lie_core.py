@@ -124,7 +124,8 @@ class ModelParams(_Record):
     m = omega = r = 1 all structure constants and matrix entries reduce to
     small integers.  All three must be finite positive numbers
     (_is_finite_number), and r**2 must be too as a float (about 1.6e-162
-    < r < 1.34e154).  Equal fields make equal, equally hashed params.
+    < r < 1.34e154).  They are stored as floats.  Equal fields make equal,
+    equally hashed params.
     """
 
     __slots__ = ("m", "omega", "r")
@@ -136,7 +137,9 @@ class ModelParams(_Record):
                 and 0.0 < float(r) * float(r) < math.inf):
             raise ValueError("ModelParams requires finite m > 0, omega > 0, "
                              "r > 0, and r**2 > 0 finite as a float")
-        self._set(m=m, omega=omega, r=r)
+        # as floats: a product of Python ints (m * omega, say) can outgrow
+        # the float range and raise where the float product is inf
+        self._set(m=float(m), omega=float(omega), r=float(r))
 
     def __eq__(self, other):
         if type(other) is not ModelParams:

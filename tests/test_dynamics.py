@@ -120,6 +120,20 @@ def test_group_flow_beyond_the_float_range_names_its_step():
     assert len(str(exc.value).splitlines()) == 1
 
 
+def test_group_flow_with_an_int_dt_beyond_int64_equals_the_float_dt():
+    # dt = 10**200 is a finite scale; held as an int it raised an
+    # OverflowError where numpy made it an int64
+    z0 = ao.orbit_point(ModelId.DOUBLE, (0.1, 0.2, 0.3, 0.4), PARAMS)
+    trajs = [ao.hamiltonian_flow(ModelId.DOUBLE,
+                                 FlowSpec(dt=dt, nsteps=3), z0, PARAMS)
+             for dt in (10**200, 1e200)]
+    assert type(FlowSpec(dt=10**200).dt) is float
+    for name in ("times", "coords", "casimir_series"):
+        assert np.array_equal(getattr(trajs[0], name),
+                              getattr(trajs[1], name), equal_nan=True)
+    assert trajs[0].times[-1] == 3e200
+
+
 def test_invariant_drift_single_step_is_zero():
     z0 = ao.orbit_point(ModelId.CENTRAL1, (0.5, -0.3), PARAMS)
     spec = FlowSpec(kind="group-time-flow", dt=0.1, nsteps=1)

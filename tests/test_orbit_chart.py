@@ -327,6 +327,19 @@ def test_noncentral_omega_singular_at_aligned_force():
         ao.omega_matrix(ModelId.NONCENTRAL, point, PARAMS)
 
 
+def test_int_scales_beyond_the_float_product_fail_as_the_float_scales():
+    # m * omega of two Python ints is an int beyond the float range, which
+    # raised a bare OverflowError where the float scales raise this
+    z = (0.1, 0.2, 0.3, 0.4)
+    messages = []
+    for scale in (10**200, 1e200):
+        with pytest.raises(ao.SingularityError) as info:
+            ao.orbit_point(ModelId.DOUBLE, z,
+                           ModelParams(m=scale, omega=scale))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 # -------------------------------------------------------- poisson brackets
 
 @pytest.mark.parametrize("model", CHART_MODELS)

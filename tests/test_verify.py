@@ -318,3 +318,13 @@ def test_the_other_orientation_of_s_fails_its_note(monkeypatch):
     assert not s_note["oracle_rejects_alternate"]
     assert all(n["oracle_agrees_with_implementation"] for n in notes
                if n is not s_note)
+
+
+def test_run_verify_at_int_scales_beyond_the_float_product_is_a_singularity():
+    # as test_orbit_chart's int-scale test, through the whole suite
+    messages = []
+    for scale in (10**160, 1e160):
+        with pytest.raises(ao.SingularityError) as info:
+            verify.run_verify(params=ModelParams(m=scale, omega=scale))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
