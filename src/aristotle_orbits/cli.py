@@ -286,31 +286,40 @@ def _trajectory_columns(traj: dyn.Trajectory) -> tuple[list[str], list]:
     return header, [traj.times, *traj.coords.T, *traj.casimir_series.T]
 
 
-#: Lines per write: the writer holds one block of formatted rows at a time.
-_CSV_BLOCK = 1024
+#: Rows per write: the writer holds one block of formatted rows at a time.
+_CSV_BLOCK = 512
 
 
-def _csv_lines(block: np.ndarray) -> list[bytes]:
-    """The rows of a 2-d float block as CSV lines, without line ends.
+def _csv_block(block: np.ndarray, end: bytes) -> bytes:
+    """The rows of a 2-d float block as CSV text, each row ended by end.
 
-    Each line is ``",".join(map(repr, row))``.  orjson formats the whole
-    block in one call with the same shortest round-trip digits, and where
-    |x| is in [1e-4, 1e16) or x is 0 with the same text too; a row holding
-    any other value (tiny, huge, NaN or infinite) is formatted by repr.
+    The text is ``b"".join(",".join(map(repr, row)).encode() + end for row
+    in block)``.  orjson formats the whole block in one call with the same
+    shortest round-trip digits, and where |x| is in [1e-4, 1e16) or x is 0
+    with the same text too.  A block whose values all lie there, with an
+    end that starts with ",", is joined by two single-byte replaces on
+    orjson's ``[[a,b],[c,d]]``: every "]" goes, and every "[" left opens a
+    row after the first and becomes end[1:], since no number holds a
+    bracket.  Any other block is split into rows and joined by end, and a
+    row holding any other value (tiny, huge, NaN or infinite) is
+    formatted by repr.
     """
     import orjson  # here, so that importing cli does not load it
     block = np.ascontiguousarray(block)  # orjson reads C order only
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-    lines = text[2:-2].split(b"],[")
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
     size = np.abs(block)
-    # the row mask only for a block not wholly inside the window (NaN fails
-    # the max test)
-    if not size.max() < 1e16 or ((size < 1e-4) & (block != 0)).any():
+    # NaN fails the max test
+    inside = size.max() < 1e16 and not ((size < 1e-4) & (block != 0)).any()
+    if inside and end.startswith(b","):
+        return text.replace(b"]", b"").replace(b"[", end[1:]) + end
+    lines = text.split(b"],[")
+    if not inside:
         outside = ~(((size >= 1e-4) & (size < 1e16))
                     | (block == 0)).all(axis=1)
         for i in np.flatnonzero(outside).tolist():
             lines[i] = ",".join(map(repr, block[i].tolist())).encode()
-    return lines
+    lines.append(b"")
+    return end.join(lines)
 
 
 def _open_in_place(path: str, flags: int) -> int:
@@ -364,10 +373,13 @@ def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     Casimir labels of a Hamiltonian flow, say) is formatted once and ends
     every line; the scan runs right to left and stops at the first column
     that is not constant.  NaN is never constant, and the time column is
-    never cut.  The other columns are copied into one table and go through
-    _csv_lines _CSV_BLOCK rows at a time.  The bytes are those of a writer
-    that formats every value of every row with repr.  The file is written
-    by _write_out: in place, block by block, and trimmed at the end.
+    never cut.  The other columns are copied into one table, which
+    _csv_block formats _CSV_BLOCK rows at a time, each row ended by that
+    run's text and a line end: an end that starts with "," (any Hamiltonian
+    flow) lets a block inside orjson's repr window take the replace path,
+    and a bare line end never does.  The bytes are those of a writer that
+    formats every value of every row with repr.  The file is written by
+    _write_out: in place, block by block, and trimmed at the end.
     """
     header, columns = _trajectory_columns(traj)
     n = len(traj.times)
@@ -381,9 +393,7 @@ def write_trajectory_csv(path: str, traj: dyn.Trajectory) -> None:
     def chunks():
         yield (",".join(header) + "\n").encode()
         for start in range(0, n, _CSV_BLOCK):
-            lines = _csv_lines(table[start:start + _CSV_BLOCK])
-            lines.append(b"")
-            yield end.join(lines)
+            yield _csv_block(table[start:start + _CSV_BLOCK], end)
 
     _write_out(path, chunks())
 

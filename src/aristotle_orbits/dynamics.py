@@ -637,8 +637,10 @@ def canonical_hamiltonian(params: ModelParams = DEFAULT_PARAMS):
 
     H = j omega + p**2 / (2 m) + m omega**2 q**2 / 2, the energy coordinate
     of orbit_chart.canonicalize_noncentral: a QuadraticHamiltonian with
-    hessian diag(0, 0, 1 / m, m omega**2) and slope (omega, 0, 0, 0).  Its
-    flow moves only phi_f, at the rate omega.
+    hessian diag(0, 0, 1 / m, m omega**2) and slope (omega, 0, 0, 0).  On
+    orbits with kappa = h / (m omega r**2) = 1 its flow moves only phi_f,
+    at the rate omega.  Elsewhere it also turns p and q, at the rate
+    omega |kappa - 1|; the kappa-corrected energy is ROADMAP item 3.
     """
     m, w = params.m, params.omega
     ham = QuadraticHamiltonian(np.diag([0.0, 0.0, 1.0 / m, m * w**2]),

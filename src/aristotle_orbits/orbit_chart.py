@@ -689,11 +689,14 @@ def coordinate_gradient(model: ModelId, name: str):
 
 def canonicalize_noncentral(point: OrbitPoint,
                             params: ModelParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Canonical chart (energy, time, p, q) of noncentral orbit points.
+    """Chart (energy, time, p, q) of noncentral orbit points.
 
     energy = j omega + p**2 / (2 m) + m omega**2 q**2 / 2 and
-    time = phi_f / omega; in this chart {energy, time} = {p, q} = 1 and
-    every other coordinate bracket vanishes.  The energy as a Hamiltonian
+    time = phi_f / omega.  On orbits with kappa = h / (m omega r**2) = 1,
+    such as orbit_point's default h, {energy, time} = {p, q} = 1 and every
+    other coordinate bracket vanishes.  Elsewhere the chart is not
+    canonical: its brackets miss the canonical ones by |kappa - 1|.  The
+    kappa-corrected chart is ROADMAP item 3.  The energy as a Hamiltonian
     on the noncentral chart, with its gradient, is
     dynamics.canonical_hamiltonian.
     """

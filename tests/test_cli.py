@@ -411,6 +411,19 @@ def _window_edge_trajectory():
                       coords=coords, casimir_series=series)
 
 
+def _out_of_window_rows_trajectory():
+    # out-of-window values in the first row, on both sides of a block
+    # boundary and in the last row, with an in-window block between them
+    n = 4 * cli._CSV_BLOCK + 3
+    coords = np.tile([0.5, -0.0, 1.0 / 3.0, 2.0], (n, 1))
+    coords[:, 1] = np.linspace(-1.0, 1.0, n)
+    coords[[0, 2 * cli._CSV_BLOCK - 1, 2 * cli._CSV_BLOCK, n - 1], 1] = (
+        5e-324, 1e16, -1e-300, -1e17)
+    series = np.tile([1.0, 0.1 + 0.2, -0.0, 7.0], (n, 1))
+    return Trajectory(model=ModelId.DOUBLE, times=0.01 * np.arange(n),
+                      coords=coords, casimir_series=series)
+
+
 def _partial_trajectory():
     ham, grad = ao.kinetic_hamiltonian(ModelId.DOUBLE, ao.ModelParams())
     z0 = ao.orbit_point(ModelId.DOUBLE, (1.0, 0.0, 0.0, 0.0), ao.ModelParams())
@@ -460,6 +473,21 @@ def _whole_blocks_trajectory():
                                       (2 * cli._CSV_BLOCK, 1)))
 
 
+def _bare_line_end_trajectory():
+    # the last label column moves too, so no constant run ends the rows
+    series = np.tile([1.0, 0.5, 0.25, 7.0], (2 * cli._CSV_BLOCK + 3, 1))
+    series[:, 3] = np.linspace(7.0, 8.0, len(series))
+    return _double_trajectory(series)
+
+
+def _one_column_trajectory():
+    # only the time column moves: the table is that one column
+    n = cli._CSV_BLOCK + 5
+    return Trajectory(model=ModelId.DOUBLE, times=0.01 * np.arange(n),
+                      coords=np.tile([0.5, -0.25, 1.0 / 3.0, 2.0], (n, 1)),
+                      casimir_series=np.tile([1.0, 0.5, 0.25, 7.0], (n, 1)))
+
+
 def _negative_zero_label_trajectory():
     # labels broadcast down the rows, as a Hamiltonian flow carries them,
     # with -0.0 in the first row of constant suffix columns
@@ -472,15 +500,19 @@ def _negative_zero_label_trajectory():
                                   _noncentral_energy_trajectory,
                                   _one_row_trajectory, _late_change_trajectory,
                                   _window_edge_trajectory,
+                                  _out_of_window_rows_trajectory,
                                   _partial_trajectory,
                                   _frozen_coordinate_trajectory,
                                   _nan_label_trajectory,
                                   _whole_blocks_trajectory,
+                                  _bare_line_end_trajectory,
+                                  _one_column_trajectory,
                                   _negative_zero_label_trajectory],
                          ids=["hamiltonian", "group", "signed-zero",
                               "noncentral-energy", "one-row", "late-change",
-                              "window-edges", "partial", "frozen-coordinate",
-                              "nan-label", "whole-blocks",
+                              "window-edges", "out-of-window-rows", "partial",
+                              "frozen-coordinate", "nan-label", "whole-blocks",
+                              "bare-line-end", "one-column",
                               "negative-zero-label"])
 def test_trajectory_csv_equals_the_per_row_writer(tmp_path, make):
     traj = make()
@@ -490,6 +522,9 @@ def test_trajectory_csv_equals_the_per_row_writer(tmp_path, make):
     assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("end", [
+    b"\n", "".join("," + repr(v) for v in _WINDOW_EDGES).encode() + b"\n"],
+    ids=["newline", "labels"])
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(rows=st.integers(1, 9).flatmap(lambda width: st.lists(
     st.lists(st.floats() | st.sampled_from(_WINDOW_EDGES), min_size=width,
@@ -497,10 +532,13 @@ def test_trajectory_csv_equals_the_per_row_writer(tmp_path, make):
 @example(rows=[list(_WINDOW_EDGES)])
 @example(rows=[[v] for v in _WINDOW_EDGES])
 @example(rows=[[0.5, v, -2.0] for v in _WINDOW_EDGES])
-def test_csv_lines_are_the_repr_join_of_each_row(rows):
-    # the guard on the orjson formatter, whatever its version
-    lines = cli._csv_lines(np.array(rows))
-    assert lines == [",".join(map(repr, row)).encode() for row in rows]
+def test_csv_block_is_the_repr_join_of_each_row(rows, end):
+    # the guard on the orjson formatter, whatever its version: a bare line
+    # end takes the split path, a ","-led one the replace path where every
+    # value of the block is in the window
+    text = cli._csv_block(np.array(rows), end)
+    assert text == b"".join(",".join(map(repr, row)).encode() + end
+                            for row in rows)
 
 
 def test_simulate_json_document_carries_drift(tmp_path):

@@ -128,15 +128,15 @@ def test_a_write_that_raises_part_way_leaves_no_stale_tail(tmp_path,
     cli.write_trajectory_csv(str(fresh), traj)
     path.write_bytes(FILLS["longer"])
     blocks = []
-    csv_lines = cli._csv_lines
+    csv_block = cli._csv_block
 
-    def fail_on_second_block(block):
+    def fail_on_second_block(block, end):
         blocks.append(len(block))
         if len(blocks) == 2:
             raise RuntimeError("second block")
-        return csv_lines(block)
+        return csv_block(block, end)
 
-    monkeypatch.setattr(cli, "_csv_lines", fail_on_second_block)
+    monkeypatch.setattr(cli, "_csv_block", fail_on_second_block)
     with pytest.raises(RuntimeError, match="second block"):
         cli.write_trajectory_csv(str(path), traj)
     # the header and the first block's lines, and nothing after them
